@@ -21,4 +21,4 @@ from .model import (ClassEmbeddingTable, EncoderConfig, LogitConfig, ParameterSe
                     model_loss, predict, save_checkpoint)
 from .reporting import (ReportBundle, RunRecord, build_report, evaluate_trends,
                         load_run, persist_run, write_report_files)
-from .ttl import RoutingDecision, TtlReport, TtlStreamConfig, route_pseudo_label, ttl_session
+from .ttl import TtlReport, TtlStreamConfig, route_pseudo_label, ttl_session

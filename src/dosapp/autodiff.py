@@ -404,17 +404,20 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
 
 # ---------------------------------------------------------------- optimizers
 
+OPTIMIZER_KINDS = ("adamw", "sgd")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float
-    kind: str = "adamw"  # "adamw" | "sgd"
+    kind: str = "adamw"  # one of OPTIMIZER_KINDS
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("adamw", "sgd"):
+        if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind '{self.kind}'")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")

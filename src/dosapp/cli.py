@@ -14,16 +14,6 @@ from .reporting import (build_report, load_run, persist_run,
                         write_momentum_grid_csv, write_report_files)
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(s) for s in text.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"bad seed list: {text!r}")
-    if not seeds:
-        raise ConfigError("seed list is empty")
-    return seeds
-
-
 def _load_config(args) -> tuple[RunConfig, dict]:
     if args.config is not None:
         cfg, ablate = parse_config_file(args.config)
@@ -31,10 +21,8 @@ def _load_config(args) -> tuple[RunConfig, dict]:
         cfg, ablate = RunConfig(), {}
     if getattr(args, "variant", None):
         cfg = dataclasses.replace(cfg, variant=args.variant)
-    if args.seeds:
-        cfg = dataclasses.replace(cfg, seeds=_parse_seeds(args.seeds))
-    if args.override:
-        cfg = apply_overrides(cfg, args.override)
+    seeds = [] if args.seeds is None else [f"run.seeds={args.seeds}"]
+    cfg = apply_overrides(cfg, seeds + args.override)
     if cfg.variant not in VARIANTS:
         known = ", ".join(sorted(VARIANTS))
         raise ConfigError(f"unknown variant {cfg.variant!r} (known: {known})")

@@ -14,6 +14,9 @@ import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .autodiff import OPTIMIZER_KINDS
+from .data import IMBALANCE_MODES, STREAM_SCOPES
+
 MANIFEST_VERSION = 1
 PACKAGE_VERSION = "0.1.0"
 
@@ -80,10 +83,17 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"cannot parse seed list from {raw!r}")
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+def _checked(parse, allowed):
+    """parse, then reject any value for which allowed(value) is false."""
+    def run(raw: str):
+        value = parse(raw)
+        if not allowed(value):
+            raise ValueError(f"value {raw!r} not allowed")
+        return value
+    return run
 
 
 def _parse_opt_int(raw: str) -> int | None:
@@ -98,7 +108,7 @@ def _parse_opt_float(raw: str) -> float | None:
 # (section, key) -> (RunConfig attribute, parser)
 _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("run", "variant"): ("variant", str),
-    ("run", "seeds"): ("seeds", _parse_seeds),
+    ("run", "seeds"): ("seeds", _checked(_parse_seeds, bool)),  # a nonempty list
     ("run", "epochs"): ("epochs", int),
     ("run", "batch_size"): ("batch_size", int),
     ("data", "total_classes"): ("total_classes", int),
@@ -117,17 +127,17 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("model", "embed_dim"): ("embed_dim", int),
     ("model", "use_attention"): ("use_attention", _parse_bool),
     ("model", "temperature"): ("temperature", float),
-    ("optimizer", "kind"): ("optimizer_kind", str),
+    ("optimizer", "kind"): ("optimizer_kind", _checked(str, OPTIMIZER_KINDS.__contains__)),
     ("optimizer", "learning_rate"): ("learning_rate", float),
     ("optimizer", "beta1"): ("beta1", float),
     ("optimizer", "beta2"): ("beta2", float),
     ("optimizer", "epsilon"): ("epsilon", float),
     ("optimizer", "weight_decay"): ("weight_decay", float),
-    ("sparsity", "c"): ("sparsity_c", float),
+    ("sparsity", "c"): ("sparsity_c", _checked(float, lambda c: 0.0 < c <= 1.0)),
     ("sparsity", "score_sample_cap"): ("score_sample_cap", _parse_opt_int),
     ("ttl", "batch_size"): ("ttl_batch_size", int),
-    ("ttl", "stream_scope"): ("ttl_stream_scope", str),
-    ("ttl", "imbalance"): ("ttl_imbalance", str),
+    ("ttl", "stream_scope"): ("ttl_stream_scope", _checked(str, STREAM_SCOPES.__contains__)),
+    ("ttl", "imbalance"): ("ttl_imbalance", _checked(str, IMBALANCE_MODES.__contains__)),
     ("ttl", "dirichlet_alpha"): ("dirichlet_alpha", _parse_opt_float),
     ("ema", "delta"): ("delta", float),
     ("ema", "gamma"): ("gamma", float),

@@ -15,6 +15,9 @@ import numpy as np
 
 from .seeding import substream
 
+STREAM_SCOPES = ("seen", "current")
+IMBALANCE_MODES = ("balanced", "dirichlet")
+
 
 @dataclass(frozen=True)
 class SyntheticTaskSpec:
@@ -87,8 +90,7 @@ class SessionSchedule:
 
     tasks: list[TaskData]
     spec: SyntheticTaskSpec
-    epochs: int = 10
-    imbalance_mode: str = "balanced"  # "balanced" | "dirichlet"
+    imbalance_mode: str = "balanced"  # one of IMBALANCE_MODES
     dirichlet_alpha: float | None = None  # None -> classes_per_task
 
     def seen_classes(self, upto: int) -> list[int]:
@@ -98,10 +100,10 @@ class SessionSchedule:
         return sorted(out)
 
 
-def generate_tasks(spec: SyntheticTaskSpec, epochs: int = 10, imbalance_mode: str = "balanced",
+def generate_tasks(spec: SyntheticTaskSpec, imbalance_mode: str = "balanced",
                    dirichlet_alpha: float | None = None) -> SessionSchedule:
     """Draw all class clouds and split them; fully determined by spec.seed."""
-    if imbalance_mode not in ("balanced", "dirichlet"):
+    if imbalance_mode not in IMBALANCE_MODES:
         raise ValueError(f"unknown imbalance mode '{imbalance_mode}'")
     rng = substream(spec.seed, "data")
     n_classes = spec.tasks * spec.classes_per_task
@@ -135,8 +137,8 @@ def generate_tasks(spec: SyntheticTaskSpec, epochs: int = 10, imbalance_mode: st
             ttl_pool=pool,
             eval=LabeledDataset(ev_x, ev_y, ev_i),
         ))
-    return SessionSchedule(tasks=tasks, spec=spec, epochs=epochs,
-                           imbalance_mode=imbalance_mode, dirichlet_alpha=dirichlet_alpha)
+    return SessionSchedule(tasks=tasks, spec=spec, imbalance_mode=imbalance_mode,
+                           dirichlet_alpha=dirichlet_alpha)
 
 
 def sample_imbalanced_ttl(class_ids, pool_sizes, alpha: float, rng: np.random.Generator
@@ -165,7 +167,7 @@ def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int,
     uses only the just-trained task. Returns the stream plus its per-class
     composition (generator-side bookkeeping, not visible to the learner).
     """
-    if scope not in ("seen", "current"):
+    if scope not in STREAM_SCOPES:
         raise ValueError(f"unknown ttl stream scope '{scope}'")
     task_range = schedule.tasks[: session + 1] if scope == "seen" else [schedule.tasks[session]]
     pools: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -14,15 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as dm
-from .autodiff import Graph, Optimizer, OptimizerConfig, backward
+from .autodiff import Optimizer, OptimizerConfig
 from .config import RunConfig
 from .data import (LabeledDataset, ReplayBuffer, SessionSchedule, SyntheticTaskSpec, TaskData,
                    build_ttl_stream, generate_tasks)
-from .ema import EmaConfig, clone_student_to_teacher, compute_pq, ema_update
+from .ema import EmaConfig, clone_student_to_teacher, compute_pq
 from .masking import Mask, MaskHistory, ScoreMap, reselect_topk, score_parameters, select_topk, union_masks
 from .model import ClassEmbeddingTable, EncoderConfig, LogitConfig, ParameterSet
 from .seeding import substream
-from .ttl import TtlStreamConfig, ttl_session
+from .ttl import TtlStreamConfig, train_step, ttl_session
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
     for epoch in range(cfg.epochs):
         order = substream(seed, "shuffle", f"train-task{task.task_id}", f"epoch{epoch}").permutation(n)
         losses = []
-        for start in range(0, n, cfg.batch_size):
+        for b, start in enumerate(range(0, n, cfg.batch_size)):
             pick = order[start : start + cfg.batch_size]
             xb, yb, idb = train.x[pick], train.y[pick], train.ids[pick]
             if buffer is not None and len(buffer) > 0:
@@ -155,13 +155,10 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
                 idb = np.concatenate([idb, bids])
             if audit is not None:
                 audit.record_gradient_batch("supervised", task.task_id, idb)
-            student.zero_grads()
-            with Graph() as g:
-                loss = dm.model_loss(student, table, xb, yb, restrict, logit_cfg)
-            backward(loss, g)
-            opt.step(student, mask)
-            if teacher is not None:
-                ema_update(teacher, student, pq)
+            loss = train_step(
+                student, teacher, opt, mask, pq,
+                lambda: dm.model_loss(student, table, xb, yb, restrict, logit_cfg),
+                where=f"supervised session {task.task_id} epoch {epoch} batch {b}")
             losses.append(loss.item())
             if buffer is not None and epoch == 0:
                 # reservoir sees each labeled example once, on its first epoch
@@ -234,7 +231,7 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
         input_dim=cfg.input_dim, cluster_separation=cfg.cluster_separation,
         noise_sigma=cfg.noise_sigma, seed=seed,
     )
-    schedule = generate_tasks(spec, epochs=cfg.epochs, imbalance_mode=cfg.ttl_imbalance,
+    schedule = generate_tasks(spec, imbalance_mode=cfg.ttl_imbalance,
                               dirichlet_alpha=cfg.dirichlet_alpha)
     student = dm.init_model(enc, seed)
     teacher = clone_student_to_teacher(student) if knobs.use_teacher else None
@@ -274,8 +271,7 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
             stream, composition = build_ttl_stream(schedule, t, seed, cfg.ttl_stream_scope)
             metrics_rows.append({"type": "ttl_stream", "session": t,
                                  "composition": {str(c): int(n) for c, n in sorted(composition.items())}})
-            stream_cfg = TtlStreamConfig(batch_size=cfg.ttl_batch_size, class_set=tuple(seen),
-                                         shuffle_seed=seed)
+            stream_cfg = TtlStreamConfig(batch_size=cfg.ttl_batch_size, class_set=tuple(seen))
             ema_ttl = EmaConfig(delta=cfg.delta, gamma=cfg.gamma, lam=cfg.lam, phase="ttl")
             report = ttl_session(
                 student, teacher, ttl_mask, stream, stream_cfg, ema_ttl, opt_cfg,

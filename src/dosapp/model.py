@@ -78,9 +78,6 @@ class ParameterSet:
         for t in self.entries.values():
             t.grad = None
 
-    def total_count(self) -> int:
-        return sum(t.size for t in self.entries.values())
-
     def candidate_count(self) -> int:
         return sum(self.entries[p].size for p in self.candidate_paths())
 

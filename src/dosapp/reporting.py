@@ -102,7 +102,8 @@ class RunRecord:
 @dataclass
 class ReportBundle:
     records: list[RunRecord]
-    aggregate: dict[str, dict[str, tuple[float, float]]] = field(default_factory=dict)
+    # display row -> {"n_runs": runs averaged, summary field: (mean, std)}
+    aggregate: dict[str, dict] = field(default_factory=dict)
     trend_verdicts: list[dict] = field(default_factory=list)
 
 
@@ -247,11 +248,12 @@ def build_report(run_dirs) -> ReportBundle:
         raise ConfigError("no runs to report on")
     aggregate = {}
     for variant, runs in sorted(_display_group(records).items()):
-        aggregate[variant] = {
+        aggregate[variant] = {"n_runs": len(runs)}
+        aggregate[variant].update({
             k: _mean_std([r.summary[k] for r in runs if r.summary[k] is not None])
             for k in SUMMARY_FIELDS
             if any(r.summary[k] is not None for r in runs)
-        }
+        })
     return ReportBundle(records=records, aggregate=aggregate,
                         trend_verdicts=evaluate_trends(records))
 
@@ -263,14 +265,13 @@ def write_report_files(out_dir, bundle: ReportBundle) -> None:
 
     lines = ["variant,n_runs," + ",".join(f"{k}_mean,{k}_std" for k in SUMMARY_FIELDS)]
     for variant, agg in sorted(bundle.aggregate.items()):
-        n = len([r for r in bundle.records if r.variant == variant])
         cells = []
         for k in SUMMARY_FIELDS:
             if k in agg:
                 cells.extend([_fmt(agg[k][0]), _fmt(agg[k][1])])
             else:
                 cells.extend(["", ""])
-        lines.append(f"{variant},{n}," + ",".join(cells))
+        lines.append(f"{variant},{agg['n_runs']}," + ",".join(cells))
     (out_dir / "aggregate.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["variant,session,mean_seen_acc_mean,mean_seen_acc_std"]

@@ -1,10 +1,9 @@
-"""Unsupervised test-time adaptation with max-logit pseudo-label routing.
+"""The training step of both phases, and unsupervised test-time adaptation.
 
-For every stream sample the teacher's and student's highest raw logits are
-compared; whichever model is more confident supplies the pseudo label (ties
-go to the teacher). The student takes one masked optimizer step per batch
-and the teacher follows by the test-time blend. Each stream is consumable
-exactly once: adaptation is single-pass by construction.
+During adaptation, for every stream sample the teacher's and student's
+highest raw logits are compared; whichever model is more confident supplies
+the pseudo label (ties go to the teacher). Each stream is consumable exactly
+once: adaptation is single-pass by construction.
 """
 
 from __future__ import annotations
@@ -16,33 +15,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as dm
-from .autodiff import Graph, Optimizer, OptimizerConfig, backward
+from .autodiff import Graph, Optimizer, OptimizerConfig, backward, cross_entropy_from_logits
 from .data import UnlabeledStream
 from .ema import EmaConfig, compute_pq, ema_update
-
-
-@dataclass(frozen=True)
-class RoutingDecision:
-    pseudo_label: int
-    source: str  # "teacher" | "student"
-    teacher_max: float
-    student_max: float
 
 
 @dataclass(frozen=True)
 class TtlStreamConfig:
     batch_size: int
     class_set: tuple[int, ...]
-    single_pass: bool = True
-    shuffle_seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if not self.class_set:
             raise ValueError("class_set must be nonempty")
-        if not self.single_pass:
-            raise ValueError("test-time adaptation is single-pass; single_pass must stay True")
 
 
 @dataclass
@@ -62,23 +49,44 @@ class TtlReport:
         return self.teacher_count / n if n else 0.0
 
 
-def route_pseudo_label(teacher_logits, student_logits, class_ids) -> RoutingDecision:
-    """Pick the label from whichever row has the larger maximum raw logit."""
-    t = np.asarray(teacher_logits, dtype=np.float64).ravel()
-    s = np.asarray(student_logits, dtype=np.float64).ravel()
-    ids = tuple(int(c) for c in class_ids)
-    if not ids:
+def train_step(student, teacher, opt: Optimizer, mask, pq, build_loss, where: str):
+    """Zero grads, tape build_loss(), backprop, masked step, teacher blend.
+
+    A non-finite loss or gradient raises FloatingPointError naming `where`
+    before anything is updated. teacher=None skips the blend. Returns the loss.
+    """
+    student.zero_grads()
+    with Graph() as tape:
+        loss = build_loss()
+    backward(loss, tape)
+    grads = (student.entries[p].grad for p in (student.entries if mask is None else mask.bits))
+    if not (math.isfinite(loss.item()) and all(g is None or np.isfinite(g).all() for g in grads)):
+        raise FloatingPointError(f"non-finite loss or gradient in {where}")
+    opt.step(student, mask)
+    if teacher is not None:
+        ema_update(teacher, student, pq)
+    return loss
+
+
+def route_pseudo_label(teacher_logits, student_logits, class_ids):
+    """Label each row of [n, C] logits from the model with the larger max logit.
+
+    Returns (labels, from_teacher, teacher_max, student_max) arrays, one entry
+    per row. teacher_logits=None labels every row from the student.
+    """
+    ids = np.asarray(class_ids, dtype=np.int64)
+    if ids.size == 0:
         raise ValueError("route_pseudo_label: empty class set")
-    if t.shape != (len(ids),) or s.shape != (len(ids),):
-        raise ValueError(
-            f"route_pseudo_label: class-set mismatch (rows {t.shape} / {s.shape} "
-            f"for {len(ids)} classes)"
-        )
-    t_max = float(t.max())
-    s_max = float(s.max())
-    if t_max >= s_max:  # tie goes to the teacher
-        return RoutingDecision(ids[int(np.argmax(t))], "teacher", t_max, s_max)
-    return RoutingDecision(ids[int(np.argmax(s))], "student", t_max, s_max)
+    s = np.asarray(student_logits, dtype=np.float64)
+    t = (np.full_like(s, np.nan) if teacher_logits is None
+         else np.asarray(teacher_logits, dtype=np.float64))
+    if s.ndim != 2 or s.shape[1] != ids.size or t.shape != s.shape:
+        raise ValueError(f"route_pseudo_label: class-set mismatch (rows {t.shape} / {s.shape} "
+                         f"for {ids.size} classes)")
+    t_max, s_max = t.max(axis=1), s.max(axis=1)
+    from_teacher = t_max >= s_max  # tie goes to the teacher; a NaN teacher never wins
+    cols = np.where(from_teacher, t.argmax(axis=1), s.argmax(axis=1))
+    return ids[cols], from_teacher, t_max, s_max
 
 
 def _entropy(labels: np.ndarray) -> float:
@@ -111,44 +119,34 @@ def ttl_session(student, teacher, mask, stream: UnlabeledStream, cfg: TtlStreamC
     for b, start in enumerate(range(0, len(ids_all), cfg.batch_size)):
         xb = x_all[start : start + cfg.batch_size]
         idb = ids_all[start : start + cfg.batch_size]
-        s_log = dm.logits(student, table, xb, classes, logit_cfg).data
-        if teacher is not None:
-            t_log = dm.logits(teacher, table, xb, classes, logit_cfg).data
-            decisions = [route_pseudo_label(t_log[i], s_log[i], classes) for i in range(len(idb))]
-        else:
-            decisions = [
-                RoutingDecision(classes[int(np.argmax(s_log[i]))], "student",
-                                math.nan, float(s_log[i].max()))
-                for i in range(len(idb))
-            ]
-        pseudo = np.array([d.pseudo_label for d in decisions], dtype=np.int64)
+        t_log = None if teacher is None else dm.logits(teacher, table, xb, classes, logit_cfg).data
         if audit is not None:
             audit.record_gradient_batch("ttl", session, idb)
+        routed = []
 
-        student.zero_grads()
-        with Graph() as g:
-            loss = dm.model_loss(student, table, xb, pseudo, classes, logit_cfg)
-        backward(loss, g)
-        opt.step(student, mask)
-        if teacher is not None:
-            ema_update(teacher, student, pq)
+        def build_loss():
+            # one student forward serves both routing and the loss
+            s_log = dm.logits(student, table, xb, classes, logit_cfg)
+            routed.extend(route_pseudo_label(t_log, s_log.data, classes))
+            return cross_entropy_from_logits(s_log, np.searchsorted(classes, routed[0]))
 
-        from_teacher = [d for d in decisions if d.source == "teacher"]
-        from_student = [d for d in decisions if d.source == "student"]
-        report.teacher_count += len(from_teacher)
-        report.student_count += len(from_student)
+        loss = train_step(student, teacher, opt, mask, pq, build_loss,
+                          where=f"ttl session {session} batch {b}")
+        pseudo, from_teacher, t_max, s_max = routed
+        n_teacher = int(from_teacher.sum())
+        report.teacher_count += n_teacher
+        report.student_count += len(idb) - n_teacher
         report.rows.append({
             "type": "ttl_batch",
             "session": session,
             "batch": b,
             "size": len(idb),
             "loss": loss.item(),
-            "teacher_fraction": len(from_teacher) / len(idb),
-            "student_fraction": len(from_student) / len(idb),
+            "teacher_fraction": n_teacher / len(idb),
+            "student_fraction": (len(idb) - n_teacher) / len(idb),
             "pseudo_label_entropy": _entropy(pseudo),
-            "mean_max_logit_teacher":
-                float(np.mean([d.teacher_max for d in from_teacher])) if from_teacher else None,
+            "mean_max_logit_teacher": float(np.mean(t_max[from_teacher])) if n_teacher else None,
             "mean_max_logit_student":
-                float(np.mean([d.student_max for d in from_student])) if from_student else None,
+                float(np.mean(s_max[~from_teacher])) if n_teacher < len(idb) else None,
         })
     return report

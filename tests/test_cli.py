@@ -1,6 +1,7 @@
 """End-to-end CLI: artifacts, reproducibility, error codes, reports."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,23 @@ def test_bad_override_exits_2(tmp_path, capsys):
     assert "section.key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, key", [
+    (["--override", "run.seeds="], "[run] seeds"),
+    (["--seeds", ""], "[run] seeds"),
+    (["--override", "ttl.stream_scope=bogus"], "[ttl] stream_scope"),
+    (["--override", "ttl.imbalance=bogus"], "[ttl] imbalance"),
+    (["--override", "optimizer.kind=bogus"], "[optimizer] kind"),
+    (["--override", "sparsity.c=0"], "[sparsity] c"),
+])
+def test_bad_value_exits_2_before_any_run(tmp_path, capsys, args, key):
+    out = tmp_path / "out"
+    rc = main(["run", *args, "--out", str(out), *tiny_args()])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+    assert not out.exists()
+
+
 def test_unknown_variant_exits_2(tmp_path, capsys):
     rc = main(["run", "--variant", "dosapp_v9", "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -193,6 +211,17 @@ def test_report_scans_roots_and_is_idempotent(ablation_dir, tmp_path, capsys):
         assert (rep1 / name).read_bytes() == (rep2 / name).read_bytes(), name
     assert "finetune_no_ttl: avg_acc=" in out1
     assert "trend " in out1
+
+
+def test_aggregate_counts_the_runs_each_row_averages(ablation_dir):
+    # the grid arms reuse the dosapp variant name, so dosapp splits into one
+    # momentum-labelled row per setting; each row averages two seeds
+    agg = (ablation_dir / "report" / "aggregate.csv").read_text().splitlines()
+    # a momentum label holds a comma of its own ("dosapp[g=0.8,l=0.9]")
+    rows = [re.match(r"(dosapp\[.*?\]|[^,]+),([^,]*),", line).groups() for line in agg[1:]]
+    assert len(rows) == 4  # three dosapp momentum settings + finetune_no_ttl
+    assert sum(label.startswith("dosapp[") for label, _ in rows) == 3
+    assert {n_runs for _, n_runs in rows} == {"2"}
 
 
 def test_report_on_explicit_run_dirs(ablation_dir, tmp_path, capsys):

@@ -112,6 +112,36 @@ def test_seeds_parse_accepts_commas_and_spaces():
     assert cf.apply_overrides(cf.RunConfig(), ["run.seeds=3,4 5"]).seeds == (3, 4, 5)
 
 
+@pytest.mark.parametrize("raw", ["", " , ", "0,x"])
+def test_seed_list_must_be_nonempty_integers(raw):
+    with pytest.raises(cf.ConfigError, match=r"\[run\] seeds"):
+        cf.apply_overrides(cf.RunConfig(), [f"run.seeds={raw}"])
+
+
+@pytest.mark.parametrize("override", [
+    "ttl.stream_scope=bogus", "ttl.imbalance=bogus", "optimizer.kind=bogus",
+    "sparsity.c=0", "sparsity.c=-0.1", "sparsity.c=1.5",
+])
+def test_out_of_range_values_name_the_key(override):
+    dotted = override.split("=")[0]
+    section, key = dotted.split(".")
+    with pytest.raises(cf.ConfigError, match=rf"\[{section}\] {key}"):
+        cf.apply_overrides(cf.RunConfig(), [override])
+
+
+def test_every_value_the_owner_modules_allow_parses():
+    from dosapp.autodiff import OPTIMIZER_KINDS
+    from dosapp.data import IMBALANCE_MODES, STREAM_SCOPES
+
+    for attr, section_key, allowed in (("ttl_stream_scope", "ttl.stream_scope", STREAM_SCOPES),
+                                       ("ttl_imbalance", "ttl.imbalance", IMBALANCE_MODES),
+                                       ("optimizer_kind", "optimizer.kind", OPTIMIZER_KINDS)):
+        for value in allowed:
+            cfg = cf.apply_overrides(cf.RunConfig(), [f"{section_key}={value}"])
+            assert getattr(cfg, attr) == value
+    assert cf.apply_overrides(cf.RunConfig(), ["sparsity.c=1"]).sparsity_c == 1.0
+
+
 def test_config_dict_round_trip():
     cfg = cf.apply_overrides(cf.RunConfig(), ["ttl.dirichlet_alpha=2.0", "run.seeds=1,2"])
     assert cf.config_from_dict(cf.config_to_dict(cfg)) == cfg

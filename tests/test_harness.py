@@ -241,3 +241,25 @@ def test_restricting_to_fewer_classes_never_hurts_accuracy():
     acc_narrow = float(np.mean(dm.predict(params, table, ev.x, [0, 1, 2, 3], lc) == ev.y))
     acc_wide = float(np.mean(dm.predict(params, table, ev.x, list(range(8)), lc) == ev.y))
     assert acc_narrow >= acc_wide
+
+
+def test_non_finite_loss_stops_supervised_session_before_the_step():
+    # one batch per epoch, so a NaN feature poisons the very first step;
+    # student and teacher must keep their initial values
+    cfg = tiny_cfg(variant="teacher_student_only", batch_size=64)
+    sched = generate_tasks(hz.SyntheticTaskSpec(
+        total_classes=8, tasks=2, classes_per_task=4, samples_train=8,
+        samples_ttl=12, samples_eval=6, input_dim=16, seed=0))
+    task = sched.tasks[0]
+    task.train.x[5, 2] = np.nan
+    enc, _, _ = hz._derived_configs(cfg)
+    student = dm.init_model(enc, 0)
+    teacher = clone_student_to_teacher(student)
+    fresh = student.clone()
+    table = dm.init_class_table(8, 8, 0)
+    with pytest.raises(FloatingPointError, match=r"supervised session 0 epoch 0 batch 0"):
+        hz.run_supervised_session(student, teacher, table, task, sched.seen_classes(0),
+                                  hz.knobs_for(cfg.variant), cfg, seed=0)
+    for k in fresh.entries:
+        assert np.array_equal(student.entries[k].data, fresh.entries[k].data), k
+        assert np.array_equal(teacher.entries[k].data, fresh.entries[k].data), k

@@ -65,38 +65,61 @@ def test_routing_matches_brute_force_oracle():
         s_row = rng.normal(scale=3.0, size=c)
         if trial % 10 == 0:
             s_row = t_row.copy()  # exact tie on the max
-        d = tt.route_pseudo_label(t_row, s_row, ids)
+        labels, from_teacher, t_maxes, s_maxes = tt.route_pseudo_label(t_row[None], s_row[None], ids)
         label, source, t_max, s_max = oracle_route(t_row, s_row, ids)
-        assert (d.pseudo_label, d.source) == (label, source), trial
-        assert d.teacher_max == t_max and d.student_max == s_max
+        assert (labels[0], from_teacher[0]) == (label, source == "teacher"), trial
+        assert t_maxes[0] == t_max and s_maxes[0] == s_max
+
+
+def test_batch_routing_matches_oracle_row_by_row():
+    rng = np.random.default_rng(11)
+    ids = (3, 8, 14, 21, 40)
+    t_log = rng.normal(scale=3.0, size=(64, len(ids)))
+    s_log = rng.normal(scale=3.0, size=(64, len(ids)))
+    s_log[::4] = t_log[::4]  # exact ties on every fourth row
+    labels, from_teacher, t_maxes, s_maxes = tt.route_pseudo_label(t_log, s_log, ids)
+    assert labels.shape == from_teacher.shape == t_maxes.shape == s_maxes.shape == (64,)
+    for i in range(64):
+        label, source, t_max, s_max = oracle_route(t_log[i], s_log[i], ids)
+        assert (labels[i], from_teacher[i]) == (label, source == "teacher"), i
+        assert t_maxes[i] == t_max and s_maxes[i] == s_max, i
+
+
+def test_routing_without_teacher_labels_from_the_student():
+    s_log = np.array([[0.1, 0.9, 0.0], [2.0, -1.0, 1.0]])
+    labels, from_teacher, t_maxes, s_maxes = tt.route_pseudo_label(None, s_log, (5, 6, 7))
+    assert labels.tolist() == [6, 5]
+    assert not from_teacher.any()
+    assert np.isnan(t_maxes).all() and s_maxes.tolist() == [0.9, 2.0]
 
 
 def test_exact_tie_goes_to_teacher_even_when_argmaxes_differ():
     # same max value at different positions: teacher's position wins
-    d = tt.route_pseudo_label([1.0, 7.0, 0.0], [7.0, 1.0, 0.0], (10, 11, 12))
-    assert d.source == "teacher" and d.pseudo_label == 11
+    labels, from_teacher, _, _ = tt.route_pseudo_label([[1.0, 7.0, 0.0]], [[7.0, 1.0, 0.0]],
+                                                       (10, 11, 12))
+    assert from_teacher[0] and labels[0] == 11
 
 
 def test_routing_is_confidence_not_agreement():
     t_row = np.array([0.2, 0.1, 0.0])
     s_row = np.array([0.0, 0.0, 0.3])
-    d = tt.route_pseudo_label(t_row, s_row, (0, 1, 2))
-    assert d.source == "student" and d.pseudo_label == 2
+    labels, from_teacher, _, _ = tt.route_pseudo_label(t_row[None], s_row[None], (0, 1, 2))
+    assert not from_teacher[0] and labels[0] == 2
     # scaling the teacher up flips the route but never the teacher's own argmax
-    d2 = tt.route_pseudo_label(t_row * 10.0, s_row, (0, 1, 2))
-    assert d2.source == "teacher" and d2.pseudo_label == 0
+    labels, from_teacher, _, _ = tt.route_pseudo_label(t_row[None] * 10.0, s_row[None], (0, 1, 2))
+    assert from_teacher[0] and labels[0] == 0
 
 
 def test_routing_validation():
     with pytest.raises(ValueError, match="class-set mismatch"):
-        tt.route_pseudo_label([1.0, 2.0], [1.0, 2.0], (0, 1, 2))
+        tt.route_pseudo_label([[1.0, 2.0]], [[1.0, 2.0]], (0, 1, 2))
+    with pytest.raises(ValueError, match="class-set mismatch"):
+        tt.route_pseudo_label([[1.0, 2.0, 3.0]], [[1.0, 2.0]], (0, 1, 2))
     with pytest.raises(ValueError, match="empty class set"):
-        tt.route_pseudo_label([], [], ())
+        tt.route_pseudo_label(np.zeros((1, 0)), np.zeros((1, 0)), ())
 
 
 def test_stream_config_validation():
-    with pytest.raises(ValueError, match="single-pass"):
-        tt.TtlStreamConfig(batch_size=4, class_set=(0,), single_pass=False)
     with pytest.raises(ValueError):
         tt.TtlStreamConfig(batch_size=0, class_set=(0,))
     with pytest.raises(ValueError):
@@ -215,3 +238,21 @@ def test_audit_sees_every_stream_sample_once():
         for i in ids:
             counts[i] = counts.get(i, 0) + 1
     assert set(counts.values()) == {1}
+
+
+def test_non_finite_loss_stops_adaptation_before_the_step():
+    # batch 1 carries a NaN feature: the session must stop there, leaving
+    # student and teacher exactly as batch 0 left them
+    cfg, student, teacher, table, stream, scfg, ema_cfg, opt_cfg, lc = ttl_fixture(n=16)
+    _, ref_student, ref_teacher, _, _, _, _, _, _ = ttl_fixture(n=16)
+    x, ids = stream.x.copy(), stream.ids.copy()
+    mask = full_candidate_mask(student)
+    tt.ttl_session(ref_student, ref_teacher, mask, UnlabeledStream(x=x[:8], ids=ids[:8]), scfg,
+                   ema_cfg, opt_cfg, table, lc, ema_mask=mask)
+    x[10, 3] = np.nan
+    with pytest.raises(FloatingPointError, match=r"ttl session 2 batch 1"):
+        tt.ttl_session(student, teacher, mask, UnlabeledStream(x=x, ids=ids), scfg,
+                       ema_cfg, opt_cfg, table, lc, ema_mask=mask, session=2)
+    for k in student.entries:
+        assert np.array_equal(student.entries[k].data, ref_student.entries[k].data), k
+        assert np.array_equal(teacher.entries[k].data, ref_teacher.entries[k].data), k
