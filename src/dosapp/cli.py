@@ -10,7 +10,7 @@ from pathlib import Path
 from .config import (ConfigError, RunConfig, apply_overrides, build_manifest,
                      parse_config_file)
 from .harness import VARIANTS, run_experiment
-from .reporting import (build_report, load_run, persist_run,
+from .reporting import (build_report, format_trend, load_run, persist_run,
                         write_momentum_grid_csv, write_report_files)
 
 
@@ -97,7 +97,7 @@ def cmd_ablate(args) -> int:
         write_momentum_grid_csv(out_root / "report" / "momentum_grid.csv",
                                 [load_run(d) for d in grid_dirs])
     for v in bundle.trend_verdicts:
-        print(f"trend {v['trend']}: {'PASS' if v['passed'] else 'FAIL'} ({v['detail']})")
+        print(format_trend(v))
     print(f"report -> {out_root / 'report'}")
     return 0
 
@@ -121,7 +121,7 @@ def cmd_report(args) -> int:
             parts.append(f"forgetting={_cell(agg['forgetting'])}")
         print(f"{variant}: " + " ".join(parts))
     for v in bundle.trend_verdicts:
-        print(f"trend {v['trend']}: {'PASS' if v['passed'] else 'FAIL'} ({v['detail']})")
+        print(format_trend(v))
     return 0
 
 

@@ -96,6 +96,10 @@ def _checked(parse, allowed):
     return run
 
 
+_positive_int = _checked(int, lambda n: n >= 1)
+_unit_fraction = _checked(float, lambda v: 0.0 < v <= 1.0)
+
+
 def _parse_opt_int(raw: str) -> int | None:
     return None if raw.strip().lower() == "none" else int(raw)
 
@@ -110,7 +114,7 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("run", "variant"): ("variant", str),
     ("run", "seeds"): ("seeds", _checked(_parse_seeds, bool)),  # a nonempty list
     ("run", "epochs"): ("epochs", int),
-    ("run", "batch_size"): ("batch_size", int),
+    ("run", "batch_size"): ("batch_size", _positive_int),
     ("data", "total_classes"): ("total_classes", int),
     ("data", "tasks"): ("tasks", int),
     ("data", "classes_per_task"): ("classes_per_task", int),
@@ -126,22 +130,22 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("model", "mlp_hidden_dim"): ("mlp_hidden_dim", int),
     ("model", "embed_dim"): ("embed_dim", int),
     ("model", "use_attention"): ("use_attention", _parse_bool),
-    ("model", "temperature"): ("temperature", float),
+    ("model", "temperature"): ("temperature", _checked(float, lambda t: t > 0.0)),
     ("optimizer", "kind"): ("optimizer_kind", _checked(str, OPTIMIZER_KINDS.__contains__)),
     ("optimizer", "learning_rate"): ("learning_rate", float),
     ("optimizer", "beta1"): ("beta1", float),
     ("optimizer", "beta2"): ("beta2", float),
     ("optimizer", "epsilon"): ("epsilon", float),
     ("optimizer", "weight_decay"): ("weight_decay", float),
-    ("sparsity", "c"): ("sparsity_c", _checked(float, lambda c: 0.0 < c <= 1.0)),
+    ("sparsity", "c"): ("sparsity_c", _unit_fraction),
     ("sparsity", "score_sample_cap"): ("score_sample_cap", _parse_opt_int),
-    ("ttl", "batch_size"): ("ttl_batch_size", int),
+    ("ttl", "batch_size"): ("ttl_batch_size", _positive_int),
     ("ttl", "stream_scope"): ("ttl_stream_scope", _checked(str, STREAM_SCOPES.__contains__)),
     ("ttl", "imbalance"): ("ttl_imbalance", _checked(str, IMBALANCE_MODES.__contains__)),
     ("ttl", "dirichlet_alpha"): ("dirichlet_alpha", _parse_opt_float),
-    ("ema", "delta"): ("delta", float),
-    ("ema", "gamma"): ("gamma", float),
-    ("ema", "lambda"): ("lam", float),
+    ("ema", "delta"): ("delta", _unit_fraction),
+    ("ema", "gamma"): ("gamma", _unit_fraction),
+    ("ema", "lambda"): ("lam", _unit_fraction),
     ("replay", "capacity"): ("buffer_capacity", int),
 }
 

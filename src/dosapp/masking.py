@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Graph, backward
+from .records import read_records, write_records
 
 MASK_HEADER = "dosapp-mask v1"
 SCORES_HEADER = "dosapp-scores v1"
@@ -168,59 +169,30 @@ def reselect_topk(union_bits: dict[str, np.ndarray], history: MaskHistory, c: fl
 
 # ---------------------------------------------------------------- persistence
 
+def _read(path, magic: str, dtype, keys: tuple[str, ...]) -> tuple[dict, dict]:
+    """Header attributes (``key=value`` after the magic) and tensors by path."""
+    (first,), records = read_records(path, magic, dtype)
+    attrs = dict(tok.partition("=")[::2] for tok in first[len(magic):].split())
+    if tuple(attrs) != keys:
+        raise ValueError(f"{path}: malformed header {first!r} (want attributes {keys})")
+    return attrs, dict(records)
+
+
 def save_mask(path, mask: Mask) -> None:
-    lines = [f"{MASK_HEADER} sparsity={float.hex(float(mask.sparsity))} origin={mask.origin}"]
-    for name, b in mask.bits.items():
-        shape = ",".join(str(s) for s in b.shape)
-        lines.append(f"{name} shape={shape}")
-        lines.append("".join("1" if v else "0" for v in b.ravel()))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = f"{MASK_HEADER} sparsity={float.hex(float(mask.sparsity))} origin={mask.origin}"
+    write_records(path, [header], mask.bits.items())
 
 
 def load_mask(path) -> Mask:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    head = lines[0].split()
-    if len(head) != 4 or " ".join(head[:2]) != MASK_HEADER:
-        raise ValueError(f"unsupported mask header in {path}")
-    sparsity = float.fromhex(head[2].split("=", 1)[1])
-    origin = head[3].split("=", 1)[1]
-    bits = {}
-    i = 1
-    while i < len(lines):
-        name, shape_tok = lines[i].split()
-        shape = tuple(int(s) for s in shape_tok[len("shape="):].split(","))
-        b = np.array([ch == "1" for ch in lines[i + 1]], dtype=bool).reshape(shape)
-        bits[name] = b
-        i += 2
-    return Mask(bits=bits, sparsity=sparsity, origin=origin)
+    attrs, bits = _read(path, MASK_HEADER, bool, ("sparsity", "origin"))
+    return Mask(bits=bits, sparsity=float.fromhex(attrs["sparsity"]), origin=attrs["origin"])
 
 
 def save_scores(path, score_map: ScoreMap) -> None:
-    lines = [f"{SCORES_HEADER} task={score_map.task_id} samples={score_map.sample_count}"]
-    for name, arr in score_map.scores.items():
-        shape = ",".join(str(s) for s in arr.shape)
-        lines.append(f"{name} shape={shape}")
-        lines.append(" ".join(float.hex(float(v)) for v in arr.ravel()))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = f"{SCORES_HEADER} task={score_map.task_id} samples={score_map.sample_count}"
+    write_records(path, [header], score_map.scores.items())
 
 
 def load_scores(path) -> ScoreMap:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    head = lines[0].split()
-    if head[0] != SCORES_HEADER.split()[0] or head[1] != SCORES_HEADER.split()[1]:
-        raise ValueError(f"unsupported scores header in {path}")
-    task_id = int(head[2].split("=", 1)[1])
-    samples = int(head[3].split("=", 1)[1])
-    scores = {}
-    i = 1
-    while i < len(lines):
-        name, shape_tok = lines[i].split()
-        shape = tuple(int(s) for s in shape_tok[len("shape="):].split(","))
-        vals = np.array([float.fromhex(t) for t in lines[i + 1].split()], dtype=np.float64)
-        scores[name] = vals.reshape(shape)
-        i += 2
-    return ScoreMap(scores=scores, task_id=task_id, sample_count=samples)
+    attrs, scores = _read(path, SCORES_HEADER, np.float64, ("task", "samples"))
+    return ScoreMap(scores=scores, task_id=int(attrs["task"]), sample_count=int(attrs["samples"]))

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .records import read_records, write_records
 from .seeding import substream
 
 CHECKPOINT_HEADER = "dosapp-checkpoint v1"
@@ -210,65 +212,38 @@ def predict(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, cf
 
 # ---------------------------------------------------------------- persistence
 
-def _format_floats(arr: np.ndarray) -> str:
-    return " ".join(float.hex(float(v)) for v in arr.ravel())
-
-
-def _parse_floats(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    vals = np.array([float.fromhex(tok) for tok in text.split()], dtype=np.float64)
-    return vals.reshape(shape)
-
-
 def save_checkpoint(path, params: ParameterSet, table: ClassEmbeddingTable | None = None,
                     meta: dict | None = None) -> None:
     """Write parameters (and optionally the class table) bit-exactly as text."""
-    lines = [CHECKPOINT_HEADER]
     cfg_dict = {f: getattr(params.config, f) for f in params.config.__dataclass_fields__}
-    lines.append("config " + json.dumps(cfg_dict, sort_keys=True))
     full_meta = dict(meta or {})
+    records = [(f"tensor {p} candidate={int(params.candidate_flags[p])}", t.data)
+               for p, t in params.entries.items()]
     if table is not None:
         full_meta["active_classes"] = sorted(int(c) for c in table.active_classes)
-    lines.append("meta " + json.dumps(full_meta, sort_keys=True))
-    for p, t in params.entries.items():
-        shape = ",".join(str(s) for s in t.data.shape)
-        cand = 1 if params.candidate_flags[p] else 0
-        lines.append(f"tensor {p} candidate={cand} shape={shape}")
-        lines.append(_format_floats(t.data))
-    if table is not None:
-        shape = ",".join(str(s) for s in table.vectors.shape)
-        lines.append(f"tensor class_table candidate=0 shape={shape}")
-        lines.append(_format_floats(table.vectors))
-    lines.append("end")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        records.append(("tensor class_table candidate=0", table.vectors))
+    header = [CHECKPOINT_HEADER, "config " + json.dumps(cfg_dict, sort_keys=True),
+              "meta " + json.dumps(full_meta, sort_keys=True)]
+    write_records(path, header, records, end=True)
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ClassEmbeddingTable | None, dict]:
-    """Inverse of save_checkpoint; rejects unknown versions."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_HEADER:
-        found = lines[0] if lines else "<empty file>"
-        raise ValueError(f"unsupported checkpoint header {found!r} in {path} "
-                         f"(want {CHECKPOINT_HEADER!r})")
-    if not lines[1].startswith("config "):
-        raise ValueError("checkpoint missing config line")
-    cfg = EncoderConfig(**json.loads(lines[1][len("config "):]))
-    meta = json.loads(lines[2][len("meta "):]) if lines[2].startswith("meta ") else {}
+    """Inverse of save_checkpoint; rejects unknown versions and cut or corrupt files."""
+    (first, config_line, meta_line), records = read_records(path, CHECKPOINT_HEADER, np.float64,
+                                                            header_lines=3, end=True)
+    if (first, config_line[:7], meta_line[:5]) != (CHECKPOINT_HEADER, "config ", "meta "):
+        raise ValueError(f"{path}: malformed checkpoint header")
+    cfg = EncoderConfig(**json.loads(config_line[len("config "):]))
+    meta = json.loads(meta_line[len("meta "):])
     params = ParameterSet(cfg)
     table = None
-    i = 3
-    while i < len(lines) and lines[i] != "end":
-        head = lines[i].split()
-        if head[0] != "tensor" or len(head) != 4:
-            raise ValueError(f"malformed checkpoint line: {lines[i]!r}")
-        name = head[1]
-        cand = head[2] == "candidate=1"
-        shape = tuple(int(s) for s in head[3][len("shape="):].split(","))
-        values = _parse_floats(lines[i + 1], shape)
+    for head, values in records:
+        match = re.fullmatch(r"tensor (\S+) candidate=([01])", head)
+        if match is None:
+            raise ValueError(f"{path}: malformed checkpoint record {head!r}")
+        name, cand = match.group(1), match.group(2) == "1"
         if name == "class_table":
             table = ClassEmbeddingTable(values, set(meta.get("active_classes", [])))
         else:
             params.add(name, values, cand)
-        i += 2
     return params, table, meta

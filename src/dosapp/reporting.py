@@ -40,15 +40,6 @@ def write_r_matrix_csv(path, r: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_r_matrix_csv(path) -> np.ndarray:
-    rows = Path(path).read_text().splitlines()[1:]
-    out = []
-    for line in rows:
-        cells = line.split(",")[1:]
-        out.append([math.nan if c == "" else float(c) for c in cells])
-    return np.array(out, dtype=np.float64)
-
-
 def write_summary_csv(path, summary: dict) -> None:
     header = ["variant", "seed"] + list(SUMMARY_FIELDS)
     values = [str(summary["variant"]), str(summary["seed"])] + [_fmt(summary.get(k)) for k in SUMMARY_FIELDS]
@@ -141,26 +132,21 @@ def _median(values) -> float:
     return float(np.median(np.asarray(values, dtype=np.float64)))
 
 
-def _group(records: list[RunRecord]) -> dict[str, list[RunRecord]]:
-    out: dict[str, list[RunRecord]] = {}
+def _group_by(records: list[RunRecord], key) -> dict:
+    """Runs grouped by key(run), groups and runs in first-seen order."""
+    out: dict = {}
     for r in records:
-        out.setdefault(r.variant, []).append(r)
+        out.setdefault(key(r), []).append(r)
     return out
 
 
 def _display_group(records: list[RunRecord]) -> dict[str, list[RunRecord]]:
-    """Like _group, but a variant run at several momentum settings gets one
-    labeled row per setting instead of a pooled (and misleading) row."""
-    momenta_sets: dict[str, set] = {}
-    for r in records:
-        momenta_sets.setdefault(r.variant, set()).add(r.momenta)
-    out: dict[str, list[RunRecord]] = {}
-    for r in records:
-        key = r.variant
-        if len(momenta_sets[r.variant]) > 1:
-            key = f"{r.variant}[g={r.momenta[0]!r},l={r.momenta[1]!r}]"
-        out.setdefault(key, []).append(r)
-    return out
+    """Runs by variant, but a variant run at several momentum settings gets one
+    labeled row per setting instead of a pooled (and misleading) row. The
+    label holds no comma, so it stays one CSV cell."""
+    momenta = {v: {r.momenta for r in runs} for v, runs in _group_by(records, lambda r: r.variant).items()}
+    return _group_by(records, lambda r: r.variant if len(momenta[r.variant]) == 1
+                     else f"{r.variant}[g={r.momenta[0]!r} l={r.momenta[1]!r}]")
 
 
 def _shared_seed_pairs(a: list[RunRecord], b: list[RunRecord]) -> list[tuple[RunRecord, RunRecord]]:
@@ -181,7 +167,7 @@ def _canonical_method_runs(runs: list[RunRecord]) -> list[RunRecord]:
 
 def evaluate_trends(records: list[RunRecord]) -> list[dict]:
     """Directional checks across variants; only evaluable ones are emitted."""
-    groups = _group(records)
+    groups = _group_by(records, lambda r: r.variant)
     dosapp_all = list(groups.get("dosapp", []))
     if "dosapp" in groups:
         groups = dict(groups)
@@ -225,9 +211,7 @@ def evaluate_trends(records: list[RunRecord]) -> list[dict]:
                 "detail": f"median avg_acc {a_d:.4f} vs {a_t:.4f}",
             })
 
-    by_momenta: dict[tuple[float, float, float], list[RunRecord]] = {}
-    for r in dosapp_all:
-        by_momenta.setdefault(r.momenta, []).append(r)
+    by_momenta = _group_by(dosapp_all, lambda r: r.momenta)
     single = [m for m in by_momenta if m[0] == m[2] and m[1] == m[2]]
     dual = [m for m in by_momenta if m not in single]
     if single and dual:
@@ -240,6 +224,11 @@ def evaluate_trends(records: list[RunRecord]) -> list[dict]:
             "detail": f"median avg_acc {a_single:.4f} (single) vs {a_dual:.4f} (dual)",
         })
     return verdicts
+
+
+def format_trend(verdict: dict) -> str:
+    """One trends.txt line: ``trend <name>: PASS|FAIL (<detail>)``."""
+    return f"trend {verdict['trend']}: {'PASS' if verdict['passed'] else 'FAIL'} ({verdict['detail']})"
 
 
 def build_report(run_dirs) -> ReportBundle:
@@ -265,12 +254,7 @@ def write_report_files(out_dir, bundle: ReportBundle) -> None:
 
     lines = ["variant,n_runs," + ",".join(f"{k}_mean,{k}_std" for k in SUMMARY_FIELDS)]
     for variant, agg in sorted(bundle.aggregate.items()):
-        cells = []
-        for k in SUMMARY_FIELDS:
-            if k in agg:
-                cells.extend([_fmt(agg[k][0]), _fmt(agg[k][1])])
-            else:
-                cells.extend(["", ""])
+        cells = [_fmt(stat) for k in SUMMARY_FIELDS for stat in agg.get(k, (None, None))]
         lines.append(f"{variant},{agg['n_runs']}," + ",".join(cells))
     (out_dir / "aggregate.csv").write_text("\n".join(lines) + "\n")
 
@@ -288,17 +272,13 @@ def write_report_files(out_dir, bundle: ReportBundle) -> None:
             lines.append(f"{variant},{_fmt(agg['forgetting'][0])},{_fmt(agg['forgetting'][1])}")
     (out_dir / "forgetting.csv").write_text("\n".join(lines) + "\n")
 
-    lines = []
-    for v in bundle.trend_verdicts:
-        lines.append(f"trend {v['trend']}: {'PASS' if v['passed'] else 'FAIL'} ({v['detail']})")
+    lines = [format_trend(v) for v in bundle.trend_verdicts]
     (out_dir / "trends.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_momentum_grid_csv(path, records: list[RunRecord]) -> None:
     """Momentum grid summary; the row with every momentum equal is flagged."""
-    by_momenta: dict[tuple[float, float, float], list[RunRecord]] = {}
-    for r in records:
-        by_momenta.setdefault(r.momenta, []).append(r)
+    by_momenta = _group_by(records, lambda r: r.momenta)
     lines = ["gamma,lambda,delta,single_momentum,avg_acc_mean,avg_acc_std,forgetting_mean,forgetting_std"]
     for momenta in sorted(by_momenta):
         runs = by_momenta[momenta]

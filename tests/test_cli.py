@@ -1,7 +1,6 @@
 """End-to-end CLI: artifacts, reproducibility, error codes, reports."""
 
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -128,10 +127,16 @@ def test_bad_override_exits_2(tmp_path, capsys):
     (["--override", "ttl.imbalance=bogus"], "[ttl] imbalance"),
     (["--override", "optimizer.kind=bogus"], "[optimizer] kind"),
     (["--override", "sparsity.c=0"], "[sparsity] c"),
+    (["--override", "ema.gamma=2"], "[ema] gamma"),
+    (["--override", "ema.lambda=0"], "[ema] lambda"),
+    (["--override", "ema.delta=1.5"], "[ema] delta"),
+    (["--override", "run.batch_size=0"], "[run] batch_size"),
+    (["--override", "ttl.batch_size=0"], "[ttl] batch_size"),
+    (["--override", "model.temperature=0"], "[model] temperature"),
 ])
 def test_bad_value_exits_2_before_any_run(tmp_path, capsys, args, key):
     out = tmp_path / "out"
-    rc = main(["run", *args, "--out", str(out), *tiny_args()])
+    rc = main(["run", "--out", str(out), *tiny_args(), *args])  # args last: the later override wins
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
@@ -217,11 +222,19 @@ def test_aggregate_counts_the_runs_each_row_averages(ablation_dir):
     # the grid arms reuse the dosapp variant name, so dosapp splits into one
     # momentum-labelled row per setting; each row averages two seeds
     agg = (ablation_dir / "report" / "aggregate.csv").read_text().splitlines()
-    # a momentum label holds a comma of its own ("dosapp[g=0.8,l=0.9]")
-    rows = [re.match(r"(dosapp\[.*?\]|[^,]+),([^,]*),", line).groups() for line in agg[1:]]
+    rows = [line.split(",")[:2] for line in agg[1:]]
     assert len(rows) == 4  # three dosapp momentum settings + finetune_no_ttl
     assert sum(label.startswith("dosapp[") for label, _ in rows) == 3
     assert {n_runs for _, n_runs in rows} == {"2"}
+
+
+def test_report_rows_have_the_header_column_count(ablation_dir):
+    # momentum-labelled rows ("dosapp[g=0.8 l=0.9]") must stay one cell wide
+    for name in ("aggregate.csv", "curves.csv", "forgetting.csv"):
+        lines = (ablation_dir / "report" / name).read_text().splitlines()
+        width = len(lines[0].split(","))
+        assert any(line.startswith("dosapp[") for line in lines), name
+        assert [len(line.split(",")) for line in lines[1:]] == [width] * (len(lines) - 1), name
 
 
 def test_report_on_explicit_run_dirs(ablation_dir, tmp_path, capsys):

@@ -121,6 +121,9 @@ def test_seed_list_must_be_nonempty_integers(raw):
 @pytest.mark.parametrize("override", [
     "ttl.stream_scope=bogus", "ttl.imbalance=bogus", "optimizer.kind=bogus",
     "sparsity.c=0", "sparsity.c=-0.1", "sparsity.c=1.5",
+    "ema.gamma=2", "ema.gamma=0", "ema.lambda=1.5", "ema.delta=-0.5", "ema.delta=nan",
+    "run.batch_size=0", "ttl.batch_size=0", "ttl.batch_size=-3",
+    "model.temperature=0", "model.temperature=-0.07",
 ])
 def test_out_of_range_values_name_the_key(override):
     dotted = override.split("=")[0]
@@ -139,7 +142,11 @@ def test_every_value_the_owner_modules_allow_parses():
         for value in allowed:
             cfg = cf.apply_overrides(cf.RunConfig(), [f"{section_key}={value}"])
             assert getattr(cfg, attr) == value
-    assert cf.apply_overrides(cf.RunConfig(), ["sparsity.c=1"]).sparsity_c == 1.0
+    edge = cf.apply_overrides(cf.RunConfig(), ["sparsity.c=1", "ema.gamma=1", "ema.lambda=1",
+                                               "ema.delta=1", "run.batch_size=1",
+                                               "ttl.batch_size=1", "model.temperature=1e-9"])
+    assert (edge.sparsity_c, edge.gamma, edge.lam, edge.delta) == (1.0, 1.0, 1.0, 1.0)
+    assert (edge.batch_size, edge.ttl_batch_size, edge.temperature) == (1, 1, 1e-9)
 
 
 def test_config_dict_round_trip():
