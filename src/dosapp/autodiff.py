@@ -4,6 +4,13 @@ Define-by-run: ops executed while a Graph is active append tape nodes to it;
 ``backward`` replays the tape in reverse creation order (creation order is a
 topological order by construction). Ops executed with no active graph just
 compute values, which is how evaluation paths run.
+
+``Graph(wrt=tensors)`` differentiates only what depends on those tensors: an
+op is taped only if one of its inputs does, and it skips the vector-Jacobian
+product of every input that does not. The gradients of the ``wrt`` tensors
+are bit-identical to those of a full ``Graph()``. A ``.grad`` array may be
+shared with other tensors' grads, so grads are replaced, never mutated in
+place.
 """
 
 from __future__ import annotations
@@ -58,10 +65,17 @@ class Node:
 
 
 class Graph:
-    """Tape of nodes in creation order; creation order is topological."""
+    """Tape of nodes in creation order; creation order is topological.
 
-    def __init__(self):
+    wrt=None tapes every op and differentiates every input. Otherwise ``live``
+    holds the ids of the wrt tensors and of every taped output, all kept
+    alive by the graph, so an id in it cannot be reused.
+    """
+
+    def __init__(self, wrt=None):
         self.nodes: list[Node] = []
+        self.wrt = None if wrt is None else tuple(wrt)
+        self.live = None if wrt is None else {id(t) for t in self.wrt}
 
     def __enter__(self) -> "Graph":
         _ACTIVE.append(self)
@@ -79,14 +93,27 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _wanted(*inputs) -> tuple[bool, ...]:
+    """Per input, whether the active graph wants its gradient."""
+    live = _ACTIVE[-1].live if _ACTIVE else None
+    if live is None:
+        return (True,) * len(inputs)
+    return tuple(id(t) in live for t in inputs)
+
+
 def _record(kind, inputs, out, backward_fn) -> Tensor:
-    if _ACTIVE:
-        _ACTIVE[-1].nodes.append(Node(kind, tuple(inputs), out, backward_fn))
+    if _ACTIVE and any(_wanted(*inputs)):
+        graph = _ACTIVE[-1]
+        graph.nodes.append(Node(kind, tuple(inputs), out, backward_fn))
+        if graph.live is not None:
+            graph.live.add(id(out))
     return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     # Sum gradient over axes that numpy broadcasting expanded.
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -116,15 +143,17 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
         out = Tensor(np.matmul(ad, b_eff))
     except ValueError:
         raise _shape_error("matmul", ad.shape, bd.shape)
+    need_a, need_b = _wanted(a, b)
 
     def backward_fn(g):
-        if transpose_b:
-            ga = np.matmul(g, bd)
-            gb = np.matmul(np.swapaxes(g, -1, -2), ad)
-        else:
-            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-            gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-        return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
+        ga = gb = None
+        if need_a:
+            ga = _unbroadcast(np.matmul(g, bd if transpose_b else np.swapaxes(bd, -1, -2)), ad.shape)
+        if need_b:
+            gb = (np.matmul(np.swapaxes(g, -1, -2), ad) if transpose_b
+                  else np.matmul(np.swapaxes(ad, -1, -2), g))
+            gb = _unbroadcast(gb, bd.shape)
+        return ga, gb
 
     return _record("matmul", (a, b), out, backward_fn)
 
@@ -136,11 +165,30 @@ def add(a, b) -> Tensor:
         out = Tensor(a.data + b.data)
     except ValueError:
         raise _shape_error("add", a.data.shape, b.data.shape)
+    need_a, need_b = _wanted(a, b)
 
     def backward_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if need_a else None,
+                _unbroadcast(g, b.data.shape) if need_b else None)
 
     return _record("add", (a, b), out, backward_fn)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for x [..., n], w [n, m] and b [m]: one node for matmul then add."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
+        raise _shape_error("linear", xd.shape, wd.shape, b.data.shape)
+    out = Tensor(np.matmul(xd, wd) + b.data)
+    need_x, need_w, need_b = _wanted(x, w, b)
+
+    def backward_fn(g):
+        return (_unbroadcast(np.matmul(g, wd.T), xd.shape) if need_x else None,
+                _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), wd.shape) if need_w else None,
+                _unbroadcast(g, b.data.shape) if need_b else None)
+
+    return _record("linear", (x, w, b), out, backward_fn)
 
 
 def scale(a, factor: float) -> Tensor:
@@ -190,15 +238,17 @@ def layer_norm(x, gain, bias) -> Tensor:
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
+    need_x, need_gain, need_bias = _wanted(x, gain, bias)
 
     def backward_fn(g):
-        dxhat = g * gain.data
-        s1 = dxhat.sum(axis=-1, keepdims=True)
-        s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)
-        dx = inv * (dxhat - s1 / n - xhat * (s2 / n))
-        dgain = _unbroadcast(g * xhat, gain.data.shape)
-        dbias = _unbroadcast(g, bias.data.shape)
-        return dx, dgain, dbias
+        dx = None
+        if need_x:
+            dxhat = g * gain.data
+            s1 = dxhat.sum(axis=-1, keepdims=True)
+            s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)
+            dx = inv * (dxhat - s1 / n - xhat * (s2 / n))
+        return (dx, _unbroadcast(g * xhat, gain.data.shape) if need_gain else None,
+                _unbroadcast(g, bias.data.shape) if need_bias else None)
 
     return _record("layer_norm", (x, gain, bias), out, backward_fn)
 
@@ -254,13 +304,17 @@ def cosine_similarity_rows(a, b) -> Tensor:
     ah = ad / na
     bh = bd / nb
     out = Tensor(ah @ bh.T)
+    need_a, need_b = _wanted(a, b)
 
     def backward_fn(g):
-        dah = g @ bh
-        dbh = g.T @ ah
-        da = (dah - ah * (dah * ah).sum(axis=1, keepdims=True)) / na
-        db = (dbh - bh * (dbh * bh).sum(axis=1, keepdims=True)) / nb
-        return da.reshape(a.data.shape), db.reshape(b.data.shape)
+        da = db = None
+        if need_a:
+            dah = g @ bh
+            da = ((dah - ah * (dah * ah).sum(axis=1, keepdims=True)) / na).reshape(a.data.shape)
+        if need_b:
+            dbh = g.T @ ah
+            db = ((dbh - bh * (dbh * bh).sum(axis=1, keepdims=True)) / nb).reshape(b.data.shape)
+        return da, db
 
     return _record("cosine_similarity_rows", (a, b), out, backward_fn)
 
@@ -298,9 +352,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
         raise _shape_error("concat", *[t.data.shape for t in ts])
     sizes = [t.data.shape[axis] for t in ts]
     splits = np.cumsum(sizes)[:-1]
+    needs = _wanted(*ts)
 
     def backward_fn(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(gi if need else None for gi, need in zip(np.split(g, splits, axis=axis), needs))
 
     return _record("concat", tuple(ts), out, backward_fn)
 
@@ -332,8 +387,44 @@ def normalize_rows(a) -> Tensor:
     return _record("normalize_rows", (a,), out, backward_fn)
 
 
+def cross_entropy_from_logits(logits, labels) -> Tensor:
+    """Mean negative log-likelihood of integer labels under softmax(logits).
+
+    One node whose forward and backward repeat, expression by expression,
+    the chain scale(mean(gather_rows(log(softmax(logits)), labels)), -1).
+    """
+    logits = _as_tensor(logits)
+    if logits.data.ndim != 2:
+        raise ValueError(f"cross_entropy_from_logits: want [batch, classes], got {logits.data.shape}")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (logits.data.shape[0],):
+        raise ValueError(
+            f"cross_entropy_from_logits: {labels.shape} labels for {logits.data.shape[0]} rows"
+        )
+    ncol = logits.data.shape[1]
+    if labels.size and (labels.min() < 0 or labels.max() >= ncol):
+        raise ValueError(f"cross_entropy_from_logits: label out of range [0, {ncol})")
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+    logp = np.log(y)
+    rows = np.arange(labels.size)
+    picked = logp[rows, labels]
+    out = Tensor(picked.mean() * -1.0)
+
+    def backward_fn(g):
+        dlogp = np.zeros_like(logp)
+        dlogp[rows, labels] = np.full(picked.shape, float(g * -1.0) / picked.size)
+        dy = dlogp / y
+        dot = (dy * y).sum(axis=-1, keepdims=True)
+        return (y * (dy - dot),)
+
+    return _record("cross_entropy_from_logits", (logits,), out, backward_fn)
+
+
 _OPS: dict[str, Callable[..., Tensor]] = {
     "matmul": matmul,
+    "linear": linear,
     "add": add,
     "scale": scale,
     "relu": relu,
@@ -347,6 +438,7 @@ _OPS: dict[str, Callable[..., Tensor]] = {
     "concat": concat,
     "reshape": reshape,
     "normalize_rows": normalize_rows,
+    "cross_entropy_from_logits": cross_entropy_from_logits,
 }
 
 
@@ -367,7 +459,9 @@ def backward(loss: Tensor, graph: Graph) -> None:
     """Accumulate d(loss)/d(input) into .grad of every tensor on the tape.
 
     Grads add onto whatever is already stored, so callers zero parameter
-    grads between passes; loss must be 0-d.
+    grads between passes; loss must be 0-d. A first gradient is stored as
+    the op returned it, possibly shared with other grads; later ones make a
+    new array.
     """
     if loss.data.ndim != 0:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -378,28 +472,8 @@ def backward(loss: Tensor, graph: Graph) -> None:
             continue
         grads = node.backward_fn(g)
         for t, gi in zip(node.inputs, grads):
-            if gi is None:
-                continue
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad = t.grad + gi
-
-
-def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood of integer labels under softmax(logits)."""
-    logits = _as_tensor(logits)
-    if logits.data.ndim != 2:
-        raise ValueError(f"cross_entropy_from_logits: want [batch, classes], got {logits.data.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (logits.data.shape[0],):
-        raise ValueError(
-            f"cross_entropy_from_logits: {labels.shape} labels for {logits.data.shape[0]} rows"
-        )
-    ncol = logits.data.shape[1]
-    if labels.size and (labels.min() < 0 or labels.max() >= ncol):
-        raise ValueError(f"cross_entropy_from_logits: label out of range [0, {ncol})")
-    picked = gather_rows(log(softmax(logits)), labels)
-    return scale(mean(picked), -1.0)
+            if gi is not None:
+                t.grad = gi if t.grad is None else t.grad + gi
 
 
 # ---------------------------------------------------------------- optimizers

@@ -79,7 +79,7 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"cannot parse boolean from {raw!r}")
+    raise ValueError(f"cannot parse boolean from {raw!r}")
 
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:
@@ -155,15 +155,11 @@ _ABLATE_KEYS = {("ablate", "variants"), ("ablate", "momentum_grid")}
 def _apply_pairs(cfg: RunConfig, pairs: dict[tuple[str, str], str]) -> RunConfig:
     updates = {}
     for (section, key), raw in pairs.items():
-        if (section, key) in _ABLATE_KEYS:
-            continue
         if (section, key) not in _SCHEMA:
             raise ConfigError(f"unknown config key [{section}] {key}")
         attr, parser = _SCHEMA[(section, key)]
         try:
             updates[attr] = parser(raw)
-        except ConfigError:
-            raise
         except ValueError:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}")
     return replace(cfg, **updates)
@@ -198,8 +194,9 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        section, key = dotted.split(".", 1)
-        pairs[(section.strip(), key.strip())] = raw.strip()
+        section, key = (part.strip() for part in dotted.split(".", 1))
+        if (section, key) not in _ABLATE_KEYS:
+            pairs[(section, key)] = raw.strip()
     return _apply_pairs(cfg, pairs)
 
 
@@ -216,17 +213,19 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return {s: dict(sorted(kv.items())) for s, kv in sorted(out.items())}
 
 
+def _manifest_text(key: str, value) -> str:
+    """The INI text of a manifest's JSON value: null is none, the seed list is joined."""
+    if value is None:
+        return "none"
+    if key == "seeds" and isinstance(value, list):
+        return " ".join(str(v) for v in value)
+    return str(value)
+
+
 def config_from_dict(nested: dict) -> RunConfig:
-    updates = {}
-    for section, kv in nested.items():
-        for key, value in kv.items():
-            if (section, key) not in _SCHEMA:
-                raise ConfigError(f"unknown config key [{section}] {key}")
-            attr, _ = _SCHEMA[(section, key)]
-            if attr == "seeds":
-                value = tuple(int(v) for v in value)
-            updates[attr] = value
-    return replace(RunConfig(), **updates)
+    """Inverse of config_to_dict; every value gets the INI parse and range checks."""
+    return _apply_pairs(RunConfig(), {(section, key): _manifest_text(key, value)
+                                      for section, kv in nested.items() for key, value in kv.items()})
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -261,5 +260,5 @@ def config_from_manifest(manifest: dict) -> RunConfig:
         raise ConfigError(f"unsupported manifest version {manifest.get('manifest_version')!r}")
     cfg = config_from_dict(manifest["config"])
     if "seed" in manifest:
-        cfg = replace(cfg, seeds=(int(manifest["seed"]),))
+        cfg = _apply_pairs(cfg, {("run", "seeds"): _manifest_text("seed", manifest["seed"])})
     return cfg

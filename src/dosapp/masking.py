@@ -79,6 +79,7 @@ def score_parameters(params, dataset, loss_fn, batch_size: int, sample_cap: int 
     if n_used < 1:
         raise ValueError("score_parameters: sample cap leaves no data")
     cand = params.candidate_paths()
+    wrt = [params.entries[p] for p in cand]
     accum = {p: np.zeros_like(params.entries[p].data) for p in cand}
     done = 0
     while done < n_used:
@@ -86,7 +87,7 @@ def score_parameters(params, dataset, loss_fn, batch_size: int, sample_cap: int 
         xb = dataset.x[done : done + take]
         yb = dataset.y[done : done + take]
         params.zero_grads()
-        with Graph() as g:
+        with Graph(wrt=wrt) as g:
             loss = loss_fn(params, xb, yb)
         backward(loss, g)
         for p in cand:
@@ -169,12 +170,17 @@ def reselect_topk(union_bits: dict[str, np.ndarray], history: MaskHistory, c: fl
 
 # ---------------------------------------------------------------- persistence
 
-def _read(path, magic: str, dtype, keys: tuple[str, ...]) -> tuple[dict, dict]:
-    """Header attributes (``key=value`` after the magic) and tensors by path."""
+def _read(path, magic: str, dtype, parsers: dict) -> tuple[dict, dict]:
+    """Header attributes (``key=value`` after the magic), each read by its
+    parser in ``parsers``, and tensors by path."""
     (first,), records = read_records(path, magic, dtype)
-    attrs = dict(tok.partition("=")[::2] for tok in first[len(magic):].split())
-    if tuple(attrs) != keys:
-        raise ValueError(f"{path}: malformed header {first!r} (want attributes {keys})")
+    raw = dict(tok.partition("=")[::2] for tok in first[len(magic):].split())
+    if tuple(raw) != tuple(parsers):
+        raise ValueError(f"{path}: malformed header {first!r} (want attributes {tuple(parsers)})")
+    try:
+        attrs = {key: parse(raw[key]) for key, parse in parsers.items()}
+    except ValueError as err:
+        raise ValueError(f"{path}: malformed header {first!r} ({err})") from None
     return attrs, dict(records)
 
 
@@ -184,8 +190,8 @@ def save_mask(path, mask: Mask) -> None:
 
 
 def load_mask(path) -> Mask:
-    attrs, bits = _read(path, MASK_HEADER, bool, ("sparsity", "origin"))
-    return Mask(bits=bits, sparsity=float.fromhex(attrs["sparsity"]), origin=attrs["origin"])
+    attrs, bits = _read(path, MASK_HEADER, bool, {"sparsity": float.fromhex, "origin": str})
+    return Mask(bits=bits, **attrs)
 
 
 def save_scores(path, score_map: ScoreMap) -> None:
@@ -194,5 +200,5 @@ def save_scores(path, score_map: ScoreMap) -> None:
 
 
 def load_scores(path) -> ScoreMap:
-    attrs, scores = _read(path, SCORES_HEADER, np.float64, ("task", "samples"))
-    return ScoreMap(scores=scores, task_id=int(attrs["task"]), sample_count=int(attrs["samples"]))
+    attrs, scores = _read(path, SCORES_HEADER, np.float64, {"task": int, "samples": int})
+    return ScoreMap(scores=scores, task_id=attrs["task"], sample_count=attrs["samples"])

@@ -164,8 +164,8 @@ def encode(params: ParameterSet, x) -> Tensor:
             mixed = ad.matmul(ad.softmax(scores), v)
             tokens = ad.add(tokens, ad.matmul(mixed, e[f"block{i}.attn.out.weight"]))
         hn2 = ad.layer_norm(tokens, e[f"block{i}.ln2.gain"], e[f"block{i}.ln2.bias"])
-        hidden = ad.gelu(ad.add(ad.matmul(hn2, e[f"block{i}.mlp.fc1.weight"]), e[f"block{i}.mlp.fc1.bias"]))
-        out = ad.add(ad.matmul(hidden, e[f"block{i}.mlp.fc2.weight"]), e[f"block{i}.mlp.fc2.bias"])
+        hidden = ad.gelu(ad.linear(hn2, e[f"block{i}.mlp.fc1.weight"], e[f"block{i}.mlp.fc1.bias"]))
+        out = ad.linear(hidden, e[f"block{i}.mlp.fc2.weight"], e[f"block{i}.mlp.fc2.bias"])
         tokens = ad.add(tokens, out)
     flat = ad.reshape(tokens, (b, cfg.token_count * d))
     return ad.normalize_rows(ad.matmul(flat, e["proj.weight"]))
@@ -233,8 +233,13 @@ def load_checkpoint(path) -> tuple[ParameterSet, ClassEmbeddingTable | None, dic
                                                             header_lines=3, end=True)
     if (first, config_line[:7], meta_line[:5]) != (CHECKPOINT_HEADER, "config ", "meta "):
         raise ValueError(f"{path}: malformed checkpoint header")
-    cfg = EncoderConfig(**json.loads(config_line[len("config "):]))
-    meta = json.loads(meta_line[len("meta "):])
+    try:
+        cfg = EncoderConfig(**json.loads(config_line[len("config "):]))
+        meta = json.loads(meta_line[len("meta "):])
+        if not isinstance(meta, dict):
+            raise ValueError("meta is not a JSON object")
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: malformed checkpoint header ({err})") from None
     params = ParameterSet(cfg)
     table = None
     for head, values in records:

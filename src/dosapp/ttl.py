@@ -52,15 +52,17 @@ class TtlReport:
 def train_step(student, teacher, opt: Optimizer, mask, pq, build_loss, where: str):
     """Zero grads, tape build_loss(), backprop, masked step, teacher blend.
 
-    A non-finite loss or gradient raises FloatingPointError naming `where`
-    before anything is updated. teacher=None skips the blend. Returns the loss.
+    Only the tensors the step changes are differentiated. A non-finite loss
+    or gradient raises FloatingPointError naming `where` before anything is
+    updated. teacher=None skips the blend. Returns the loss.
     """
     student.zero_grads()
-    with Graph() as tape:
+    stepped = [student.entries[p] for p in (student.entries if mask is None else mask.bits)]
+    with Graph(wrt=stepped) as tape:
         loss = build_loss()
     backward(loss, tape)
-    grads = (student.entries[p].grad for p in (student.entries if mask is None else mask.bits))
-    if not (math.isfinite(loss.item()) and all(g is None or np.isfinite(g).all() for g in grads)):
+    if not (math.isfinite(loss.item())
+            and all(t.grad is None or np.isfinite(t.grad).all() for t in stepped)):
         raise FloatingPointError(f"non-finite loss or gradient in {where}")
     opt.step(student, mask)
     if teacher is not None:

@@ -104,6 +104,22 @@ def _case_matmul_batched_transpose_b(rng):
     return lambda: _project(ad.matmul(a, b, transpose_b=True), w), [a, b]
 
 
+def _case_linear_2d(rng):
+    x = ad.Tensor(rng.normal(size=(3, 4)))
+    w = ad.Tensor(rng.normal(size=(4, 2)))
+    b = ad.Tensor(rng.normal(size=(2,)))
+    p = _proj_weights(rng, 6)
+    return lambda: _project(ad.linear(x, w, b), p), [x, w, b]
+
+
+def _case_linear_batched(rng):
+    x = ad.Tensor(rng.normal(size=(2, 3, 4)))
+    w = ad.Tensor(rng.normal(size=(4, 5)))
+    b = ad.Tensor(rng.normal(size=(5,)))
+    p = _proj_weights(rng, 30)
+    return lambda: _project(ad.linear(x, w, b), p), [x, w, b]
+
+
 def _case_add(rng):
     a = ad.Tensor(rng.normal(size=(3, 4)))
     b = ad.Tensor(rng.normal(size=(3, 4)))
@@ -207,12 +223,15 @@ def _case_cross_entropy(rng):
     return lambda: ad.cross_entropy_from_logits(logits, labels), [logits]
 
 
+# Each case is named after the op kind it checks, alone or as a prefix ("<kind>_...").
 OP_CASES = {
     "matmul_2d": _case_matmul_2d,
     "matmul_transpose_b": _case_matmul_transpose_b,
     "matmul_batched_2d_rhs": _case_matmul_batched_2d_rhs,
     "matmul_batched_pair": _case_matmul_batched_pair,
     "matmul_batched_transpose_b": _case_matmul_batched_transpose_b,
+    "linear_2d": _case_linear_2d,
+    "linear_batched": _case_linear_batched,
     "add": _case_add,
     "add_broadcast_bias": _case_add_broadcast_bias,
     "scale": _case_scale,

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dosapp.autodiff as ad
+import dosapp.model as dm
 from dosapp.masking import Mask
-from gradcheck import OP_CASES, check_case, check_model_gradients
+from gradcheck import OP_CASES, check_case, check_model_gradients, tiny_encoder_config
 
 
 class Bag:
@@ -30,6 +31,59 @@ def test_op_gradient_matches_finite_differences(case, seed):
 @pytest.mark.parametrize("use_attention", [True, False])
 def test_model_gradients_match_finite_differences(use_attention):
     check_model_gradients(seed=3, use_attention=use_attention)
+
+
+def _model_grads(params, table, wrt):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(6, params.config.input_dim))
+    params.zero_grads()
+    with ad.Graph(wrt=wrt) as g:
+        loss = dm.model_loss(params, table, x, [0, 1, 2, 3, 1, 0], [0, 1, 2, 3],
+                             dm.LogitConfig(temperature=0.07))
+    ad.backward(loss, g)
+    return len(g.nodes), {p: None if t.grad is None else t.grad.copy()
+                          for p, t in params.entries.items()}
+
+
+@pytest.mark.parametrize("wanted", ["candidates", "every_parameter", "one_late_tensor"])
+@pytest.mark.parametrize("cfg", [tiny_encoder_config(), dm.EncoderConfig()], ids=["tiny", "default"])
+def test_wrt_graph_gives_the_same_gradients_on_a_shorter_tape(cfg, wanted):
+    params = dm.init_model(cfg, 4)
+    table = dm.init_class_table(4, cfg.embed_dim, 4)
+    paths = {"candidates": params.candidate_paths(), "every_parameter": list(params.entries),
+             "one_late_tensor": ["block1.attn.q.weight"]}[wanted]
+    full_nodes, full = _model_grads(params, table, None)
+    nodes, grads = _model_grads(params, table, [params.entries[p] for p in paths])
+    assert nodes < full_nodes
+    for path in params.entries:
+        if path in paths:
+            assert np.array_equal(grads[path], full[path]), path
+        else:
+            assert grads[path] is None, path
+
+
+def test_wrt_graph_tapes_nothing_that_does_not_depend_on_wrt():
+    a, b, frozen = ad.Tensor([1.0, 2.0]), ad.Tensor([3.0, 4.0]), ad.Tensor([5.0, 6.0])
+    with ad.Graph(wrt=[a]) as g:
+        c = ad.add(frozen, b)
+        loss = ad.mean(ad.add(ad.scale(c, 2.0), a))
+    ad.backward(loss, g)
+    assert [n.kind for n in g.nodes] == ["add", "mean"]
+    assert np.array_equal(a.grad, [0.5, 0.5])
+    assert b.grad is None and frozen.grad is None and c.grad is None
+
+
+def test_shared_first_gradients_are_never_mutated_in_place():
+    a, b = ad.Tensor([1.0, 2.0]), ad.Tensor([3.0, 4.0])
+    with ad.Graph() as g:
+        s = ad.add(a, b)
+        loss = ad.mean(ad.add(s, a))
+    ad.backward(loss, g)
+    # the outer add hands one array to s and a; b's is s's too, and a's second
+    # contribution (from the inner add) must leave that shared array alone
+    assert b.grad is s.grad
+    assert np.array_equal(s.grad, [0.5, 0.5]) and np.array_equal(b.grad, [0.5, 0.5])
+    assert np.array_equal(a.grad, [1.0, 1.0])
 
 
 def test_grads_accumulate_across_fresh_passes():
@@ -133,9 +187,47 @@ def test_forward_op_dispatch():
     assert out.data[0, 0] == 2.0
     with pytest.raises(ValueError, match="unknown op"):
         ad.forward_op("conv2d", [t])
-    for kind in ("matmul", "add", "scale", "relu", "gelu", "layer_norm", "softmax",
-                 "log", "mean", "cosine_similarity_rows", "gather_rows", "concat"):
+    for kind in ("matmul", "linear", "add", "scale", "relu", "gelu", "layer_norm", "softmax",
+                 "log", "mean", "cosine_similarity_rows", "gather_rows", "concat",
+                 "cross_entropy_from_logits"):
         assert kind in ad.op_kinds()
+
+
+_ROWS = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])
+DISPATCH_INPUTS = {
+    "matmul": ([_ROWS, _ROWS], {"transpose_b": True}),
+    "linear": ([_ROWS, _ROWS.T, np.ones(2)], {}),
+    "add": ([_ROWS, _ROWS], {}),
+    "scale": ([_ROWS], {"factor": -2.0}),
+    "relu": ([_ROWS], {}),
+    "gelu": ([_ROWS], {}),
+    "layer_norm": ([_ROWS, np.ones(3), np.zeros(3)], {}),
+    "softmax": ([_ROWS], {}),
+    "log": ([np.abs(_ROWS)], {}),
+    "mean": ([_ROWS], {}),
+    "cosine_similarity_rows": ([_ROWS, _ROWS], {}),
+    "gather_rows": ([_ROWS], {"ids": [2, 0]}),
+    "concat": ([_ROWS, _ROWS], {"axis": 1}),
+    "reshape": ([_ROWS], {"shape": (3, 2)}),
+    "normalize_rows": ([_ROWS], {}),
+    "cross_entropy_from_logits": ([_ROWS], {"labels": [1, 2]}),
+}
+
+
+def test_op_kind_contract():
+    # The benchmark's tracer times op kinds as same-named module attributes and
+    # backward time by node kind; both must name the same function.
+    assert set(DISPATCH_INPUTS) == set(ad.op_kinds())
+    for kind in ad.op_kinds():
+        op = getattr(ad, kind)
+        assert op.__name__ == kind
+        assert any(case == kind or case.startswith(kind + "_") for case in OP_CASES), kind
+        inputs, attrs = DISPATCH_INPUTS[kind]
+        with ad.Graph() as g:
+            out = ad.forward_op(kind, inputs, **attrs)
+        assert g.nodes[-1].kind == kind and g.nodes[-1].output is out
+        direct = op(inputs, **attrs) if kind == "concat" else op(*inputs, **attrs)
+        assert np.array_equal(out.data, direct.data)
 
 
 @settings(max_examples=60, deadline=None)

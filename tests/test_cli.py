@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dosapp.cli import main
+from dosapp.config import RunConfig, apply_overrides, build_manifest
 
 
 TINY = [
@@ -140,6 +141,23 @@ def test_bad_value_exits_2_before_any_run(tmp_path, capsys, args, key):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("ema", "gamma", 2.0), ("run", "batch_size", 0), ("model", "temperature", 0.0),
+])
+def test_bad_manifest_value_exits_2_before_any_run(tmp_path, capsys, section, key, value):
+    cfg = apply_overrides(RunConfig(), TINY)
+    manifest = build_manifest(cfg, seed=0)
+    manifest["config"][section][key] = value
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and f"[{section}] {key}" in err
     assert not out.exists()
 
 

@@ -1,10 +1,16 @@
 """Config parsing, overrides, hashing, run manifests."""
 
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dosapp.config as cf
+from dosapp.autodiff import OPTIMIZER_KINDS
+from dosapp.data import IMBALANCE_MODES, STREAM_SCOPES
+from dosapp.harness import VARIANTS
 
 
 SAMPLE_INI = """\
@@ -152,6 +158,69 @@ def test_every_value_the_owner_modules_allow_parses():
 def test_config_dict_round_trip():
     cfg = cf.apply_overrides(cf.RunConfig(), ["ttl.dirichlet_alpha=2.0", "run.seeds=1,2"])
     assert cf.config_from_dict(cf.config_to_dict(cfg)) == cfg
+
+
+_FRACTION = st.floats(0.0, 1.0, exclude_min=True)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SPECIAL = {
+    "variant": st.sampled_from(sorted(VARIANTS)),
+    "seeds": st.lists(st.integers(0, 2**31), min_size=1).map(tuple),
+    "score_sample_cap": st.none() | st.integers(1, 10**6),
+    "dirichlet_alpha": st.none() | _FINITE,
+    "temperature": st.floats(0.0, 1e6, exclude_min=True),
+    "sparsity_c": _FRACTION, "delta": _FRACTION, "gamma": _FRACTION, "lam": _FRACTION,
+    "optimizer_kind": st.sampled_from(OPTIMIZER_KINDS),
+    "ttl_stream_scope": st.sampled_from(STREAM_SCOPES),
+    "ttl_imbalance": st.sampled_from(IMBALANCE_MODES),
+}
+
+
+def _field_strategy(f):
+    if f.name in _SPECIAL:
+        return _SPECIAL[f.name]
+    if isinstance(f.default, bool):
+        return st.booleans()
+    return st.integers(1, 10**6) if isinstance(f.default, int) else _FINITE
+
+
+VALID_CONFIGS = st.fixed_dictionaries({f.name: _field_strategy(f) for f in fields(cf.RunConfig)}
+                                      ).map(lambda kw: cf.RunConfig(**kw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALID_CONFIGS)
+def test_every_valid_config_survives_the_dict_and_json_round_trip(cfg):
+    assert cf.config_from_dict(cf.config_to_dict(cfg)) == cfg
+    assert cf.config_from_dict(json.loads(json.dumps(cf.config_to_dict(cfg)))) == cfg
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("ema", "gamma", 2.0), ("ema", "delta", 0.0), ("run", "batch_size", 0),
+    ("ttl", "batch_size", -1), ("model", "temperature", 0.0), ("sparsity", "c", 1.5),
+    ("run", "seeds", []), ("run", "seeds", [0, "x"]), ("run", "epochs", "many"),
+    ("data", "tasks", 2.5), ("model", "use_attention", "maybe"), ("optimizer", "kind", "rmsprop"),
+    ("ttl", "stream_scope", "bogus"), ("ema", "lambda", [0.5]),
+])
+def test_manifest_values_get_the_parse_time_checks(section, key, value):
+    manifest = cf.build_manifest(cf.RunConfig(), seed=0)
+    manifest["config"][section][key] = value
+    with pytest.raises(cf.ConfigError, match=rf"\[{section}\] {key}"):
+        cf.config_from_manifest(manifest)
+
+
+@pytest.mark.parametrize("seed", ["x", 2.5, [1], None])
+def test_manifest_seed_gets_the_seed_check(seed):
+    manifest = cf.build_manifest(cf.RunConfig(), seed=0)
+    manifest["seed"] = seed
+    with pytest.raises(cf.ConfigError, match=r"\[run\] seeds"):
+        cf.config_from_manifest(manifest)
+
+
+def test_manifest_rejects_ablate_keys():
+    manifest = cf.build_manifest(cf.RunConfig(), seed=0)
+    manifest["config"]["ablate"] = {"variants": "dosapp"}
+    with pytest.raises(cf.ConfigError, match=r"\[ablate\] variants"):
+        cf.config_from_manifest(manifest)
 
 
 def test_config_hash_is_stable_and_sensitive():

@@ -97,6 +97,14 @@ DAMAGED_CHECKPOINTS = {
     "no_final_newline": CHECKPOINT_TEXT[:-1],
     "count_mismatch": CHECKPOINT_TEXT.replace("shape=3,1", "shape=4,1"),
     "bad_candidate_flag": CHECKPOINT_TEXT.replace("candidate=1", "candidate=yes"),
+    "config_not_json": CHECKPOINT_TEXT.replace('"use_attention": false}', '"use_attention": false'),
+    "config_not_an_object": CHECKPOINT_TEXT.replace('config {"block_count"', 'config [{"block_count"')
+                                           .replace('false}\n', 'false}]\n'),
+    "config_unknown_key": CHECKPOINT_TEXT.replace('"block_count"', '"blocks"'),
+    "config_bad_value": CHECKPOINT_TEXT.replace('"embed_dim": 1', '"embed_dim": 0'),
+    "meta_not_json": CHECKPOINT_TEXT.replace('"note": "golden"', '"note": golden'),
+    "meta_not_an_object": CHECKPOINT_TEXT.replace('meta {"active_classes": [0, 2], "note": "golden"}',
+                                                  "meta [0, 2]"),
 }
 
 DAMAGED_MASKS = {
@@ -107,6 +115,7 @@ DAMAGED_MASKS = {
     "count_mismatch": MASK_TEXT.replace("shape=3", "shape=4"),
     "bad_bit": MASK_TEXT.replace("011", "0x1"),
     "bad_header_attribute": MASK_TEXT.replace("origin=", "source="),
+    "bad_sparsity": MASK_TEXT.replace("sparsity=0x1.999999999999ap-4", "sparsity=zz"),
 }
 
 DAMAGED_SCORES = {
@@ -116,6 +125,8 @@ DAMAGED_SCORES = {
     "no_final_newline": SCORES_TEXT[:-1],
     "count_mismatch": SCORES_TEXT.replace("shape=3", "shape=2"),
     "bad_value": SCORES_TEXT.replace("0x1.8000000000000p-1", "0x1.8zp-1"),
+    "non_integer_task": SCORES_TEXT.replace("task=3", "task=x"),
+    "non_integer_samples": SCORES_TEXT.replace("samples=17", "samples=1.5"),
 }
 
 
