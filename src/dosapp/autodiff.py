@@ -11,6 +11,10 @@ product of every input that does not. The gradients of the ``wrt`` tensors
 are bit-identical to those of a full ``Graph()``. A ``.grad`` array may be
 shared with other tensors' grads, so grads are replaced, never mutated in
 place.
+
+Kernels work in place only on buffers they allocated themselves; inputs and
+incoming gradients are never written. An in-place form keeps the operands of
+the expression it stands for, in the same order, so it gives the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ from scipy.special import erf
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-5
+# Weight-gradient stacks of per-item products larger than this many bytes are
+# summed a chunk of at most this size at a time (_fold_products). Measured on
+# a 2-core Xeon: the wide model's 4 MB [64, 32, 256] stacks summed 36-39%
+# faster with a 1 MB budget than whole, and its 0.5 MB [64, 32, 32] stacks
+# gained nothing from chunks and lost up to 80% in small ones.
+FOLD_BYTES = 1 << 20
 
 
 class Tensor:
@@ -123,6 +133,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _fold_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b).sum(axis=0) for a [B, n, k] and b [B, k, m], bit for bit.
+
+    numpy sums axis 0 of the [B, n, m] stack as a left fold in batch order
+    (pairwise only when n * m == 1). Above FOLD_BYTES the products are made a
+    chunk at a time into a buffer whose first slot holds the running sum, and
+    folded on from there, so the whole stack is never held.
+    """
+    batch, n, m = a.shape[0], a.shape[1], b.shape[2]
+    item_bytes = n * m * 8
+    if batch * item_bytes <= FOLD_BYTES or n * m == 1:
+        return np.matmul(a, b).sum(axis=0)
+    chunk = max(1, FOLD_BYTES // item_bytes)
+    buf = np.empty((chunk + 1, n, m))
+    acc = np.matmul(a[:chunk], b[:chunk], out=buf[1:]).sum(axis=0)
+    for i in range(chunk, batch, chunk):
+        k = min(chunk, batch - i)
+        buf[0] = acc
+        np.matmul(a[i:i + k], b[i:i + k], out=buf[1:k + 1])
+        np.add.reduce(buf[:k + 1], axis=0, out=acc)
+    return acc
+
+
 def _shape_error(kind: str, *shapes) -> ValueError:
     pretty = " vs ".join(str(s) for s in shapes)
     return ValueError(f"{kind}: incompatible shapes {pretty}")
@@ -150,9 +183,11 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
         if need_a:
             ga = _unbroadcast(np.matmul(g, bd if transpose_b else np.swapaxes(bd, -1, -2)), ad.shape)
         if need_b:
-            gb = (np.matmul(np.swapaxes(g, -1, -2), ad) if transpose_b
-                  else np.matmul(np.swapaxes(ad, -1, -2), g))
-            gb = _unbroadcast(gb, bd.shape)
+            lhs, rhs = (np.swapaxes(g, -1, -2), ad) if transpose_b else (np.swapaxes(ad, -1, -2), g)
+            if ad.ndim == 3 and bd.ndim == 2:
+                gb = _fold_products(lhs, rhs)
+            else:
+                gb = _unbroadcast(np.matmul(lhs, rhs), bd.shape)
         return ga, gb
 
     return _record("matmul", (a, b), out, backward_fn)
@@ -180,12 +215,17 @@ def linear(x, w, b) -> Tensor:
     xd, wd = x.data, w.data
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
         raise _shape_error("linear", xd.shape, wd.shape, b.data.shape)
-    out = Tensor(np.matmul(xd, wd) + b.data)
+    y = np.matmul(xd, wd)
+    y += b.data
+    out = Tensor(y)
     need_x, need_w, need_b = _wanted(x, w, b)
 
     def backward_fn(g):
-        return (_unbroadcast(np.matmul(g, wd.T), xd.shape) if need_x else None,
-                _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), wd.shape) if need_w else None,
+        gw = None
+        if need_w:
+            xt = np.swapaxes(xd, -1, -2)
+            gw = _fold_products(xt, g) if xd.ndim == 3 else _unbroadcast(np.matmul(xt, g), wd.shape)
+        return (_unbroadcast(np.matmul(g, wd.T), xd.shape) if need_x else None, gw,
                 _unbroadcast(g, b.data.shape) if need_b else None)
 
     return _record("linear", (x, w, b), out, backward_fn)
@@ -214,14 +254,27 @@ def relu(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """Exact erf-form GELU."""
+    """Exact erf-form GELU: 0.5 * a * (1 + erf(a / sqrt 2))."""
     a = _as_tensor(a)
-    e = erf(a.data * _INV_SQRT2)
-    out = Tensor(0.5 * a.data * (1.0 + e))
+    ad = a.data
+    cdf = np.multiply(ad, _INV_SQRT2, out=np.empty_like(ad))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    y = ad * 0.5
+    y *= cdf
+    cdf *= 0.5                            # 0.5 * (1 + erf(a / sqrt 2))
+    out = Tensor(y)
 
     def backward_fn(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-        return (g * (0.5 * (1.0 + e) + a.data * pdf),)
+        # g * (cdf + a * pdf), pdf = exp(-0.5 * a * a) / sqrt(2 pi)
+        d = np.multiply(ad, -0.5, out=np.empty_like(ad))
+        d *= ad
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= ad
+        d += cdf
+        d *= g
+        return (d,)
 
     return _record("gelu", (a,), out, backward_fn)
 
@@ -232,21 +285,34 @@ def layer_norm(x, gain, bias) -> Tensor:
     n = x.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise _shape_error("layer_norm", x.data.shape, gain.data.shape, bias.data.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    # np.add.reduce(...) / n is what .mean() computes, without its wrapper.
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= n
+    xhat = x.data - mu                    # centred here, standardized below
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= n
+    var += LAYER_NORM_EPS
+    np.sqrt(var, out=var)
+    inv = np.divide(1.0, var, out=var)
+    xhat *= inv
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y)
     need_x, need_gain, need_bias = _wanted(x, gain, bias)
 
     def backward_fn(g):
         dx = None
         if need_x:
-            dxhat = g * gain.data
-            s1 = dxhat.sum(axis=-1, keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)
-            dx = inv * (dxhat - s1 / n - xhat * (s2 / n))
+            # inv * (dxhat - s1 / n - xhat * (s2 / n)), s1 and s2 row sums
+            dx = g * gain.data
+            t = dx * xhat
+            s1 = np.add.reduce(dx, axis=-1, keepdims=True)
+            s1 /= n
+            s2 = np.add.reduce(t, axis=-1, keepdims=True)
+            s2 /= n
+            dx -= s1
+            dx -= np.multiply(xhat, s2, out=t)
+            dx *= inv
         return (dx, _unbroadcast(g * xhat, gain.data.shape) if need_gain else None,
                 _unbroadcast(g, bias.data.shape) if need_bias else None)
 
@@ -538,12 +604,23 @@ class Optimizer:
         cfg = self.cfg
         if cfg.kind == "sgd":
             return cfg.learning_rate * g
-        m = self._m.setdefault(path, np.zeros_like(theta))
-        v = self._v.setdefault(path, np.zeros_like(theta))
+        if path not in self._m:
+            self._m[path], self._v[path] = np.zeros_like(theta), np.zeros_like(theta)
+        m, v = self._m[path], self._v[path]
         t = self._t.get(path, 0) + 1
         self._t[path] = t
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-        mhat = m / (1.0 - cfg.beta1 ** t)
-        vhat = v / (1.0 - cfg.beta2 ** t)
-        return cfg.learning_rate * (mhat / (np.sqrt(vhat) + cfg.epsilon) + cfg.weight_decay * theta)
+        buf = np.multiply(g, 1.0 - cfg.beta1, out=np.empty_like(theta))
+        m *= cfg.beta1
+        m += buf                              # m = beta1 * m + (1 - beta1) * g
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - cfg.beta2
+        v *= cfg.beta2
+        v += buf                              # v = beta2 * v + (1 - beta2) * g * g
+        np.divide(v, 1.0 - cfg.beta2 ** t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += cfg.epsilon                    # sqrt(vhat) + epsilon
+        step = np.divide(m, 1.0 - cfg.beta1 ** t, out=np.empty_like(theta))
+        step /= buf                           # mhat / (sqrt(vhat) + epsilon)
+        step += np.multiply(theta, cfg.weight_decay, out=buf)
+        step *= cfg.learning_rate
+        return step

@@ -247,18 +247,19 @@ def write_manifest(path, manifest: dict) -> None:
     Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def read_manifest(path) -> dict:
-    manifest = json.loads(Path(path).read_text())
+def _versioned(manifest: dict) -> dict:
     version = manifest.get("manifest_version")
     if version != MANIFEST_VERSION:
         raise ConfigError(f"unsupported manifest version {version!r}")
     return manifest
 
 
+def read_manifest(path) -> dict:
+    return _versioned(json.loads(Path(path).read_text()))
+
+
 def config_from_manifest(manifest: dict) -> RunConfig:
-    if manifest.get("manifest_version") != MANIFEST_VERSION:
-        raise ConfigError(f"unsupported manifest version {manifest.get('manifest_version')!r}")
-    cfg = config_from_dict(manifest["config"])
+    cfg = config_from_dict(_versioned(manifest)["config"])
     if "seed" in manifest:
         cfg = _apply_pairs(cfg, {("run", "seeds"): _manifest_text("seed", manifest["seed"])})
     return cfg

@@ -32,25 +32,24 @@ class VariantKnobs:
     dual_momentum: bool
     use_ttl: bool
     use_teacher: bool
-    self_label: bool
     default_buffer: int = 0
 
 
 VARIANTS: dict[str, VariantKnobs] = {
     # the full method: sparse masks, union re-selection, dual momentum, routing
-    "dosapp": VariantKnobs(True, True, True, True, True, False),
+    "dosapp": VariantKnobs(True, True, True, True, True),
     # plain sequential fine-tuning, no adaptation phase, no teacher
-    "finetune_no_ttl": VariantKnobs(False, False, False, False, False, False),
+    "finetune_no_ttl": VariantKnobs(False, False, False, False, False),
     # fine-tuning plus adaptation where the student labels its own stream
-    "self_label": VariantKnobs(False, False, False, True, False, True),
+    "self_label": VariantKnobs(False, False, False, True, False),
     # teacher/student routing alone: full updates, single high momentum
-    "teacher_student_only": VariantKnobs(False, False, False, True, True, False),
+    "teacher_student_only": VariantKnobs(False, False, False, True, True),
     # adds per-task sparse masks (latest mask gates adaptation too)
-    "plus_sparse": VariantKnobs(True, False, False, True, True, False),
+    "plus_sparse": VariantKnobs(True, False, False, True, True),
     # adds the mask union, still a single high momentum
-    "plus_union_single_momentum": VariantKnobs(True, True, False, True, True, False),
+    "plus_union_single_momentum": VariantKnobs(True, True, False, True, True),
     # the full method with a small labeled reservoir replayed 1:1
-    "dosapp_er": VariantKnobs(True, True, True, True, True, False, default_buffer=200),
+    "dosapp_er": VariantKnobs(True, True, True, True, True, default_buffer=200),
 }
 
 

@@ -1,6 +1,11 @@
 """Tape, ops, backward, and optimizers against independent oracles."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,17 @@ class Bag:
 @pytest.mark.parametrize("seed", [0, 1])
 def test_op_gradient_matches_finite_differences(case, seed):
     check_case(case, seed)
+
+
+def test_op_case_inputs_are_the_same_in_every_process():
+    # str hashes are salted per process unless PYTHONHASHSEED fixes them
+    code = ("import gradcheck; _, ts = gradcheck.OP_CASES['gelu'](gradcheck.case_rng('gelu', 1)); "
+            "print(ts[0].data.tobytes().hex())")
+    path = os.pathsep.join([str(Path(__file__).parent), str(Path(ad.__file__).parents[1])])
+    drawn = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)).stdout
+             for seed in ("1", "2")]
+    assert drawn[0] and drawn[0] == drawn[1]
 
 
 @pytest.mark.parametrize("use_attention", [True, False])
@@ -228,6 +244,14 @@ def test_op_kind_contract():
         assert g.nodes[-1].kind == kind and g.nodes[-1].output is out
         direct = op(inputs, **attrs) if kind == "concat" else op(*inputs, **attrs)
         assert np.array_equal(out.data, direct.data)
+
+
+def test_benchmark_per_op_metrics_name_live_op_kinds():
+    # The tracer derives its per-op metric names from op_kinds(), so a kind
+    # that BENCHMARK.json lists but op_kinds() lacks is a metric never reported.
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    kinds = {m["name"].split(".")[2] for m in spec["per_layer"] if m["name"].startswith("autodiff.op.")}
+    assert kinds and kinds <= set(ad.op_kinds()), sorted(kinds - set(ad.op_kinds()))
 
 
 @settings(max_examples=60, deadline=None)

@@ -261,7 +261,7 @@ def test_manifest_version_is_enforced(tmp_path):
     p.write_text(json.dumps(manifest))
     with pytest.raises(cf.ConfigError, match="99"):
         cf.read_manifest(p)
-    with pytest.raises(cf.ConfigError):
+    with pytest.raises(cf.ConfigError, match="99"):
         cf.config_from_manifest(manifest)
 
 
