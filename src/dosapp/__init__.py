@@ -8,11 +8,10 @@ routing between teacher and student.
 
 __version__ = "0.1.0"
 
-from .autodiff import (Graph, Optimizer, OptimizerConfig, Tensor, backward,
-                       cross_entropy_from_logits, forward_op)
+from .autodiff import Graph, Optimizer, OptimizerConfig, Tensor, backward, cross_entropy_from_logits
 from .config import ConfigError, RunConfig
 from .data import ReplayBuffer, SyntheticTaskSpec, generate_tasks
-from .ema import EmaConfig, clone_student_to_teacher, compute_pq, ema_update
+from .ema import EmaConfig, compute_pq, ema_update
 from .harness import (RunAudit, VARIANTS, compute_metrics, evaluate, run_experiment,
                       run_supervised_session)
 from .masking import Mask, MaskHistory, ScoreMap, reselect_topk, score_parameters, select_topk, union_masks
@@ -21,4 +20,4 @@ from .model import (ClassEmbeddingTable, EncoderConfig, LogitConfig, ParameterSe
                     model_loss, predict, save_checkpoint)
 from .reporting import (ReportBundle, RunRecord, build_report, evaluate_trends,
                         load_run, persist_run, write_report_files)
-from .ttl import TtlReport, TtlStreamConfig, route_pseudo_label, ttl_session
+from .ttl import TtlStreamConfig, route_pseudo_label, ttl_session

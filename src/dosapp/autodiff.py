@@ -20,7 +20,7 @@ the expression it stands for, in the same order, so it gives the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,9 +56,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
@@ -488,37 +485,14 @@ def cross_entropy_from_logits(logits, labels) -> Tensor:
     return _record("cross_entropy_from_logits", (logits,), out, backward_fn)
 
 
-_OPS: dict[str, Callable[..., Tensor]] = {
-    "matmul": matmul,
-    "linear": linear,
-    "add": add,
-    "scale": scale,
-    "relu": relu,
-    "gelu": gelu,
-    "layer_norm": layer_norm,
-    "softmax": softmax,
-    "log": log,
-    "mean": mean,
-    "cosine_similarity_rows": cosine_similarity_rows,
-    "gather_rows": gather_rows,
-    "concat": concat,
-    "reshape": reshape,
-    "normalize_rows": normalize_rows,
-    "cross_entropy_from_logits": cross_entropy_from_logits,
-}
+# Each op kind is also the name of its function in this module.
+_OP_KINDS = ("matmul", "linear", "add", "scale", "relu", "gelu", "layer_norm", "softmax", "log",
+             "mean", "cosine_similarity_rows", "gather_rows", "concat", "reshape",
+             "normalize_rows", "cross_entropy_from_logits")
 
 
 def op_kinds() -> tuple[str, ...]:
-    return tuple(_OPS)
-
-
-def forward_op(kind: str, inputs, **attrs) -> Tensor:
-    """Dispatch one op by kind name; unknown kinds are an error."""
-    if kind not in _OPS:
-        raise ValueError(f"unknown op kind '{kind}'")
-    if kind == "concat":
-        return concat(list(inputs), **attrs)
-    return _OPS[kind](*inputs, **attrs)
+    return _OP_KINDS
 
 
 def backward(loss: Tensor, graph: Graph) -> None:

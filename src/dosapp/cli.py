@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .config import (ConfigError, RunConfig, apply_overrides, build_manifest,
                      parse_config_file)
-from .harness import VARIANTS, run_experiment
+from .harness import knobs_for, run_experiment
 from .reporting import (build_report, format_trend, load_run, persist_run,
                         write_momentum_grid_csv, write_report_files)
 
@@ -23,9 +23,7 @@ def _load_config(args) -> tuple[RunConfig, dict]:
         cfg = dataclasses.replace(cfg, variant=args.variant)
     seeds = [] if args.seeds is None else [f"run.seeds={args.seeds}"]
     cfg = apply_overrides(cfg, seeds + args.override)
-    if cfg.variant not in VARIANTS:
-        known = ", ".join(sorted(VARIANTS))
-        raise ConfigError(f"unknown variant {cfg.variant!r} (known: {known})")
+    knobs_for(cfg.variant)
     return cfg, ablate
 
 
@@ -71,9 +69,7 @@ def cmd_ablate(args) -> int:
     variants = ablate.get("variants")
     variants = tuple(variants.replace(",", " ").split()) if variants else _DEFAULT_ABLATION
     for v in variants:
-        if v not in VARIANTS:
-            known = ", ".join(sorted(VARIANTS))
-            raise ConfigError(f"unknown variant {v!r} in ablation list (known: {known})")
+        knobs_for(v)  # every name is checked before the first run
     grid = _parse_momentum_grid(ablate["momentum_grid"]) if "momentum_grid" in ablate else []
 
     run_dirs = []

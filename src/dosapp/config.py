@@ -195,8 +195,7 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
         section, key = (part.strip() for part in dotted.split(".", 1))
-        if (section, key) not in _ABLATE_KEYS:
-            pairs[(section, key)] = raw.strip()
+        pairs[(section, key)] = raw.strip()
     return _apply_pairs(cfg, pairs)
 
 

@@ -82,8 +82,3 @@ def ema_update(teacher, student, sv: SmoothingVectors) -> None:
             t.data[...] = sv.p_default * t.data + sv.q_default * s.data
         else:
             t.data[...] = pv * t.data + sv.q[path] * s.data
-
-
-def clone_student_to_teacher(student):
-    """Fresh deep copy; gradients are not carried over."""
-    return student.clone()

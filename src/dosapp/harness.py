@@ -9,16 +9,16 @@ teacher, and replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as dm
 from .autodiff import Optimizer, OptimizerConfig
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .data import (LabeledDataset, ReplayBuffer, SessionSchedule, SyntheticTaskSpec, TaskData,
                    build_ttl_stream, generate_tasks)
-from .ema import EmaConfig, clone_student_to_teacher, compute_pq
+from .ema import EmaConfig, compute_pq
 from .masking import Mask, MaskHistory, ScoreMap, reselect_topk, score_parameters, select_topk, union_masks
 from .model import ClassEmbeddingTable, EncoderConfig, LogitConfig, ParameterSet
 from .seeding import substream
@@ -55,7 +55,7 @@ VARIANTS: dict[str, VariantKnobs] = {
 
 def knobs_for(variant: str) -> VariantKnobs:
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant '{variant}' (known: {', '.join(sorted(VARIANTS))})")
+        raise ConfigError(f"unknown variant {variant!r} (known: {', '.join(sorted(VARIANTS))})")
     return VARIANTS[variant]
 
 
@@ -233,7 +233,7 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
     schedule = generate_tasks(spec, imbalance_mode=cfg.ttl_imbalance,
                               dirichlet_alpha=cfg.dirichlet_alpha)
     student = dm.init_model(enc, seed)
-    teacher = clone_student_to_teacher(student) if knobs.use_teacher else None
+    teacher = student.clone() if knobs.use_teacher else None
     table = dm.init_class_table(cfg.total_classes, cfg.embed_dim, seed)
     capacity = cfg.buffer_capacity if cfg.buffer_capacity > 0 else knobs.default_buffer
     buffer = ReplayBuffer(capacity, seed) if capacity > 0 else None
@@ -272,12 +272,11 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
                                  "composition": {str(c): int(n) for c, n in sorted(composition.items())}})
             stream_cfg = TtlStreamConfig(batch_size=cfg.ttl_batch_size, class_set=tuple(seen))
             ema_ttl = EmaConfig(delta=cfg.delta, gamma=cfg.gamma, lam=cfg.lam, phase="ttl")
-            report = ttl_session(
+            metrics_rows.extend(ttl_session(
                 student, teacher, ttl_mask, stream, stream_cfg, ema_ttl, opt_cfg,
                 table, logit_cfg,
                 ema_mask=ttl_mask if knobs.dual_momentum else None,
-                audit=audit, session=t)
-            metrics_rows.extend(report.rows)
+                audit=audit, session=t))
             r_ttl[t] = evaluate(eval_params, table, schedule, t, logit_cfg)
         else:
             r_ttl[t] = r_sup[t]

@@ -60,6 +60,8 @@ class MaskHistory:
 
 def topk_count(c: float, n: int) -> int:
     """ceil(c*n) with a tiny slack so float noise cannot bump the count up."""
+    if not (0.0 < c <= 1.0):
+        raise ValueError(f"sparsity must lie in (0, 1], got {c}")
     return max(1, min(n, math.ceil(c * n - 1e-12)))
 
 
@@ -100,19 +102,40 @@ def score_parameters(params, dataset, loss_fn, batch_size: int, sample_cap: int 
     return ScoreMap(scores=scores, task_id=task_id, sample_count=n_used)
 
 
+def _topk_bits(scores: np.ndarray, pool: np.ndarray, c: float, path: str) -> np.ndarray:
+    """Keep the top ceil(c*N) scores inside the boolean pool, N the tensor size.
+
+    Ties go to the lower flat index. A pool smaller than that is kept whole,
+    with a warning.
+    """
+    flat_pool = pool.ravel()
+    k = topk_count(c, flat_pool.size)
+    pool_idx = np.flatnonzero(flat_pool)
+    if pool_idx.size < k:
+        warnings.warn(f"union pool for '{path}' has {pool_idx.size} entries, fewer than the "
+                      f"re-selection target {k}; keeping the whole pool")
+        chosen = pool_idx
+    else:
+        order = np.argsort(-scores.ravel()[pool_idx], kind="stable")  # stable: lower index wins ties
+        chosen = pool_idx[order[:k]]
+    bits = np.zeros(flat_pool.size, dtype=bool)
+    bits[chosen] = True
+    return bits.reshape(pool.shape)
+
+
+def _fold(dicts, op) -> dict[str, np.ndarray]:
+    """Per path, op folded over the arrays the dicts hold for it, in order."""
+    out: dict[str, np.ndarray] = {}
+    for d in dicts:
+        for path, arr in d.items():
+            out[path] = op(out[path], arr) if path in out else arr.copy()
+    return out
+
+
 def select_topk(score_map: ScoreMap, c: float, origin: str = "per_task") -> Mask:
     """Keep the top ceil(c*N) scores per tensor; ties go to the lower index."""
-    if not (0.0 < c <= 1.0):
-        raise ValueError(f"sparsity must lie in (0, 1], got {c}")
-    bits = {}
-    for path, arr in score_map.scores.items():
-        flat = arr.ravel()
-        k = topk_count(c, flat.size)
-        order = np.argsort(-flat, kind="stable")  # stable keeps ascending index among ties
-        chosen = order[:k]
-        b = np.zeros(flat.size, dtype=bool)
-        b[chosen] = True
-        bits[path] = b.reshape(arr.shape)
+    bits = {path: _topk_bits(arr, np.ones(arr.shape, dtype=bool), c, path)
+            for path, arr in score_map.scores.items()}
     return Mask(bits=bits, sparsity=c, origin=origin)
 
 
@@ -120,14 +143,7 @@ def union_masks(history: MaskHistory) -> dict[str, np.ndarray]:
     """Elementwise OR of every stored per-task mask; raw, no sparsity target."""
     if len(history) == 0:
         raise ValueError("union_masks: empty history")
-    out: dict[str, np.ndarray] = {}
-    for mask in history.masks:
-        for path, b in mask.bits.items():
-            if path in out:
-                out[path] = out[path] | b
-            else:
-                out[path] = b.copy()
-    return out
+    return _fold((mask.bits for mask in history.masks), np.bitwise_or)
 
 
 def reselect_topk(union_bits: dict[str, np.ndarray], history: MaskHistory, c: float) -> Mask:
@@ -138,33 +154,8 @@ def reselect_topk(union_bits: dict[str, np.ndarray], history: MaskHistory, c: fl
     """
     if len(history) == 0:
         raise ValueError("reselect_topk: empty history")
-    if not (0.0 < c <= 1.0):
-        raise ValueError(f"sparsity must lie in (0, 1], got {c}")
-    best: dict[str, np.ndarray] = {}
-    for sm in history.scores:
-        for path, arr in sm.scores.items():
-            if path in best:
-                best[path] = np.maximum(best[path], arr)
-            else:
-                best[path] = arr.copy()
-    bits = {}
-    for path, pool in union_bits.items():
-        flat_scores = best[path].ravel()
-        flat_pool = pool.ravel()
-        k = topk_count(c, flat_pool.size)
-        pool_idx = np.flatnonzero(flat_pool)
-        if pool_idx.size < k:
-            warnings.warn(
-                f"union pool for '{path}' has {pool_idx.size} entries, fewer than the "
-                f"re-selection target {k}; keeping the whole pool"
-            )
-            chosen = pool_idx
-        else:
-            order = np.argsort(-flat_scores[pool_idx], kind="stable")
-            chosen = pool_idx[order[:k]]
-        b = np.zeros(flat_pool.size, dtype=bool)
-        b[chosen] = True
-        bits[path] = b.reshape(pool.shape)
+    best = _fold((sm.scores for sm in history.scores), np.maximum)
+    bits = {path: _topk_bits(best[path], pool, c, path) for path, pool in union_bits.items()}
     return Mask(bits=bits, sparsity=c, origin="union_reselected")
 
 

@@ -80,9 +80,6 @@ class ParameterSet:
         for t in self.entries.values():
             t.grad = None
 
-    def candidate_count(self) -> int:
-        return sum(self.entries[p].size for p in self.candidate_paths())
-
     def clone(self) -> "ParameterSet":
         out = ParameterSet(self.config)
         for path, t in self.entries.items():
@@ -171,7 +168,8 @@ def encode(params: ParameterSet, x) -> Tensor:
     return ad.normalize_rows(ad.matmul(flat, e["proj.weight"]))
 
 
-def _check_restrict(table: ClassEmbeddingTable, restrict_to) -> list[int]:
+def _check_restrict(table: ClassEmbeddingTable, restrict_to) -> np.ndarray:
+    """The restricted class ids in ascending order, which is logit column order."""
     ids = sorted(int(c) for c in restrict_to)
     if not ids:
         raise ValueError("logits: empty class restriction")
@@ -179,35 +177,35 @@ def _check_restrict(table: ClassEmbeddingTable, restrict_to) -> list[int]:
         raise ValueError("logits: duplicate class ids in restriction")
     if ids[0] < 0 or ids[-1] >= table.total_classes:
         raise ValueError(f"logits: class id out of range [0, {table.total_classes})")
-    return ids
+    return np.asarray(ids, dtype=np.int64)
 
 
-def logits(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, cfg: LogitConfig) -> Tensor:
-    """Cosine(embedding, class vector)/temperature, columns in ascending class id."""
-    ids = _check_restrict(table, restrict_to)
+def _logits(params: ParameterSet, table: ClassEmbeddingTable, x, ids: np.ndarray,
+            cfg: LogitConfig) -> Tensor:
     emb = encode(params, x)
     sub = Tensor(table.vectors[ids])
     return ad.scale(ad.cosine_similarity_rows(emb, sub), 1.0 / cfg.temperature)
 
 
+def logits(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, cfg: LogitConfig) -> Tensor:
+    """Cosine(embedding, class vector)/temperature, columns in ascending class id."""
+    return _logits(params, table, x, _check_restrict(table, restrict_to), cfg)
+
+
 def model_loss(params: ParameterSet, table: ClassEmbeddingTable, x, labels, restrict_to, cfg: LogitConfig) -> Tensor:
     """Cross-entropy over the restricted class set; labels are raw class ids."""
     ids = _check_restrict(table, restrict_to)
-    col = {c: j for j, c in enumerate(ids)}
     labels = np.asarray(labels, dtype=np.int64)
-    try:
-        mapped = np.array([col[int(y)] for y in labels], dtype=np.int64)
-    except KeyError as err:
-        raise ValueError(f"model_loss: label {err} outside the restricted class set")
-    return ad.cross_entropy_from_logits(logits(params, table, x, ids, cfg), mapped)
+    outside = labels[~np.isin(labels, ids)]
+    if outside.size:
+        raise ValueError(f"model_loss: label {outside[0]} outside the restricted class set")
+    return ad.cross_entropy_from_logits(_logits(params, table, x, ids, cfg), np.searchsorted(ids, labels))
 
 
 def predict(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, cfg: LogitConfig) -> np.ndarray:
     """Argmax class ids over the restricted set (no tape is recorded)."""
     ids = _check_restrict(table, restrict_to)
-    lg = logits(params, table, x, ids, cfg)
-    pick = np.argmax(lg.data, axis=1)
-    return np.asarray(ids, dtype=np.int64)[pick]
+    return ids[np.argmax(_logits(params, table, x, ids, cfg).data, axis=1)]
 
 
 # ---------------------------------------------------------------- persistence

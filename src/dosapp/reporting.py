@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, read_manifest
+from .config import ConfigError, config_from_manifest, config_hash, read_manifest
 from .harness import RunResult
 
 SUMMARY_FIELDS = ("avg_acc", "forgetting", "fta", "cta", "final_task_acc",
@@ -85,6 +85,7 @@ class RunRecord:
     run_dir: Path
     variant: str
     seed: int
+    run_hash: str  # of the config with its seed list cut to this run's seed
     momenta: tuple[float, float, float]  # gamma, lambda, delta
     summary: dict
     curve: list[float]  # mean seen-task accuracy after each session (post_ttl)
@@ -117,6 +118,7 @@ def load_run(run_dir) -> RunRecord:
                 curve.append(float(np.mean(vals)))
     return RunRecord(
         run_dir=run_dir, variant=raw["variant"], seed=int(raw["seed"]),
+        run_hash=config_hash(config_from_manifest(manifest)),
         momenta=(float(ema["gamma"]), float(ema["lambda"]), float(ema["delta"])),
         summary=summary, curve=curve,
     )
@@ -232,7 +234,12 @@ def format_trend(verdict: dict) -> str:
 
 
 def build_report(run_dirs) -> ReportBundle:
-    records = [load_run(d) for d in run_dirs]
+    """Aggregates and trends; a run repeated under another name (a grid arm
+    at the default momenta, another invocation's seed list) counts once."""
+    unique: dict[str, RunRecord] = {}
+    for r in map(load_run, run_dirs):
+        unique.setdefault(r.run_hash, r)
+    records = list(unique.values())
     if not records:
         raise ConfigError("no runs to report on")
     aggregate = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,23 +30,6 @@ class TtlStreamConfig:
             raise ValueError("batch_size must be positive")
         if not self.class_set:
             raise ValueError("class_set must be nonempty")
-
-
-@dataclass
-class TtlReport:
-    """Per-batch routing diagnostics, JSON-ready."""
-
-    rows: list[dict] = field(default_factory=list)
-    teacher_count: int = 0
-    student_count: int = 0
-
-    @property
-    def sample_count(self) -> int:
-        return self.teacher_count + self.student_count
-
-    def teacher_fraction(self) -> float:
-        n = self.sample_count
-        return self.teacher_count / n if n else 0.0
 
 
 def train_step(student, teacher, opt: Optimizer, mask, pq, build_loss, where: str):
@@ -99,20 +82,20 @@ def _entropy(labels: np.ndarray) -> float:
 
 def ttl_session(student, teacher, mask, stream: UnlabeledStream, cfg: TtlStreamConfig,
                 ema_cfg: EmaConfig, opt_cfg: OptimizerConfig, table, logit_cfg,
-                ema_mask=None, audit=None, session: int = 0) -> TtlReport:
+                ema_mask=None, audit=None, session: int = 0) -> list[dict]:
     """Adapt the student on one unlabeled stream; the teacher trails by EMA.
 
     mask gates the optimizer (None trains everything); ema_mask picks the
     dual-momentum lane (None keeps the single high momentum everywhere).
     teacher=None self-labels from the student and skips the EMA entirely.
-    Mutates student/teacher in place and returns the routing report.
+    Mutates student/teacher in place and returns one routing row per batch.
     """
     if ema_cfg.phase != "ttl":
         raise ValueError("ttl_session needs an EmaConfig with phase='ttl'")
-    report = TtlReport()
+    rows: list[dict] = []
     if len(stream) == 0:
         warnings.warn("empty adaptation stream; nothing to adapt")
-        return report
+        return rows
     x_all, ids_all = stream.take()
     classes = tuple(sorted(cfg.class_set))
     opt = Optimizer(opt_cfg)
@@ -136,9 +119,7 @@ def ttl_session(student, teacher, mask, stream: UnlabeledStream, cfg: TtlStreamC
                           where=f"ttl session {session} batch {b}")
         pseudo, from_teacher, t_max, s_max = routed
         n_teacher = int(from_teacher.sum())
-        report.teacher_count += n_teacher
-        report.student_count += len(idb) - n_teacher
-        report.rows.append({
+        rows.append({
             "type": "ttl_batch",
             "session": session,
             "batch": b,
@@ -151,4 +132,4 @@ def ttl_session(student, teacher, mask, stream: UnlabeledStream, cfg: TtlStreamC
             "mean_max_logit_student":
                 float(np.mean(s_max[~from_teacher])) if n_teacher < len(idb) else None,
         })
-    return report
+    return rows

@@ -105,7 +105,7 @@ def test_criterion_02_ema_algebra():
         # (b) equal momenta collapse to a plain EMA, checked per step
         enc = tiny_encoder_config()
         student = dm.init_model(enc, 0)
-        teacher = em.clone_student_to_teacher(student)
+        teacher = student.clone()
         delta = 0.97
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -129,7 +129,7 @@ def test_criterion_02_ema_algebra():
 
         # (c) frozen-coordinate closed form at the default high momentum
         student = dm.init_model(enc, 3)
-        teacher = em.clone_student_to_teacher(student)
+        teacher = student.clone()
         path = "block1.mlp.fc2.weight"
         v = teacher.entries[path].data.copy()
         student.entries[path].data[...] = v + 0.5

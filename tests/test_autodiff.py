@@ -114,8 +114,9 @@ def test_grads_accumulate_across_fresh_passes():
     once = a.grad.copy()
     one_pass()
     assert np.array_equal(a.grad, 2.0 * once)
-    a.zero_grad()
-    assert a.grad is None
+    a.grad = None
+    one_pass()
+    assert np.array_equal(a.grad, once)
 
 
 def test_unreachable_tensor_grad_untouched():
@@ -195,22 +196,8 @@ def test_shape_errors_name_op_and_shapes():
         ad.reshape(np.zeros((2, 3)), (4, 2))
 
 
-def test_forward_op_dispatch():
-    t = ad.Tensor([-1.0, 2.0])
-    out = ad.forward_op("relu", [t])
-    assert np.array_equal(out.data, [0.0, 2.0])
-    out = ad.forward_op("matmul", [np.ones((1, 2)), np.ones((1, 2))], transpose_b=True)
-    assert out.data[0, 0] == 2.0
-    with pytest.raises(ValueError, match="unknown op"):
-        ad.forward_op("conv2d", [t])
-    for kind in ("matmul", "linear", "add", "scale", "relu", "gelu", "layer_norm", "softmax",
-                 "log", "mean", "cosine_similarity_rows", "gather_rows", "concat",
-                 "cross_entropy_from_logits"):
-        assert kind in ad.op_kinds()
-
-
 _ROWS = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])
-DISPATCH_INPUTS = {
+OP_INPUTS = {
     "matmul": ([_ROWS, _ROWS], {"transpose_b": True}),
     "linear": ([_ROWS, _ROWS.T, np.ones(2)], {}),
     "add": ([_ROWS, _ROWS], {}),
@@ -223,7 +210,7 @@ DISPATCH_INPUTS = {
     "mean": ([_ROWS], {}),
     "cosine_similarity_rows": ([_ROWS, _ROWS], {}),
     "gather_rows": ([_ROWS], {"ids": [2, 0]}),
-    "concat": ([_ROWS, _ROWS], {"axis": 1}),
+    "concat": ([[_ROWS, _ROWS]], {"axis": 1}),
     "reshape": ([_ROWS], {"shape": (3, 2)}),
     "normalize_rows": ([_ROWS], {}),
     "cross_entropy_from_logits": ([_ROWS], {"labels": [1, 2]}),
@@ -233,17 +220,15 @@ DISPATCH_INPUTS = {
 def test_op_kind_contract():
     # The benchmark's tracer times op kinds as same-named module attributes and
     # backward time by node kind; both must name the same function.
-    assert set(DISPATCH_INPUTS) == set(ad.op_kinds())
+    assert set(OP_INPUTS) == set(ad.op_kinds())
     for kind in ad.op_kinds():
         op = getattr(ad, kind)
         assert op.__name__ == kind
         assert any(case == kind or case.startswith(kind + "_") for case in OP_CASES), kind
-        inputs, attrs = DISPATCH_INPUTS[kind]
+        inputs, attrs = OP_INPUTS[kind]
         with ad.Graph() as g:
-            out = ad.forward_op(kind, inputs, **attrs)
+            out = op(*inputs, **attrs)
         assert g.nodes[-1].kind == kind and g.nodes[-1].output is out
-        direct = op(inputs, **attrs) if kind == "concat" else op(*inputs, **attrs)
-        assert np.array_equal(out.data, direct.data)
 
 
 def test_benchmark_per_op_metrics_name_live_op_kinds():
@@ -252,6 +237,17 @@ def test_benchmark_per_op_metrics_name_live_op_kinds():
     spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
     kinds = {m["name"].split(".")[2] for m in spec["per_layer"] if m["name"].startswith("autodiff.op.")}
     assert kinds and kinds <= set(ad.op_kinds()), sorted(kinds - set(ad.op_kinds()))
+
+
+def test_benchmark_tracer_patches_and_restores_live_names(monkeypatch):
+    # The tracer patches dosapp functions by name, so deleting or renaming one
+    # must fail here rather than only in a traced benchmark pass.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import tracer
+
+    with tracer.Tracer() as active:
+        assert active.patched
+    assert active.unrestored() == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -420,7 +416,7 @@ def test_sgd_loss_decreases_on_separable_problem():
     opt = ad.Optimizer(ad.OptimizerConfig(learning_rate=0.5, kind="sgd"))
     losses = []
     for _ in range(20):
-        bag.entries["w"].zero_grad()
+        bag.entries["w"].grad = None
         with ad.Graph() as g:
             loss = ad.cross_entropy_from_logits(ad.matmul(x, bag.entries["w"]), y)
         ad.backward(loss, g)

@@ -1,8 +1,10 @@
 """End-to-end CLI: artifacts, reproducibility, error codes, reports."""
 
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dosapp.cli import main
@@ -161,6 +163,20 @@ def test_bad_manifest_value_exits_2_before_any_run(tmp_path, capsys, section, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("item, key", [
+    ("ablate.variants=finetune_no_ttl", "[ablate] variants"),
+    ("ablate.momentum_grid=0.8:0.9", "[ablate] momentum_grid"),
+])
+def test_ablate_override_exits_2_before_any_run(tmp_path, capsys, item, key):
+    # [ablate] keys are read from a config file only; an override must not be dropped
+    out = tmp_path / "out"
+    rc = main(["ablate", "--seeds", "0", "--out", str(out), *tiny_args(item)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+    assert not out.exists()
+
+
 def test_unknown_variant_exits_2(tmp_path, capsys):
     rc = main(["run", "--variant", "dosapp_v9", "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -244,6 +260,33 @@ def test_aggregate_counts_the_runs_each_row_averages(ablation_dir):
     assert len(rows) == 4  # three dosapp momentum settings + finetune_no_ttl
     assert sum(label.startswith("dosapp[") for label, _ in rows) == 3
     assert {n_runs for _, n_runs in rows} == {"2"}
+
+
+def test_grid_arm_equal_to_the_ladder_counts_each_run_once(tmp_path):
+    # 0.8:0.9 are the default momenta, so this arm repeats the ladder's dosapp runs
+    cfg = tmp_path / "ablate.ini"
+    cfg.write_text("[ablate]\nvariants = dosapp finetune_no_ttl\nmomentum_grid = 0.8:0.9\n")
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", str(cfg), "--seeds", "0,1", "--out", str(out),
+                 *tiny_args()]) == 0
+    with open(out / "report" / "aggregate.csv") as fh:
+        rows = {row["variant"]: row for row in csv.DictReader(fh)}
+    assert set(rows) == {"dosapp", "finetune_no_ttl"}
+    assert rows["dosapp"]["n_runs"] == "2"
+    ladder = []
+    for seed in (0, 1):
+        with open(out / "dosapp" / f"seed{seed}" / "summary.csv") as fh:
+            ladder.append(float(next(csv.DictReader(fh))["avg_acc"]))
+    assert float(rows["dosapp"]["avg_acc_mean"]) == float(np.mean(ladder))
+
+
+def test_report_counts_a_run_from_two_invocations_once(tmp_path):
+    # seed 0 of a one-seed and of a two-seed invocation is the same run
+    one = run_cli(tmp_path / "one")
+    two = run_cli(tmp_path / "two", seeds="0,1")
+    assert main(["report", str(one), str(two), "--out", str(tmp_path / "rep")]) == 0
+    with open(tmp_path / "rep" / "aggregate.csv") as fh:
+        assert [row["n_runs"] for row in csv.DictReader(fh)] == ["2"]
 
 
 def test_report_rows_have_the_header_column_count(ablation_dir):

@@ -194,6 +194,15 @@ def test_every_valid_config_survives_the_dict_and_json_round_trip(cfg):
     assert cf.config_from_dict(json.loads(json.dumps(cf.config_to_dict(cfg)))) == cfg
 
 
+@settings(max_examples=200, deadline=None)
+@given(VALID_CONFIGS)
+def test_overrides_of_a_configs_own_values_give_it_back(cfg):
+    own = [f"{section}.{key}={cf._manifest_text(key, value)}"
+           for section, kv in cf.config_to_dict(cfg).items() for key, value in kv.items()]
+    assert cf.apply_overrides(cf.RunConfig(), own) == cfg
+    assert cf.apply_overrides(cfg, own) == cfg
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("ema", "gamma", 2.0), ("ema", "delta", 0.0), ("run", "batch_size", 0),
     ("ttl", "batch_size", -1), ("model", "temperature", 0.0), ("sparsity", "c", 1.5),

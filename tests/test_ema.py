@@ -19,7 +19,7 @@ def make_mask(paths_bits):
 def tiny_pair(seed=0):
     cfg = tiny_encoder_config()
     student = dm.init_model(cfg, seed)
-    teacher = em.clone_student_to_teacher(student)
+    teacher = student.clone()
     return cfg, student, teacher
 
 
@@ -188,7 +188,7 @@ def test_ttl_phase_moves_teacher_more_slowly():
 
     moves = {}
     for phase in ("supervised", "ttl"):
-        teacher = em.clone_student_to_teacher(student)
+        teacher = student.clone()
         teacher.entries[path].data -= 1.0
         before = teacher.entries[path].data.copy()
         em.ema_update(teacher, student, em.compute_pq(mask, no_warn_cfg(phase=phase)))
@@ -226,7 +226,7 @@ def test_clone_is_independent_and_idempotent(tmp_path):
     for k in snapshot:
         assert np.array_equal(teacher.entries[k].data, snapshot[k])
 
-    second = em.clone_student_to_teacher(teacher)
+    second = teacher.clone()
     for k in snapshot:
         assert np.array_equal(second.entries[k].data, teacher.entries[k].data)
 

@@ -5,9 +5,8 @@ import pytest
 
 import dosapp.harness as hz
 import dosapp.model as dm
-from dosapp.config import RunConfig
+from dosapp.config import ConfigError, RunConfig
 from dosapp.data import generate_tasks
-from dosapp.ema import clone_student_to_teacher
 
 
 def tiny_cfg(**kw):
@@ -96,7 +95,7 @@ def test_cloned_teacher_evaluates_identically():
     enc = dm.EncoderConfig(input_dim=16, token_count=2, token_dim=8, block_count=2,
                            mlp_hidden_dim=12, embed_dim=8)
     student = dm.init_model(enc, 0)
-    teacher = clone_student_to_teacher(student)
+    teacher = student.clone()
     table = dm.init_class_table(8, 8, 0)
     table.active_classes.update(range(8))
     lc = dm.LogitConfig(temperature=cfg.temperature)
@@ -121,7 +120,7 @@ def test_evaluate_leaves_future_tasks_nan():
 # ------------------------------------------------------------ variants
 
 def test_unknown_variant_is_rejected():
-    with pytest.raises(ValueError, match="known:"):
+    with pytest.raises(ConfigError, match="known:"):
         hz.knobs_for("dosapp_v2")
 
 
@@ -254,7 +253,7 @@ def test_non_finite_loss_stops_supervised_session_before_the_step():
     task.train.x[5, 2] = np.nan
     enc, _, _ = hz._derived_configs(cfg)
     student = dm.init_model(enc, 0)
-    teacher = clone_student_to_teacher(student)
+    teacher = student.clone()
     fresh = student.clone()
     table = dm.init_class_table(8, 8, 0)
     with pytest.raises(FloatingPointError, match=r"supervised session 0 epoch 0 batch 0"):

@@ -1,6 +1,7 @@
 """Gradient scoring, top-K selection, mask union/re-selection, persistence."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -249,6 +250,46 @@ def test_reselect_at_c_one_equals_raw_union():
     with pytest.warns(UserWarning):  # k = layer size exceeds the union pool
         res = mk.reselect_topk(union, h, 1.0)
     assert np.array_equal(res.bits["w"], union["w"])
+
+
+_SPARSITY = st.floats(0.0, 1.0, exclude_min=True)
+
+
+def random_score_map(rng, rows, cols, task_id=0):
+    # small integer scores, so ties are common
+    scores = {"a": rng.integers(0, 4, size=(rows, cols)).astype(float),
+              "b": rng.integers(0, 4, size=cols).astype(float)}
+    return mk.ScoreMap(scores=scores, task_id=task_id, sample_count=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 8), _SPARSITY)
+def test_select_equals_reselect_over_a_full_pool(seed, rows, cols, c):
+    sm = random_score_map(np.random.default_rng(seed), rows, cols)
+    direct = mk.select_topk(sm, c)
+    h = mk.MaskHistory()
+    h.append(direct, sm)
+    full = {path: np.ones(arr.shape, dtype=bool) for path, arr in sm.scores.items()}
+    pooled = mk.reselect_topk(full, h, c)
+    for path, bits in direct.bits.items():
+        assert np.array_equal(pooled.bits[path], bits), path
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 8),
+       st.lists(_SPARSITY, min_size=1, max_size=4), _SPARSITY)
+def test_reselection_stays_inside_the_union(seed, rows, cols, task_cs, c):
+    rng = np.random.default_rng(seed)
+    h = mk.MaskHistory()
+    for task_id, task_c in enumerate(task_cs):
+        sm = random_score_map(rng, rows, cols, task_id)
+        h.append(mk.select_topk(sm, task_c), sm)
+    union = mk.union_masks(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a small pool is kept whole
+        res = mk.reselect_topk(union, h, c)
+    for path, pool in union.items():
+        assert not (res.bits[path] & ~pool).any(), path
 
 
 def test_reselect_small_pool_keeps_pool_and_warns():

@@ -44,7 +44,8 @@ def test_candidate_surface_is_first_mlp_weight_per_block(tiny):
     cfg, params, _ = tiny
     expected = {f"block{i}.mlp.fc1.weight" for i in range(cfg.block_count)}
     assert set(params.candidate_paths()) == expected
-    assert params.candidate_count() == cfg.block_count * cfg.token_dim * cfg.mlp_hidden_dim
+    assert (sum(params.entries[p].size for p in params.candidate_paths())
+            == cfg.block_count * cfg.token_dim * cfg.mlp_hidden_dim)
     for path in expected:
         assert params.entries[path].shape == (cfg.token_dim, cfg.mlp_hidden_dim)
     # biases and every other tensor stay off the candidate surface
