@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .config import (ConfigError, RunConfig, apply_overrides, build_manifest,
                      parse_config_file)
-from .harness import knobs_for, run_experiment
+from .harness import run_experiment
 from .reporting import (build_report, format_trend, load_run, persist_run,
                         write_momentum_grid_csv, write_report_files)
 
@@ -19,12 +19,9 @@ def _load_config(args) -> tuple[RunConfig, dict]:
         cfg, ablate = parse_config_file(args.config)
     else:
         cfg, ablate = RunConfig(), {}
-    if getattr(args, "variant", None):
-        cfg = dataclasses.replace(cfg, variant=args.variant)
-    seeds = [] if args.seeds is None else [f"run.seeds={args.seeds}"]
-    cfg = apply_overrides(cfg, seeds + args.override)
-    knobs_for(cfg.variant)
-    return cfg, ablate
+    flags = {"run.variant": args.variant, "run.seeds": args.seeds}
+    overrides = [f"{key}={value}" for key, value in flags.items() if value is not None]
+    return apply_overrides(cfg, overrides + args.override), ablate
 
 
 def _run_and_persist(cfg: RunConfig, seed: int, out_root: Path, name: str | None = None) -> Path:
@@ -49,28 +46,11 @@ _DEFAULT_ABLATION = ("dosapp", "finetune_no_ttl", "self_label", "teacher_student
                      "plus_sparse", "plus_union_single_momentum")
 
 
-def _parse_momentum_grid(text: str) -> list[tuple[float, float]]:
-    """Pairs like "0.8:0.9 0.9999:0.9999": low supervised momentum : low adaptation momentum."""
-    pairs = []
-    for token in text.replace(",", " ").split():
-        parts = token.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"bad momentum grid entry {token!r}; expected gamma:lambda")
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ConfigError(f"bad momentum grid entry {token!r}")
-    return pairs
-
-
 def cmd_ablate(args) -> int:
     cfg, ablate = _load_config(args)
     out_root = Path(args.out)
-    variants = ablate.get("variants")
-    variants = tuple(variants.replace(",", " ").split()) if variants else _DEFAULT_ABLATION
-    for v in variants:
-        knobs_for(v)  # every name is checked before the first run
-    grid = _parse_momentum_grid(ablate["momentum_grid"]) if "momentum_grid" in ablate else []
+    variants = ablate.get("variants", _DEFAULT_ABLATION)
+    grid = ablate.get("momentum_grid", ())
 
     run_dirs = []
     for variant in variants:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .autodiff import OPTIMIZER_KINDS
@@ -26,51 +26,31 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # method
-    variant: str = "dosapp"
-    sparsity_c: float = 0.1
-    score_sample_cap: int | None = None
-    buffer_capacity: int = 0
-    # data
-    total_classes: int = 20
-    tasks: int = 5
-    classes_per_task: int = 4
-    samples_train: int = 32
-    samples_ttl: int = 128
-    samples_eval: int = 16
-    input_dim: int = 64
-    cluster_separation: float = 10.0
-    noise_sigma: float = 1.0
-    # model
-    token_count: int = 4
-    token_dim: int = 16
-    block_count: int = 2
-    mlp_hidden_dim: int = 64
-    embed_dim: int = 32
-    use_attention: bool = True
-    temperature: float = 0.07
-    # optimizer
-    optimizer_kind: str = "adamw"
-    learning_rate: float = 0.08
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
-    # schedule
-    epochs: int = 10
-    batch_size: int = 64
-    # test-time adaptation
-    ttl_batch_size: int = 64
-    ttl_stream_scope: str = "seen"
-    ttl_imbalance: str = "balanced"
-    dirichlet_alpha: float | None = None  # None -> classes_per_task
-    # teacher blend momenta
-    delta: float = 0.9999
-    gamma: float = 0.8
-    lam: float = 0.9
-    # run
-    seeds: tuple[int, ...] = (0,)
+class VariantKnobs:
+    use_mask: bool
+    use_union: bool
+    dual_momentum: bool
+    use_ttl: bool
+    use_teacher: bool
+    default_buffer: int = 0
+
+
+VARIANTS: dict[str, VariantKnobs] = {
+    # the full method: sparse masks, union re-selection, dual momentum, routing
+    "dosapp": VariantKnobs(True, True, True, True, True),
+    # plain sequential fine-tuning, no adaptation phase, no teacher
+    "finetune_no_ttl": VariantKnobs(False, False, False, False, False),
+    # fine-tuning plus adaptation where the student labels its own stream
+    "self_label": VariantKnobs(False, False, False, True, False),
+    # teacher/student routing alone: full updates, single high momentum
+    "teacher_student_only": VariantKnobs(False, False, False, True, True),
+    # adds per-task sparse masks (latest mask gates adaptation too)
+    "plus_sparse": VariantKnobs(True, False, False, True, True),
+    # adds the mask union, still a single high momentum
+    "plus_union_single_momentum": VariantKnobs(True, True, False, True, True),
+    # the full method with a small labeled reservoir replayed 1:1
+    "dosapp_er": VariantKnobs(True, True, True, True, True, default_buffer=200),
+}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -82,22 +62,37 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"cannot parse boolean from {raw!r}")
 
 
-def _parse_seeds(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
-
-
-def _checked(parse, allowed):
+def _checked(parse, allowed, expected: str):
     """parse, then reject any value for which allowed(value) is false."""
     def run(raw: str):
         value = parse(raw)
         if not allowed(value):
-            raise ValueError(f"value {raw!r} not allowed")
+            raise ValueError(f"expected {expected}")
         return value
     return run
 
 
-_positive_int = _checked(int, lambda n: n >= 1)
-_unit_fraction = _checked(float, lambda v: 0.0 < v <= 1.0)
+def _list_of(parse):
+    """A nonempty list of items split on commas or whitespace, each parsed."""
+    return _checked(lambda raw: tuple(parse(tok) for tok in raw.replace(",", " ").split()), bool,
+                    "a nonempty list")
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_positive_float = _checked(float, lambda v: v > 0.0, "a number > 0")
+_unit_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+
+
+def _one_of(choices):
+    return _checked(str, choices.__contains__, f"one of {', '.join(sorted(choices))}")
+
+
+def _momentum_pair(token: str) -> tuple[float, float]:
+    """A grid entry such as 0.8:0.9, the low supervised : low adaptation momentum."""
+    parts = token.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"expected gamma:lambda pairs, got {token!r}")
+    return _unit_fraction(parts[0]), _unit_fraction(parts[1])
 
 
 def _parse_opt_int(raw: str) -> int | None:
@@ -109,66 +104,84 @@ def _parse_opt_float(raw: str) -> float | None:
     return None if low in ("none", "auto") else float(raw)
 
 
-# (section, key) -> (RunConfig attribute, parser)
-_SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
-    ("run", "variant"): ("variant", str),
-    ("run", "seeds"): ("seeds", _checked(_parse_seeds, bool)),  # a nonempty list
-    ("run", "epochs"): ("epochs", int),
-    ("run", "batch_size"): ("batch_size", _positive_int),
-    ("data", "total_classes"): ("total_classes", int),
-    ("data", "tasks"): ("tasks", int),
-    ("data", "classes_per_task"): ("classes_per_task", int),
-    ("data", "samples_train"): ("samples_train", int),
-    ("data", "samples_ttl"): ("samples_ttl", int),
-    ("data", "samples_eval"): ("samples_eval", int),
-    ("data", "input_dim"): ("input_dim", int),
-    ("data", "cluster_separation"): ("cluster_separation", float),
-    ("data", "noise_sigma"): ("noise_sigma", float),
-    ("model", "token_count"): ("token_count", int),
-    ("model", "token_dim"): ("token_dim", int),
-    ("model", "block_count"): ("block_count", int),
-    ("model", "mlp_hidden_dim"): ("mlp_hidden_dim", int),
-    ("model", "embed_dim"): ("embed_dim", int),
-    ("model", "use_attention"): ("use_attention", _parse_bool),
-    ("model", "temperature"): ("temperature", _checked(float, lambda t: t > 0.0)),
-    ("optimizer", "kind"): ("optimizer_kind", _checked(str, OPTIMIZER_KINDS.__contains__)),
-    ("optimizer", "learning_rate"): ("learning_rate", float),
-    ("optimizer", "beta1"): ("beta1", float),
-    ("optimizer", "beta2"): ("beta2", float),
-    ("optimizer", "epsilon"): ("epsilon", float),
-    ("optimizer", "weight_decay"): ("weight_decay", float),
-    ("sparsity", "c"): ("sparsity_c", _unit_fraction),
-    ("sparsity", "score_sample_cap"): ("score_sample_cap", _parse_opt_int),
-    ("ttl", "batch_size"): ("ttl_batch_size", _positive_int),
-    ("ttl", "stream_scope"): ("ttl_stream_scope", _checked(str, STREAM_SCOPES.__contains__)),
-    ("ttl", "imbalance"): ("ttl_imbalance", _checked(str, IMBALANCE_MODES.__contains__)),
-    ("ttl", "dirichlet_alpha"): ("dirichlet_alpha", _parse_opt_float),
-    ("ema", "delta"): ("delta", _unit_fraction),
-    ("ema", "gamma"): ("gamma", _unit_fraction),
-    ("ema", "lambda"): ("lam", _unit_fraction),
-    ("replay", "capacity"): ("buffer_capacity", int),
-}
+def _key(section: str, key: str, default, parse):
+    """A RunConfig field read from `[section] key` with parse(raw)."""
+    return field(default=default, metadata={"key": (section, key), "parse": parse})
 
-_ABLATE_KEYS = {("ablate", "variants"), ("ablate", "momentum_grid")}
+
+@dataclass(frozen=True)
+class RunConfig:
+    variant: str = _key("run", "variant", "dosapp", _one_of(VARIANTS))
+    sparsity_c: float = _key("sparsity", "c", 0.1, _unit_fraction)
+    score_sample_cap: int | None = _key("sparsity", "score_sample_cap", None, _parse_opt_int)
+    buffer_capacity: int = _key("replay", "capacity", 0, int)
+    total_classes: int = _key("data", "total_classes", 20, _positive_int)
+    tasks: int = _key("data", "tasks", 5, _positive_int)
+    classes_per_task: int = _key("data", "classes_per_task", 4, _positive_int)
+    samples_train: int = _key("data", "samples_train", 32, _positive_int)
+    samples_ttl: int = _key("data", "samples_ttl", 128, _positive_int)
+    samples_eval: int = _key("data", "samples_eval", 16, _positive_int)
+    input_dim: int = _key("data", "input_dim", 64, _positive_int)
+    cluster_separation: float = _key("data", "cluster_separation", 10.0, float)
+    noise_sigma: float = _key("data", "noise_sigma", 1.0, float)
+    token_count: int = _key("model", "token_count", 4, _positive_int)
+    token_dim: int = _key("model", "token_dim", 16, _positive_int)
+    block_count: int = _key("model", "block_count", 2, _positive_int)
+    mlp_hidden_dim: int = _key("model", "mlp_hidden_dim", 64, _positive_int)
+    embed_dim: int = _key("model", "embed_dim", 32, _positive_int)
+    use_attention: bool = _key("model", "use_attention", True, _parse_bool)
+    temperature: float = _key("model", "temperature", 0.07, _positive_float)
+    optimizer_kind: str = _key("optimizer", "kind", "adamw", _one_of(OPTIMIZER_KINDS))
+    learning_rate: float = _key("optimizer", "learning_rate", 0.08, float)
+    beta1: float = _key("optimizer", "beta1", 0.9, float)
+    beta2: float = _key("optimizer", "beta2", 0.999, float)
+    epsilon: float = _key("optimizer", "epsilon", 1e-8, float)
+    weight_decay: float = _key("optimizer", "weight_decay", 0.0, float)
+    epochs: int = _key("run", "epochs", 10, int)
+    batch_size: int = _key("run", "batch_size", 64, _positive_int)
+    ttl_batch_size: int = _key("ttl", "batch_size", 64, _positive_int)
+    ttl_stream_scope: str = _key("ttl", "stream_scope", "seen", _one_of(STREAM_SCOPES))
+    ttl_imbalance: str = _key("ttl", "imbalance", "balanced", _one_of(IMBALANCE_MODES))
+    dirichlet_alpha: float | None = _key("ttl", "dirichlet_alpha", None,  # None -> classes_per_task
+                                         _parse_opt_float)
+    delta: float = _key("ema", "delta", 0.9999, _unit_fraction)
+    gamma: float = _key("ema", "gamma", 0.8, _unit_fraction)
+    lam: float = _key("ema", "lambda", 0.9, _unit_fraction)
+    seeds: tuple[int, ...] = _key("run", "seeds", (0,), _list_of(int))
+
+
+# (section, key) -> the RunConfig field it sets
+_SCHEMA = {f.metadata["key"]: f for f in fields(RunConfig)}
+
+# [ablate] keys select a sweep rather than a run, so they live in config files only
+_ABLATE = {"variants": _list_of(_one_of(VARIANTS)), "momentum_grid": _list_of(_momentum_pair)}
+
+
+def _parsed(section: str, key: str, parse, raw: str):
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from None
 
 
 def _apply_pairs(cfg: RunConfig, pairs: dict[tuple[str, str], str]) -> RunConfig:
     updates = {}
     for (section, key), raw in pairs.items():
+        if section == "ablate" and key in _ABLATE:
+            raise ConfigError(f"[ablate] {key} is read from a config file only")
         if (section, key) not in _SCHEMA:
             raise ConfigError(f"unknown config key [{section}] {key}")
-        attr, parser = _SCHEMA[(section, key)]
-        try:
-            updates[attr] = parser(raw)
-        except ValueError:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}")
+        f = _SCHEMA[(section, key)]
+        updates[f.name] = _parsed(section, key, f.metadata["parse"], raw)
     return replace(cfg, **updates)
 
 
-def parse_config_file(path) -> tuple[RunConfig, dict[str, str]]:
+def parse_config_file(path) -> tuple[RunConfig, dict]:
     """Load a RunConfig from an INI file or a manifest JSON.
 
-    Returns the config plus any [ablate] keys found (empty for manifests).
+    Returns the config plus the parsed [ablate] keys found (empty for
+    manifests): "variants" a tuple of variant names, "momentum_grid" a
+    tuple of (gamma, lambda) pairs.
     """
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
@@ -180,8 +193,8 @@ def parse_config_file(path) -> tuple[RunConfig, dict[str, str]]:
     ablate = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if (section, key) in _ABLATE_KEYS:
-                ablate[key] = raw
+            if section == "ablate" and key in _ABLATE:
+                ablate[key] = _parsed(section, key, _ABLATE[key], raw)
             else:
                 pairs[(section, key)] = raw
     return _apply_pairs(RunConfig(), pairs), ablate
@@ -201,10 +214,9 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Nested, JSON-ready view of the config grouped by config file section."""
-    by_attr = {attr: (section, key) for (section, key), (attr, _) in _SCHEMA.items()}
     out: dict[str, dict] = {}
     for f in fields(cfg):
-        section, key = by_attr[f.name]
+        section, key = f.metadata["key"]
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             value = list(value)

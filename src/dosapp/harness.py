@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model as dm
 from .autodiff import Optimizer, OptimizerConfig
-from .config import ConfigError, RunConfig
+from .config import VARIANTS, ConfigError, RunConfig, VariantKnobs
 from .data import (LabeledDataset, ReplayBuffer, SessionSchedule, SyntheticTaskSpec, TaskData,
                    build_ttl_stream, generate_tasks)
 from .ema import EmaConfig, compute_pq
@@ -23,34 +23,6 @@ from .masking import Mask, MaskHistory, ScoreMap, reselect_topk, score_parameter
 from .model import ClassEmbeddingTable, EncoderConfig, LogitConfig, ParameterSet
 from .seeding import substream
 from .ttl import TtlStreamConfig, train_step, ttl_session
-
-
-@dataclass(frozen=True)
-class VariantKnobs:
-    use_mask: bool
-    use_union: bool
-    dual_momentum: bool
-    use_ttl: bool
-    use_teacher: bool
-    default_buffer: int = 0
-
-
-VARIANTS: dict[str, VariantKnobs] = {
-    # the full method: sparse masks, union re-selection, dual momentum, routing
-    "dosapp": VariantKnobs(True, True, True, True, True),
-    # plain sequential fine-tuning, no adaptation phase, no teacher
-    "finetune_no_ttl": VariantKnobs(False, False, False, False, False),
-    # fine-tuning plus adaptation where the student labels its own stream
-    "self_label": VariantKnobs(False, False, False, True, False),
-    # teacher/student routing alone: full updates, single high momentum
-    "teacher_student_only": VariantKnobs(False, False, False, True, True),
-    # adds per-task sparse masks (latest mask gates adaptation too)
-    "plus_sparse": VariantKnobs(True, False, False, True, True),
-    # adds the mask union, still a single high momentum
-    "plus_union_single_momentum": VariantKnobs(True, True, False, True, True),
-    # the full method with a small labeled reservoir replayed 1:1
-    "dosapp_er": VariantKnobs(True, True, True, True, True, default_buffer=200),
-}
 
 
 def knobs_for(variant: str) -> VariantKnobs:

@@ -136,6 +136,7 @@ def test_bad_override_exits_2(tmp_path, capsys):
     (["--override", "run.batch_size=0"], "[run] batch_size"),
     (["--override", "ttl.batch_size=0"], "[ttl] batch_size"),
     (["--override", "model.temperature=0"], "[model] temperature"),
+    (["--override", "model.token_dim=0"], "[model] token_dim"),
 ])
 def test_bad_value_exits_2_before_any_run(tmp_path, capsys, args, key):
     out = tmp_path / "out"
@@ -174,13 +175,32 @@ def test_ablate_override_exits_2_before_any_run(tmp_path, capsys, item, key):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
+    assert "read from a config file only" in err
     assert not out.exists()
 
 
 def test_unknown_variant_exits_2(tmp_path, capsys):
-    rc = main(["run", "--variant", "dosapp_v9", "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    rc = main(["run", "--variant", "dosapp_v9", "--out", str(out)])
     assert rc == 2
-    assert "dosapp_v9" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dosapp_v9" in err and "[run] variant" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ablate, key", [
+    ("variants = dosapp dosapp_v9", "[ablate] variants"),
+    ("momentum_grid = 1.5:0.9", "[ablate] momentum_grid"),
+])
+def test_bad_ablate_value_exits_2_before_any_run(tmp_path, capsys, ablate, key):
+    cfg = tmp_path / "ablate.ini"
+    cfg.write_text(f"[ablate]\n{ablate}\n")
+    out = tmp_path / "out"
+    rc = main(["ablate", "--config", str(cfg), "--seeds", "0", "--out", str(out), *tiny_args()])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+    assert not out.exists()
 
 
 def test_tampered_manifest_version_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Config parsing, overrides, hashing, run manifests."""
 
+import hashlib
 import json
 from dataclasses import fields
 
@@ -85,10 +86,23 @@ def test_ini_round_trip(tmp_path):
 
 def test_ablate_section_is_tolerated_and_returned(tmp_path):
     p = tmp_path / "cfg.ini"
-    p.write_text("[ablate]\nvariants = dosapp finetune_no_ttl\nmomentum_grid = 0.8:0.9\n")
+    p.write_text("[ablate]\nvariants = dosapp, finetune_no_ttl\nmomentum_grid = 0.8:0.9 1:0.5\n")
     cfg, ablate = cf.parse_config_file(p)
     assert cfg == cf.RunConfig()
-    assert ablate == {"variants": "dosapp finetune_no_ttl", "momentum_grid": "0.8:0.9"}
+    assert ablate == {"variants": ("dosapp", "finetune_no_ttl"),
+                      "momentum_grid": ((0.8, 0.9), (1.0, 0.5))}
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("variants", "dosapp dosapp_v9"), ("variants", ""),
+    ("momentum_grid", "1.5:0.9"), ("momentum_grid", "0.8:0"), ("momentum_grid", "0.8"),
+    ("momentum_grid", "0.8:0.9:0.7"), ("momentum_grid", "x:0.9"), ("momentum_grid", ""),
+])
+def test_bad_ablate_values_name_the_key(tmp_path, key, raw):
+    p = tmp_path / "cfg.ini"
+    p.write_text(f"[ablate]\n{key} = {raw}\n")
+    with pytest.raises(cf.ConfigError, match=rf"\[ablate\] {key}"):
+        cf.parse_config_file(p)
 
 
 def test_unknown_key_names_section_and_key(tmp_path):
@@ -129,7 +143,11 @@ def test_seed_list_must_be_nonempty_integers(raw):
     "sparsity.c=0", "sparsity.c=-0.1", "sparsity.c=1.5",
     "ema.gamma=2", "ema.gamma=0", "ema.lambda=1.5", "ema.delta=-0.5", "ema.delta=nan",
     "run.batch_size=0", "ttl.batch_size=0", "ttl.batch_size=-3",
-    "model.temperature=0", "model.temperature=-0.07",
+    "model.temperature=0", "model.temperature=-0.07", "run.variant=dosapp_v9",
+    "data.total_classes=0", "data.tasks=0", "data.classes_per_task=-1", "data.samples_train=0",
+    "data.samples_ttl=0", "data.samples_eval=0", "data.input_dim=0",
+    "model.token_count=0", "model.token_dim=0", "model.block_count=0",
+    "model.mlp_hidden_dim=0", "model.embed_dim=-2",
 ])
 def test_out_of_range_values_name_the_key(override):
     dotted = override.split("=")[0]
@@ -142,7 +160,8 @@ def test_every_value_the_owner_modules_allow_parses():
     from dosapp.autodiff import OPTIMIZER_KINDS
     from dosapp.data import IMBALANCE_MODES, STREAM_SCOPES
 
-    for attr, section_key, allowed in (("ttl_stream_scope", "ttl.stream_scope", STREAM_SCOPES),
+    for attr, section_key, allowed in (("variant", "run.variant", VARIANTS),
+                                       ("ttl_stream_scope", "ttl.stream_scope", STREAM_SCOPES),
                                        ("ttl_imbalance", "ttl.imbalance", IMBALANCE_MODES),
                                        ("optimizer_kind", "optimizer.kind", OPTIMIZER_KINDS)):
         for value in allowed:
@@ -252,6 +271,21 @@ def test_manifest_round_trip(tmp_path):
     assert restored.seeds == (1,)
     assert restored == cf.apply_overrides(cfg, ["run.seeds=1"])
     assert cf.config_hash(cfg) == back["config_hash"]
+
+
+@pytest.mark.parametrize("source, digest", [
+    ("defaults", "239f5ca802a9eb04f59d1dbc65155b5c7e81b9eb094877562bee90e8af821c8b"),
+    ("sample_ini", "c846bac3b2bb0f3a96bfc2c19e6b11366fbe22bb13488fe9bb7b56deaf3e822e"),
+])
+def test_manifest_bytes_are_pinned(tmp_path, source, digest):
+    # config_hash dedups runs in load_run, so the manifest text must not drift
+    cfg = cf.RunConfig()
+    if source == "sample_ini":
+        (tmp_path / "cfg.ini").write_text(SAMPLE_INI)
+        cfg, _ = cf.parse_config_file(tmp_path / "cfg.ini")
+    p = tmp_path / "manifest.json"
+    cf.write_manifest(p, cf.build_manifest(cfg, seed=0))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
 
 
 def test_manifest_is_a_valid_config_file_input(tmp_path):
