@@ -7,7 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import (ConfigError, RunConfig, apply_overrides, build_manifest,
+from .config import (ConfigError, RunConfig, apply_overrides, build_manifest, check_cross_keys,
                      parse_config_file)
 from .harness import run_experiment
 from .reporting import (build_report, format_trend, load_run, persist_run,
@@ -21,7 +21,7 @@ def _load_config(args) -> tuple[RunConfig, dict]:
         cfg, ablate = RunConfig(), {}
     flags = {"run.variant": args.variant, "run.seeds": args.seeds}
     overrides = [f"{key}={value}" for key, value in flags.items() if value is not None]
-    return apply_overrides(cfg, overrides + args.override), ablate
+    return check_cross_keys(apply_overrides(cfg, overrides + args.override)), ablate
 
 
 def _run_and_persist(cfg: RunConfig, seed: int, out_root: Path, name: str | None = None) -> Path:

@@ -79,8 +79,11 @@ def _list_of(parse):
 
 
 _positive_int = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_nonnegative_int = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _positive_float = _checked(float, lambda v: v > 0.0, "a number > 0")
+_nonnegative_float = _checked(float, lambda v: v >= 0.0, "a number >= 0")
 _unit_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_beta = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
 
 def _one_of(choices):
@@ -95,13 +98,9 @@ def _momentum_pair(token: str) -> tuple[float, float]:
     return _unit_fraction(parts[0]), _unit_fraction(parts[1])
 
 
-def _parse_opt_int(raw: str) -> int | None:
-    return None if raw.strip().lower() == "none" else int(raw)
-
-
-def _parse_opt_float(raw: str) -> float | None:
-    low = raw.strip().lower()
-    return None if low in ("none", "auto") else float(raw)
+def _or_none(parse, *words):
+    """None for "none" (or any of words), else parse(raw)."""
+    return lambda raw: None if raw.strip().lower() in ("none", *words) else parse(raw)
 
 
 def _key(section: str, key: str, default, parse):
@@ -113,8 +112,8 @@ def _key(section: str, key: str, default, parse):
 class RunConfig:
     variant: str = _key("run", "variant", "dosapp", _one_of(VARIANTS))
     sparsity_c: float = _key("sparsity", "c", 0.1, _unit_fraction)
-    score_sample_cap: int | None = _key("sparsity", "score_sample_cap", None, _parse_opt_int)
-    buffer_capacity: int = _key("replay", "capacity", 0, int)
+    score_sample_cap: int | None = _key("sparsity", "score_sample_cap", None, _or_none(_positive_int))
+    buffer_capacity: int = _key("replay", "capacity", 0, _nonnegative_int)  # 0 -> the variant's default
     total_classes: int = _key("data", "total_classes", 20, _positive_int)
     tasks: int = _key("data", "tasks", 5, _positive_int)
     classes_per_task: int = _key("data", "classes_per_task", 4, _positive_int)
@@ -122,8 +121,8 @@ class RunConfig:
     samples_ttl: int = _key("data", "samples_ttl", 128, _positive_int)
     samples_eval: int = _key("data", "samples_eval", 16, _positive_int)
     input_dim: int = _key("data", "input_dim", 64, _positive_int)
-    cluster_separation: float = _key("data", "cluster_separation", 10.0, float)
-    noise_sigma: float = _key("data", "noise_sigma", 1.0, float)
+    cluster_separation: float = _key("data", "cluster_separation", 10.0, _nonnegative_float)
+    noise_sigma: float = _key("data", "noise_sigma", 1.0, _nonnegative_float)
     token_count: int = _key("model", "token_count", 4, _positive_int)
     token_dim: int = _key("model", "token_dim", 16, _positive_int)
     block_count: int = _key("model", "block_count", 2, _positive_int)
@@ -132,18 +131,18 @@ class RunConfig:
     use_attention: bool = _key("model", "use_attention", True, _parse_bool)
     temperature: float = _key("model", "temperature", 0.07, _positive_float)
     optimizer_kind: str = _key("optimizer", "kind", "adamw", _one_of(OPTIMIZER_KINDS))
-    learning_rate: float = _key("optimizer", "learning_rate", 0.08, float)
-    beta1: float = _key("optimizer", "beta1", 0.9, float)
-    beta2: float = _key("optimizer", "beta2", 0.999, float)
-    epsilon: float = _key("optimizer", "epsilon", 1e-8, float)
-    weight_decay: float = _key("optimizer", "weight_decay", 0.0, float)
-    epochs: int = _key("run", "epochs", 10, int)
+    learning_rate: float = _key("optimizer", "learning_rate", 0.08, _positive_float)
+    beta1: float = _key("optimizer", "beta1", 0.9, _beta)
+    beta2: float = _key("optimizer", "beta2", 0.999, _beta)
+    epsilon: float = _key("optimizer", "epsilon", 1e-8, _positive_float)
+    weight_decay: float = _key("optimizer", "weight_decay", 0.0, _nonnegative_float)
+    epochs: int = _key("run", "epochs", 10, _positive_int)
     batch_size: int = _key("run", "batch_size", 64, _positive_int)
     ttl_batch_size: int = _key("ttl", "batch_size", 64, _positive_int)
     ttl_stream_scope: str = _key("ttl", "stream_scope", "seen", _one_of(STREAM_SCOPES))
     ttl_imbalance: str = _key("ttl", "imbalance", "balanced", _one_of(IMBALANCE_MODES))
     dirichlet_alpha: float | None = _key("ttl", "dirichlet_alpha", None,  # None -> classes_per_task
-                                         _parse_opt_float)
+                                         _or_none(_positive_float, "auto"))
     delta: float = _key("ema", "delta", 0.9999, _unit_fraction)
     gamma: float = _key("ema", "gamma", 0.8, _unit_fraction)
     lam: float = _key("ema", "lambda", 0.9, _unit_fraction)
@@ -212,6 +211,24 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
     return _apply_pairs(cfg, pairs)
 
 
+def check_cross_keys(cfg: RunConfig) -> RunConfig:
+    """Reject, in one ConfigError, every rule that ties keys together and is broken.
+
+    Called on the config that will run, after every override, since a file
+    and an override may satisfy a rule only together.
+    """
+    broken = []
+    if cfg.tasks * cfg.classes_per_task > cfg.total_classes:
+        broken.append(f"[data] tasks x [data] classes_per_task = {cfg.tasks} x {cfg.classes_per_task} "
+                      f"exceeds [data] total_classes = {cfg.total_classes}")
+    if cfg.token_count * cfg.token_dim != cfg.input_dim:
+        broken.append(f"[model] token_count x [model] token_dim = {cfg.token_count} x {cfg.token_dim} "
+                      f"differs from [data] input_dim = {cfg.input_dim}")
+    if broken:
+        raise ConfigError("; ".join(broken))
+    return cfg
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
     """Nested, JSON-ready view of the config grouped by config file section."""
     out: dict[str, dict] = {}
@@ -273,4 +290,4 @@ def config_from_manifest(manifest: dict) -> RunConfig:
     cfg = config_from_dict(_versioned(manifest)["config"])
     if "seed" in manifest:
         cfg = _apply_pairs(cfg, {("run", "seeds"): _manifest_text("seed", manifest["seed"])})
-    return cfg
+    return check_cross_keys(cfg)

@@ -90,8 +90,6 @@ class SessionSchedule:
 
     tasks: list[TaskData]
     spec: SyntheticTaskSpec
-    imbalance_mode: str = "balanced"  # one of IMBALANCE_MODES
-    dirichlet_alpha: float | None = None  # None -> classes_per_task
 
     def seen_classes(self, upto: int) -> list[int]:
         out: list[int] = []
@@ -100,11 +98,8 @@ class SessionSchedule:
         return sorted(out)
 
 
-def generate_tasks(spec: SyntheticTaskSpec, imbalance_mode: str = "balanced",
-                   dirichlet_alpha: float | None = None) -> SessionSchedule:
+def generate_tasks(spec: SyntheticTaskSpec) -> SessionSchedule:
     """Draw all class clouds and split them; fully determined by spec.seed."""
-    if imbalance_mode not in IMBALANCE_MODES:
-        raise ValueError(f"unknown imbalance mode '{imbalance_mode}'")
     rng = substream(spec.seed, "data")
     n_classes = spec.tasks * spec.classes_per_task
     per_class = spec.samples_train + spec.samples_ttl + spec.samples_eval
@@ -137,8 +132,7 @@ def generate_tasks(spec: SyntheticTaskSpec, imbalance_mode: str = "balanced",
             ttl_pool=pool,
             eval=LabeledDataset(ev_x, ev_y, ev_i),
         ))
-    return SessionSchedule(tasks=tasks, spec=spec, imbalance_mode=imbalance_mode,
-                           dirichlet_alpha=dirichlet_alpha)
+    return SessionSchedule(tasks=tasks, spec=spec)
 
 
 def sample_imbalanced_ttl(class_ids, pool_sizes, alpha: float, rng: np.random.Generator
@@ -159,26 +153,29 @@ def sample_imbalanced_ttl(class_ids, pool_sizes, alpha: float, rng: np.random.Ge
     return counts, props
 
 
-def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int,
-                     scope: str = "seen") -> tuple[UnlabeledStream, dict[int, int]]:
+def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int, scope: str = "seen",
+                     imbalance_mode: str = "balanced", dirichlet_alpha: float | None = None
+                     ) -> tuple[UnlabeledStream, dict[int, int]]:
     """Assemble the adaptation stream for one session, shuffled, labels dropped.
 
     scope "seen" mixes the pools of every task up to the session; "current"
-    uses only the just-trained task. Returns the stream plus its per-class
+    uses only the just-trained task. imbalance_mode "dirichlet" subsamples
+    the classes with symmetric-Dirichlet proportions (dirichlet_alpha None
+    means classes_per_task). Returns the stream plus its per-class
     composition (generator-side bookkeeping, not visible to the learner).
     """
     if scope not in STREAM_SCOPES:
         raise ValueError(f"unknown ttl stream scope '{scope}'")
+    if imbalance_mode not in IMBALANCE_MODES:
+        raise ValueError(f"unknown imbalance mode '{imbalance_mode}'")
     task_range = schedule.tasks[: session + 1] if scope == "seen" else [schedule.tasks[session]]
     pools: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for t in task_range:
         pools.update(t.ttl_pool)
     class_ids = sorted(pools)
 
-    if schedule.imbalance_mode == "dirichlet":
-        alpha = schedule.dirichlet_alpha
-        if alpha is None:
-            alpha = float(schedule.spec.classes_per_task)
+    if imbalance_mode == "dirichlet":
+        alpha = float(schedule.spec.classes_per_task) if dirichlet_alpha is None else dirichlet_alpha
         rng_d = substream(master_seed, "dirichlet", f"session{session}")
         counts, _ = sample_imbalanced_ttl(
             class_ids, {c: len(pools[c][1]) for c in class_ids}, alpha, rng_d)

@@ -8,34 +8,9 @@ momenta equal this collapses to the ordinary single-momentum EMA.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class EmaConfig:
-    delta: float = 0.9999  # high momentum for unselected coordinates
-    gamma: float = 0.8     # low momentum during supervised sessions
-    lam: float = 0.9       # low momentum during test-time adaptation
-    phase: str = "supervised"  # "supervised" | "ttl"
-
-    def __post_init__(self):
-        for name in ("delta", "gamma", "lam"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1.0):
-                raise ValueError(f"EmaConfig.{name} must lie in (0, 1], got {v}")
-        if self.phase not in ("supervised", "ttl"):
-            raise ValueError(f"unknown EMA phase '{self.phase}'")
-        if not (self.gamma < self.lam < self.delta):
-            warnings.warn(
-                f"momentum ordering gamma < lam < delta violated "
-                f"({self.gamma}, {self.lam}, {self.delta}); proceeding anyway"
-            )
-
-    def low_momentum(self) -> float:
-        return self.gamma if self.phase == "supervised" else self.lam
 
 
 @dataclass
@@ -52,21 +27,24 @@ class SmoothingVectors:
     q_default: float
 
 
-def compute_pq(mask, cfg: EmaConfig) -> SmoothingVectors:
+def compute_pq(mask, low: float, delta: float) -> SmoothingVectors:
     """Blend weights from a mask (None means no coordinate is selected).
 
-    Selected coordinates get p = low momentum, the rest p = delta; q = 1 - p
-    coordinatewise by construction of the affine form.
+    Selected coordinates get p = low, the phase's low momentum; the rest get
+    p = delta, the high momentum. q = 1 - p coordinatewise by construction of
+    the affine form. Both momenta must lie in (0, 1].
     """
-    low = cfg.low_momentum()
+    for name, v in (("low", low), ("delta", delta)):
+        if not (0.0 < v <= 1.0):
+            raise ValueError(f"compute_pq: {name} momentum must lie in (0, 1], got {v}")
     p: dict[str, np.ndarray] = {}
     q: dict[str, np.ndarray] = {}
     if mask is not None:
         for path, bits in mask.bits.items():
             m = bits.astype(np.float64)
-            p[path] = (low - cfg.delta) * m + cfg.delta
-            q[path] = (cfg.delta - low) * m + (1.0 - cfg.delta)
-    return SmoothingVectors(p=p, q=q, p_default=cfg.delta, q_default=1.0 - cfg.delta)
+            p[path] = (low - delta) * m + delta
+            q[path] = (delta - low) * m + (1.0 - delta)
+    return SmoothingVectors(p=p, q=q, p_default=delta, q_default=1.0 - delta)
 
 
 def ema_update(teacher, student, sv: SmoothingVectors) -> None:

@@ -9,6 +9,7 @@ teacher, and replay.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,11 @@ from .autodiff import Optimizer, OptimizerConfig
 from .config import VARIANTS, ConfigError, RunConfig, VariantKnobs
 from .data import (LabeledDataset, ReplayBuffer, SessionSchedule, SyntheticTaskSpec, TaskData,
                    build_ttl_stream, generate_tasks)
-from .ema import EmaConfig, compute_pq
+from .ema import compute_pq
 from .masking import Mask, MaskHistory, ScoreMap, reselect_topk, score_parameters, select_topk, union_masks
-from .model import ClassEmbeddingTable, EncoderConfig, LogitConfig, ParameterSet
+from .model import ClassEmbeddingTable, EncoderConfig, ParameterSet
 from .seeding import substream
-from .ttl import TtlStreamConfig, train_step, ttl_session
+from .ttl import train_step, ttl_session
 
 
 def knobs_for(variant: str) -> VariantKnobs:
@@ -66,18 +67,11 @@ class RunResult:
     table: ClassEmbeddingTable
 
 
-def _derived_configs(cfg: RunConfig) -> tuple[EncoderConfig, LogitConfig, OptimizerConfig]:
-    enc = EncoderConfig(
-        input_dim=cfg.input_dim, token_count=cfg.token_count, token_dim=cfg.token_dim,
-        block_count=cfg.block_count, mlp_hidden_dim=cfg.mlp_hidden_dim,
-        embed_dim=cfg.embed_dim, use_attention=cfg.use_attention,
-    )
-    logit_cfg = LogitConfig(temperature=cfg.temperature)
-    opt_cfg = OptimizerConfig(
+def _optimizer_config(cfg: RunConfig) -> OptimizerConfig:
+    return OptimizerConfig(
         learning_rate=cfg.learning_rate, kind=cfg.optimizer_kind, beta1=cfg.beta1,
         beta2=cfg.beta2, epsilon=cfg.epsilon, weight_decay=cfg.weight_decay,
     )
-    return enc, logit_cfg, opt_cfg
 
 
 def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
@@ -93,23 +87,19 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
     must beat old class vectors, not just their within-task rivals.
     Returns the per-task mask and its scores (None without masking).
     """
-    _, logit_cfg, opt_cfg = _derived_configs(cfg)
     restrict = sorted(seen_classes)
 
     mask = None
     score_map = None
     if knobs.use_mask:
         def loss_fn(p, xb, yb):
-            return dm.model_loss(p, table, xb, yb, restrict, logit_cfg)
+            return dm.model_loss(p, table, xb, yb, restrict, cfg.temperature)
         score_map = score_parameters(student, task.train, loss_fn, cfg.batch_size,
                                      cfg.score_sample_cap, task.task_id)
         mask = select_topk(score_map, cfg.sparsity_c)
 
-    opt = Optimizer(opt_cfg)
-    pq = None
-    if teacher is not None:
-        ema_cfg = EmaConfig(delta=cfg.delta, gamma=cfg.gamma, lam=cfg.lam, phase="supervised")
-        pq = compute_pq(mask if knobs.dual_momentum else None, ema_cfg)
+    opt = Optimizer(_optimizer_config(cfg))
+    pq = None if teacher is None else compute_pq(mask if knobs.dual_momentum else None, cfg.gamma, cfg.delta)
 
     train = task.train
     n = len(train)
@@ -128,7 +118,7 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
                 audit.record_gradient_batch("supervised", task.task_id, idb)
             loss = train_step(
                 student, teacher, opt, mask, pq,
-                lambda: dm.model_loss(student, table, xb, yb, restrict, logit_cfg),
+                lambda: dm.model_loss(student, table, xb, yb, restrict, cfg.temperature),
                 where=f"supervised session {task.task_id} epoch {epoch} batch {b}")
             losses.append(loss.item())
             if buffer is not None and epoch == 0:
@@ -144,23 +134,23 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
 
 
 def _accuracy(params: ParameterSet, table: ClassEmbeddingTable, ds: LabeledDataset,
-              restrict: list[int], logit_cfg: LogitConfig, batch_size: int = 256) -> float:
+              restrict: list[int], temperature: float, batch_size: int = 256) -> float:
     correct = 0
     for start in range(0, len(ds), batch_size):
         xb = ds.x[start : start + batch_size]
         yb = ds.y[start : start + batch_size]
-        pred = dm.predict(params, table, xb, restrict, logit_cfg)
+        pred = dm.predict(params, table, xb, restrict, temperature)
         correct += int((pred == yb).sum())
     return correct / len(ds)
 
 
 def evaluate(params: ParameterSet, table: ClassEmbeddingTable, schedule: SessionSchedule,
-             upto: int, logit_cfg: LogitConfig) -> np.ndarray:
+             upto: int, temperature: float) -> np.ndarray:
     """Holdout accuracy on every task seen so far, logits over all seen classes."""
     restrict = schedule.seen_classes(upto)
     row = np.full(len(schedule.tasks), np.nan)
     for j in range(upto + 1):
-        row[j] = _accuracy(params, table, schedule.tasks[j].eval, restrict, logit_cfg)
+        row[j] = _accuracy(params, table, schedule.tasks[j].eval, restrict, temperature)
     return row
 
 
@@ -195,15 +185,21 @@ def _row_json(row: np.ndarray) -> list:
 def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> RunResult:
     """Full alternating schedule for one variant and one seed; writes nothing."""
     knobs = knobs_for(cfg.variant)
-    enc, logit_cfg, opt_cfg = _derived_configs(cfg)
+    if knobs.use_teacher and not (cfg.gamma < cfg.lam < cfg.delta):
+        warnings.warn(f"momentum ordering [ema] gamma < [ema] lambda < [ema] delta violated "
+                      f"({cfg.gamma}, {cfg.lam}, {cfg.delta}); proceeding anyway")
+    enc = EncoderConfig(
+        input_dim=cfg.input_dim, token_count=cfg.token_count, token_dim=cfg.token_dim,
+        block_count=cfg.block_count, mlp_hidden_dim=cfg.mlp_hidden_dim,
+        embed_dim=cfg.embed_dim, use_attention=cfg.use_attention,
+    )
     spec = SyntheticTaskSpec(
         total_classes=cfg.total_classes, tasks=cfg.tasks, classes_per_task=cfg.classes_per_task,
         samples_train=cfg.samples_train, samples_ttl=cfg.samples_ttl, samples_eval=cfg.samples_eval,
         input_dim=cfg.input_dim, cluster_separation=cfg.cluster_separation,
         noise_sigma=cfg.noise_sigma, seed=seed,
     )
-    schedule = generate_tasks(spec, imbalance_mode=cfg.ttl_imbalance,
-                              dirichlet_alpha=cfg.dirichlet_alpha)
+    schedule = generate_tasks(spec)
     student = dm.init_model(enc, seed)
     teacher = student.clone() if knobs.use_teacher else None
     table = dm.init_class_table(cfg.total_classes, cfg.embed_dim, seed)
@@ -227,7 +223,7 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
             history.append(mask, score_map)
 
         eval_params = teacher if knobs.use_teacher else student
-        r_sup[t] = evaluate(eval_params, table, schedule, t, logit_cfg)
+        r_sup[t] = evaluate(eval_params, table, schedule, t, cfg.temperature)
         metrics_rows.append({"type": "eval", "session": t, "checkpoint": "post_supervised",
                              "row": _row_json(r_sup[t])})
 
@@ -239,17 +235,16 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
                 else:
                     ttl_mask = history.masks[-1]
             final_ttl_mask = ttl_mask
-            stream, composition = build_ttl_stream(schedule, t, seed, cfg.ttl_stream_scope)
+            stream, composition = build_ttl_stream(schedule, t, seed, cfg.ttl_stream_scope,
+                                                   cfg.ttl_imbalance, cfg.dirichlet_alpha)
             metrics_rows.append({"type": "ttl_stream", "session": t,
                                  "composition": {str(c): int(n) for c, n in sorted(composition.items())}})
-            stream_cfg = TtlStreamConfig(batch_size=cfg.ttl_batch_size, class_set=tuple(seen))
-            ema_ttl = EmaConfig(delta=cfg.delta, gamma=cfg.gamma, lam=cfg.lam, phase="ttl")
+            pq = None if teacher is None else compute_pq(ttl_mask if knobs.dual_momentum else None,
+                                                         cfg.lam, cfg.delta)
             metrics_rows.extend(ttl_session(
-                student, teacher, ttl_mask, stream, stream_cfg, ema_ttl, opt_cfg,
-                table, logit_cfg,
-                ema_mask=ttl_mask if knobs.dual_momentum else None,
-                audit=audit, session=t))
-            r_ttl[t] = evaluate(eval_params, table, schedule, t, logit_cfg)
+                student, teacher, ttl_mask, pq, stream, table, seen, cfg.temperature,
+                _optimizer_config(cfg), cfg.ttl_batch_size, audit=audit, session=t))
+            r_ttl[t] = evaluate(eval_params, table, schedule, t, cfg.temperature)
         else:
             r_ttl[t] = r_sup[t]
         metrics_rows.append({"type": "eval", "session": t, "checkpoint": "post_ttl",

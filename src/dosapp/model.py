@@ -45,15 +45,6 @@ class EncoderConfig:
             )
 
 
-@dataclass(frozen=True)
-class LogitConfig:
-    temperature: float = 0.07
-
-    def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-
-
 class ParameterSet:
     """Named float64 parameter tensors plus per-tensor candidate flags.
 
@@ -181,31 +172,33 @@ def _check_restrict(table: ClassEmbeddingTable, restrict_to) -> np.ndarray:
 
 
 def _logits(params: ParameterSet, table: ClassEmbeddingTable, x, ids: np.ndarray,
-            cfg: LogitConfig) -> Tensor:
+            temperature: float) -> Tensor:
+    if temperature <= 0.0:
+        raise ValueError(f"logits: temperature must be positive, got {temperature}")
     emb = encode(params, x)
     sub = Tensor(table.vectors[ids])
-    return ad.scale(ad.cosine_similarity_rows(emb, sub), 1.0 / cfg.temperature)
+    return ad.scale(ad.cosine_similarity_rows(emb, sub), 1.0 / temperature)
 
 
-def logits(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, cfg: LogitConfig) -> Tensor:
+def logits(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, temperature: float) -> Tensor:
     """Cosine(embedding, class vector)/temperature, columns in ascending class id."""
-    return _logits(params, table, x, _check_restrict(table, restrict_to), cfg)
+    return _logits(params, table, x, _check_restrict(table, restrict_to), temperature)
 
 
-def model_loss(params: ParameterSet, table: ClassEmbeddingTable, x, labels, restrict_to, cfg: LogitConfig) -> Tensor:
+def model_loss(params: ParameterSet, table: ClassEmbeddingTable, x, labels, restrict_to, temperature: float) -> Tensor:
     """Cross-entropy over the restricted class set; labels are raw class ids."""
     ids = _check_restrict(table, restrict_to)
     labels = np.asarray(labels, dtype=np.int64)
     outside = labels[~np.isin(labels, ids)]
     if outside.size:
         raise ValueError(f"model_loss: label {outside[0]} outside the restricted class set")
-    return ad.cross_entropy_from_logits(_logits(params, table, x, ids, cfg), np.searchsorted(ids, labels))
+    return ad.cross_entropy_from_logits(_logits(params, table, x, ids, temperature), np.searchsorted(ids, labels))
 
 
-def predict(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, cfg: LogitConfig) -> np.ndarray:
+def predict(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, temperature: float) -> np.ndarray:
     """Argmax class ids over the restricted set (no tape is recorded)."""
     ids = _check_restrict(table, restrict_to)
-    return ids[np.argmax(_logits(params, table, x, ids, cfg).data, axis=1)]
+    return ids[np.argmax(_logits(params, table, x, ids, temperature).data, axis=1)]
 
 
 # ---------------------------------------------------------------- persistence

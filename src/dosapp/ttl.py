@@ -10,26 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as dm
 from .autodiff import Graph, Optimizer, OptimizerConfig, backward, cross_entropy_from_logits
 from .data import UnlabeledStream
-from .ema import EmaConfig, compute_pq, ema_update
-
-
-@dataclass(frozen=True)
-class TtlStreamConfig:
-    batch_size: int
-    class_set: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if not self.class_set:
-            raise ValueError("class_set must be nonempty")
+from .ema import SmoothingVectors, ema_update
 
 
 def train_step(student, teacher, opt: Optimizer, mask, pq, build_loss, where: str):
@@ -80,38 +67,38 @@ def _entropy(labels: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def ttl_session(student, teacher, mask, stream: UnlabeledStream, cfg: TtlStreamConfig,
-                ema_cfg: EmaConfig, opt_cfg: OptimizerConfig, table, logit_cfg,
-                ema_mask=None, audit=None, session: int = 0) -> list[dict]:
+def ttl_session(student, teacher, mask, pq: SmoothingVectors | None, stream: UnlabeledStream,
+                table, class_set, temperature: float, opt_cfg: OptimizerConfig, batch_size: int,
+                audit=None, session: int = 0) -> list[dict]:
     """Adapt the student on one unlabeled stream; the teacher trails by EMA.
 
-    mask gates the optimizer (None trains everything); ema_mask picks the
-    dual-momentum lane (None keeps the single high momentum everywhere).
+    mask gates the optimizer (None trains everything); pq holds the teacher's
+    blend weights (compute_pq with the adaptation phase's low momentum).
     teacher=None self-labels from the student and skips the EMA entirely.
-    Mutates student/teacher in place and returns one routing row per batch.
+    Logits cover class_set. Mutates student/teacher in place and returns one
+    routing row per batch of batch_size stream samples.
     """
-    if ema_cfg.phase != "ttl":
-        raise ValueError("ttl_session needs an EmaConfig with phase='ttl'")
+    if batch_size < 1:
+        raise ValueError(f"ttl_session: batch_size must be positive, got {batch_size}")
     rows: list[dict] = []
     if len(stream) == 0:
         warnings.warn("empty adaptation stream; nothing to adapt")
         return rows
     x_all, ids_all = stream.take()
-    classes = tuple(sorted(cfg.class_set))
+    classes = tuple(sorted(class_set))
     opt = Optimizer(opt_cfg)
-    pq = compute_pq(ema_mask, ema_cfg) if teacher is not None else None
 
-    for b, start in enumerate(range(0, len(ids_all), cfg.batch_size)):
-        xb = x_all[start : start + cfg.batch_size]
-        idb = ids_all[start : start + cfg.batch_size]
-        t_log = None if teacher is None else dm.logits(teacher, table, xb, classes, logit_cfg).data
+    for b, start in enumerate(range(0, len(ids_all), batch_size)):
+        xb = x_all[start : start + batch_size]
+        idb = ids_all[start : start + batch_size]
+        t_log = None if teacher is None else dm.logits(teacher, table, xb, classes, temperature).data
         if audit is not None:
             audit.record_gradient_batch("ttl", session, idb)
         routed = []
 
         def build_loss():
             # one student forward serves both routing and the loss
-            s_log = dm.logits(student, table, xb, classes, logit_cfg)
+            s_log = dm.logits(student, table, xb, classes, temperature)
             routed.extend(route_pseudo_label(t_log, s_log.data, classes))
             return cross_entropy_from_logits(s_log, np.searchsorted(classes, routed[0]))
 

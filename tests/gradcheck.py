@@ -293,10 +293,10 @@ def check_model_gradients(seed=0, use_attention=True):
     x = rng.normal(size=(3, cfg.input_dim))
     labels = np.array([0, 2, 3])
     restrict = [0, 1, 2, 3]
-    logit_cfg = dm.LogitConfig(temperature=0.07)
+    temperature = 0.07
 
     def build():
-        return dm.model_loss(params, table, x, labels, restrict, logit_cfg)
+        return dm.model_loss(params, table, x, labels, restrict, temperature)
 
     params.zero_grads()
     with ad.Graph() as g:

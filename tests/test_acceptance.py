@@ -94,10 +94,9 @@ def test_criterion_02_ema_algebra():
         worst_pq = 0.0
         for _ in range(1000):
             gamma, lam, delta = sorted(rng.uniform(0.01, 1.0, size=3))
-            cfg = em.EmaConfig(delta=delta, gamma=gamma, lam=lam,
-                               phase="supervised" if rng.uniform() < 0.5 else "ttl")
+            low = gamma if rng.uniform() < 0.5 else lam  # the supervised or the ttl phase
             bits = rng.integers(0, 2, size=23).astype(bool)
-            sv = em.compute_pq(Mask(bits={"w": bits}, sparsity=0.5, origin="per_task"), cfg)
+            sv = em.compute_pq(Mask(bits={"w": bits}, sparsity=0.5, origin="per_task"), low, delta)
             worst_pq = max(worst_pq, float(np.max(np.abs(sv.p["w"] + sv.q["w"] - 1.0))))
             worst_pq = max(worst_pq, abs(sv.p_default + sv.q_default - 1.0))
         assert worst_pq <= 1e-15
@@ -107,13 +106,10 @@ def test_criterion_02_ema_algebra():
         student = dm.init_model(enc, 0)
         teacher = student.clone()
         delta = 0.97
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            cfg = em.EmaConfig(delta=delta, gamma=delta, lam=0.9)
         bits = np.random.default_rng(1).uniform(
             size=student.entries["block0.mlp.fc1.weight"].shape) < 0.3
         sv = em.compute_pq(Mask(bits={"block0.mlp.fc1.weight": bits},
-                                sparsity=0.3, origin="per_task"), cfg)
+                                sparsity=0.3, origin="per_task"), delta, delta)
         oracle = {k: t.data.copy() for k, t in teacher.entries.items()}
         walk = np.random.default_rng(2)
         worst_ema = 0.0
@@ -135,7 +131,7 @@ def test_criterion_02_ema_algebra():
         student.entries[path].data[...] = v + 0.5
         s = student.entries[path].data.copy()
         delta = 0.9999
-        sv = em.compute_pq(None, em.EmaConfig(delta=delta, gamma=0.8, lam=0.9))
+        sv = em.compute_pq(None, 0.8, delta)
         worst_closed = 0.0
         for n in range(1, 1001):
             em.ema_update(teacher, student, sv)
@@ -164,7 +160,7 @@ def test_criterion_03_mask_selection():
         rng = np.random.default_rng(0)
         x = rng.normal(size=(32, 64))
         y = rng.integers(0, 4, size=32).astype(np.int64)
-        lc = dm.LogitConfig(temperature=0.07)
+        lc = 0.07  # temperature
 
         def loss_fn(p, xb, yb):
             return dm.model_loss(p, table, xb, yb, [0, 1, 2, 3], lc)

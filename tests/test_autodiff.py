@@ -55,7 +55,7 @@ def _model_grads(params, table, wrt):
     params.zero_grads()
     with ad.Graph(wrt=wrt) as g:
         loss = dm.model_loss(params, table, x, [0, 1, 2, 3, 1, 0], [0, 1, 2, 3],
-                             dm.LogitConfig(temperature=0.07))
+                             temperature=0.07)
     ad.backward(loss, g)
     return len(g.nodes), {p: None if t.grad is None else t.grad.copy()
                           for p, t in params.entries.items()}

@@ -137,6 +137,16 @@ def test_bad_override_exits_2(tmp_path, capsys):
     (["--override", "ttl.batch_size=0"], "[ttl] batch_size"),
     (["--override", "model.temperature=0"], "[model] temperature"),
     (["--override", "model.token_dim=0"], "[model] token_dim"),
+    (["--override", "replay.capacity=-5"], "[replay] capacity"),
+    (["--override", "run.epochs=0"], "[run] epochs"),
+    (["--override", "ttl.imbalance=dirichlet", "--override", "ttl.dirichlet_alpha=-1"],
+     "[ttl] dirichlet_alpha"),
+    (["--override", "sparsity.score_sample_cap=0"], "[sparsity] score_sample_cap"),
+    (["--override", "data.noise_sigma=-1"], "[data] noise_sigma"),
+    (["--override", "optimizer.beta1=1.5"], "[optimizer] beta1"),
+    (["--override", "optimizer.learning_rate=0"], "[optimizer] learning_rate"),
+    (["--override", "data.tasks=3"], "[data] total_classes"),
+    (["--override", "model.token_dim=4"], "[data] input_dim"),
 ])
 def test_bad_value_exits_2_before_any_run(tmp_path, capsys, args, key):
     out = tmp_path / "out"
@@ -149,6 +159,7 @@ def test_bad_value_exits_2_before_any_run(tmp_path, capsys, args, key):
 
 @pytest.mark.parametrize("section, key, value", [
     ("ema", "gamma", 2.0), ("run", "batch_size", 0), ("model", "temperature", 0.0),
+    ("run", "epochs", 0), ("data", "tasks", 3),
 ])
 def test_bad_manifest_value_exits_2_before_any_run(tmp_path, capsys, section, key, value):
     cfg = apply_overrides(RunConfig(), TINY)
@@ -177,6 +188,19 @@ def test_ablate_override_exits_2_before_any_run(tmp_path, capsys, item, key):
     assert "config error:" in err and key in err
     assert "read from a config file only" in err
     assert not out.exists()
+
+
+def test_a_file_and_an_override_may_meet_a_cross_key_rule_together(tmp_path, capsys):
+    # the file alone breaks token_count x token_dim = input_dim; the override mends it
+    ini = tmp_path / "wide.ini"
+    ini.write_text("[model]\ntoken_dim = 16\n")
+    kept = [o for o in TINY if not o.startswith(("model.token_dim=", "data.input_dim="))]
+    args = [arg for item in (*kept, "data.input_dim=32") for arg in ("--override", item)]
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(ini), "--seeds", "0", "--out", str(out), *args])
+    assert rc == 0
+    manifest = json.loads((out / "dosapp" / "seed0" / "manifest.json").read_text())
+    assert (manifest["config"]["model"]["token_dim"], manifest["config"]["data"]["input_dim"]) == (16, 32)
 
 
 def test_unknown_variant_exits_2(tmp_path, capsys):

@@ -148,6 +148,10 @@ def test_seed_list_must_be_nonempty_integers(raw):
     "data.samples_ttl=0", "data.samples_eval=0", "data.input_dim=0",
     "model.token_count=0", "model.token_dim=0", "model.block_count=0",
     "model.mlp_hidden_dim=0", "model.embed_dim=-2",
+    "replay.capacity=-5", "run.epochs=0", "ttl.dirichlet_alpha=-1", "ttl.dirichlet_alpha=0",
+    "sparsity.score_sample_cap=0", "data.cluster_separation=-1", "data.noise_sigma=-1",
+    "optimizer.learning_rate=0", "optimizer.epsilon=-1e-8", "optimizer.beta1=1.5",
+    "optimizer.beta1=1", "optimizer.beta2=-0.1", "optimizer.weight_decay=-0.01",
 ])
 def test_out_of_range_values_name_the_key(override):
     dotted = override.split("=")[0]
@@ -169,9 +173,29 @@ def test_every_value_the_owner_modules_allow_parses():
             assert getattr(cfg, attr) == value
     edge = cf.apply_overrides(cf.RunConfig(), ["sparsity.c=1", "ema.gamma=1", "ema.lambda=1",
                                                "ema.delta=1", "run.batch_size=1",
-                                               "ttl.batch_size=1", "model.temperature=1e-9"])
+                                               "ttl.batch_size=1", "model.temperature=1e-9",
+                                               "replay.capacity=0", "run.epochs=1",
+                                               "optimizer.beta1=0", "optimizer.weight_decay=0",
+                                               "data.noise_sigma=0"])
     assert (edge.sparsity_c, edge.gamma, edge.lam, edge.delta) == (1.0, 1.0, 1.0, 1.0)
     assert (edge.batch_size, edge.ttl_batch_size, edge.temperature) == (1, 1, 1e-9)
+    assert (edge.buffer_capacity, edge.epochs, edge.beta1, edge.weight_decay,
+            edge.noise_sigma) == (0, 1, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("overrides, keys", [
+    (["data.tasks=6"], ["[data] tasks", "[data] classes_per_task", "[data] total_classes"]),
+    (["data.total_classes=19"], ["[data] tasks", "[data] classes_per_task", "[data] total_classes"]),
+    (["model.token_dim=32"], ["[model] token_count", "[model] token_dim", "[data] input_dim"]),
+    (["data.classes_per_task=5", "data.input_dim=60"],
+     ["[data] tasks", "[data] classes_per_task", "[data] total_classes",
+      "[model] token_count", "[model] token_dim", "[data] input_dim"]),
+])
+def test_cross_key_rules_raise_one_error_naming_every_key(overrides, keys):
+    with pytest.raises(cf.ConfigError) as err:
+        cf.check_cross_keys(cf.apply_overrides(cf.RunConfig(), overrides))
+    for key in keys:
+        assert key in str(err.value)
 
 
 def test_config_dict_round_trip():
@@ -180,13 +204,18 @@ def test_config_dict_round_trip():
 
 
 _FRACTION = st.floats(0.0, 1.0, exclude_min=True)
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
+_NONNEGATIVE = st.floats(0.0, 1e6)
 _SPECIAL = {
     "variant": st.sampled_from(sorted(VARIANTS)),
     "seeds": st.lists(st.integers(0, 2**31), min_size=1).map(tuple),
     "score_sample_cap": st.none() | st.integers(1, 10**6),
-    "dirichlet_alpha": st.none() | _FINITE,
-    "temperature": st.floats(0.0, 1e6, exclude_min=True),
+    "buffer_capacity": st.integers(0, 10**6),
+    "total_classes": st.integers(0, 10**6),  # the surplus over tasks x classes_per_task
+    "dirichlet_alpha": st.none() | _POSITIVE,
+    "temperature": _POSITIVE, "learning_rate": _POSITIVE, "epsilon": _POSITIVE,
+    "beta1": st.floats(0.0, 1.0, exclude_max=True), "beta2": st.floats(0.0, 1.0, exclude_max=True),
+    "cluster_separation": _NONNEGATIVE, "noise_sigma": _NONNEGATIVE, "weight_decay": _NONNEGATIVE,
     "sparsity_c": _FRACTION, "delta": _FRACTION, "gamma": _FRACTION, "lam": _FRACTION,
     "optimizer_kind": st.sampled_from(OPTIMIZER_KINDS),
     "ttl_stream_scope": st.sampled_from(STREAM_SCOPES),
@@ -199,16 +228,25 @@ def _field_strategy(f):
         return _SPECIAL[f.name]
     if isinstance(f.default, bool):
         return st.booleans()
-    return st.integers(1, 10**6) if isinstance(f.default, int) else _FINITE
+    assert isinstance(f.default, int), f"no strategy for {f.name}"
+    return st.integers(1, 10**6)
 
 
-VALID_CONFIGS = st.fixed_dictionaries({f.name: _field_strategy(f) for f in fields(cf.RunConfig)}
-                                      ).map(lambda kw: cf.RunConfig(**kw))
+def _cross_keys(kw):
+    """Meet the cross-key rules: input_dim is derived, total_classes drawn as a surplus."""
+    return {**kw, "total_classes": kw["tasks"] * kw["classes_per_task"] + kw["total_classes"],
+            "input_dim": kw["token_count"] * kw["token_dim"]}
+
+
+VALID_CONFIGS = st.fixed_dictionaries({f.name: _field_strategy(f) for f in fields(cf.RunConfig)
+                                       if f.name != "input_dim"}
+                                      ).map(lambda kw: cf.RunConfig(**_cross_keys(kw)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(VALID_CONFIGS)
 def test_every_valid_config_survives_the_dict_and_json_round_trip(cfg):
+    assert cf.check_cross_keys(cfg) == cfg
     assert cf.config_from_dict(cf.config_to_dict(cfg)) == cfg
     assert cf.config_from_dict(json.loads(json.dumps(cf.config_to_dict(cfg)))) == cfg
 
@@ -228,6 +266,11 @@ def test_overrides_of_a_configs_own_values_give_it_back(cfg):
     ("run", "seeds", []), ("run", "seeds", [0, "x"]), ("run", "epochs", "many"),
     ("data", "tasks", 2.5), ("model", "use_attention", "maybe"), ("optimizer", "kind", "rmsprop"),
     ("ttl", "stream_scope", "bogus"), ("ema", "lambda", [0.5]),
+    ("replay", "capacity", -5), ("run", "epochs", 0), ("ttl", "dirichlet_alpha", -1.0),
+    ("sparsity", "score_sample_cap", 0), ("data", "noise_sigma", -1.0),
+    ("data", "cluster_separation", -0.5), ("optimizer", "learning_rate", 0.0),
+    ("optimizer", "epsilon", 0.0), ("optimizer", "beta1", 1.5), ("optimizer", "beta2", 1.0),
+    ("optimizer", "weight_decay", -1.0), ("data", "tasks", 6), ("data", "input_dim", 128),
 ])
 def test_manifest_values_get_the_parse_time_checks(section, key, value):
     manifest = cf.build_manifest(cf.RunConfig(), seed=0)

@@ -93,8 +93,8 @@ def test_spec_validation():
         small_spec(samples_ttl=0)
     with pytest.raises(ValueError):
         small_spec(noise_sigma=-1.0)
-    with pytest.raises(ValueError):
-        dd.generate_tasks(small_spec(), imbalance_mode="zipf")
+    with pytest.raises(ValueError, match="imbalance"):
+        dd.build_ttl_stream(dd.generate_tasks(small_spec()), 0, master_seed=0, imbalance_mode="zipf")
 
 
 # ------------------------------------------------------------ imbalance
@@ -171,8 +171,9 @@ def test_stream_ids_come_from_the_right_pools():
 
 def test_dirichlet_stream_respects_composition():
     spec = small_spec()
-    sched = dd.generate_tasks(spec, imbalance_mode="dirichlet", dirichlet_alpha=0.3)
-    stream, comp = dd.build_ttl_stream(sched, 1, master_seed=3, scope="seen")
+    sched = dd.generate_tasks(spec)
+    stream, comp = dd.build_ttl_stream(sched, 1, master_seed=3, scope="seen",
+                                       imbalance_mode="dirichlet", dirichlet_alpha=0.3)
     assert sum(comp.values()) == len(stream)
     assert all(v <= spec.samples_ttl for v in comp.values())
     # label the stream from the generator's own pools to verify the counts

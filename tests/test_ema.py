@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dosapp.ema as em
+import dosapp.harness as hz
 import dosapp.model as dm
+from dosapp.config import RunConfig
+from dosapp.harness import run_experiment
 from dosapp.masking import Mask
 from gradcheck import tiny_encoder_config
 
@@ -23,35 +26,44 @@ def tiny_pair(seed=0):
     return cfg, student, teacher
 
 
-def no_warn_cfg(**kw):
-    defaults = dict(delta=0.9999, gamma=0.8, lam=0.9)
-    defaults.update(kw)
-    return em.EmaConfig(**defaults)
+def tiny_run_config(**kw):
+    """One short task; a run takes a fraction of a second."""
+    base = dict(total_classes=4, tasks=1, classes_per_task=4, samples_train=8, samples_ttl=12,
+                samples_eval=6, input_dim=16, token_count=2, token_dim=8, block_count=1,
+                mlp_hidden_dim=12, embed_dim=8, epochs=1, batch_size=16, ttl_batch_size=16)
+    base.update(kw)
+    return RunConfig(**base)
 
 
 # ------------------------------------------------------------ config
 
 def test_momentum_ordering_violation_warns_not_errors():
+    with pytest.warns(UserWarning, match=r"ordering \[ema\] gamma < \[ema\] lambda < \[ema\] delta"):
+        run_experiment(tiny_run_config(delta=0.9999, gamma=0.95, lam=0.9), seed=0)
     with pytest.warns(UserWarning, match="ordering"):
-        em.EmaConfig(delta=0.9999, gamma=0.95, lam=0.9)
-    with pytest.warns(UserWarning):
-        em.EmaConfig(delta=0.9999, gamma=0.9999, lam=0.9999)
+        run_experiment(tiny_run_config(delta=0.9999, gamma=0.9999, lam=0.9999), seed=0)
 
 
-def test_valid_config_is_silent_and_phase_picks_low_momentum(recwarn):
-    cfg = no_warn_cfg()
-    assert len(recwarn) == 0
-    assert cfg.low_momentum() == 0.8
-    assert no_warn_cfg(phase="ttl").low_momentum() == 0.9
+def test_valid_config_is_silent_and_phase_picks_low_momentum(monkeypatch, recwarn):
+    calls = []
+
+    def spy(mask, low, delta):
+        calls.append((low, delta))
+        return em.compute_pq(mask, low, delta)
+
+    monkeypatch.setattr(hz, "compute_pq", spy)
+    run_experiment(tiny_run_config(delta=0.9999, gamma=0.8, lam=0.9), seed=0)
+    assert not [w for w in recwarn if "ordering" in str(w.message)]
+    assert calls == [(0.8, 0.9999), (0.9, 0.9999)]  # supervised session, then adaptation
 
 
-def test_momentum_range_and_phase_validation():
-    with pytest.raises(ValueError):
-        em.EmaConfig(delta=0.0)
-    with pytest.raises(ValueError):
-        em.EmaConfig(gamma=1.5)
-    with pytest.raises(ValueError):
-        em.EmaConfig(phase="deployment")
+def test_momentum_range_validation():
+    mask = make_mask({"w": [True, False]})
+    for low, delta in ((0.8, 0.0), (1.5, 0.9999), (0.0, 0.9999), (0.8, 1.0001), (float("nan"), 0.9)):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            em.compute_pq(mask, low, delta)
+    edge = em.compute_pq(mask, 1.0, 1.0)
+    assert np.array_equal(edge.p["w"], [1.0, 1.0]) and edge.q_default == 0.0
 
 
 # ------------------------------------------------------------ compute_pq
@@ -63,43 +75,30 @@ def test_pq_partition_of_unity_over_random_draws():
         delta, gamma, lam = sorted(rng.uniform(0.01, 1.0, size=3))[::-1]
         phase = "supervised" if rng.uniform() < 0.5 else "ttl"
         m = rng.integers(0, 2, size=17).astype(bool)
-        with pytest.warns(UserWarning) if not (gamma < lam < delta) else _nullcontext():
-            cfg = em.EmaConfig(delta=delta, gamma=gamma, lam=lam, phase=phase)
-        sv = em.compute_pq(make_mask({"w": m}), cfg)
+        sv = em.compute_pq(make_mask({"w": m}), gamma if phase == "supervised" else lam, delta)
         worst = max(worst, float(np.max(np.abs(sv.p["w"] + sv.q["w"] - 1.0))))
         worst = max(worst, abs(sv.p_default + sv.q_default - 1.0))
     assert worst <= 1e-15
 
 
-class _nullcontext:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
 def test_pq_lanes_match_momenta():
-    cfg = no_warn_cfg()
-    sv = em.compute_pq(make_mask({"w": [True, False]}), cfg)
+    sv = em.compute_pq(make_mask({"w": [True, False]}), 0.8, 0.9999)
     assert sv.p["w"][0] == pytest.approx(0.8, abs=1e-15)   # selected: low momentum
     assert sv.p["w"][1] == 0.9999                          # frozen lane is exact
     assert sv.q["w"][1] == 1.0 - 0.9999
-    ttl = em.compute_pq(make_mask({"w": [True]}), no_warn_cfg(phase="ttl"))
+    ttl = em.compute_pq(make_mask({"w": [True]}), 0.9, 0.9999)
     assert ttl.p["w"][0] == pytest.approx(0.9, abs=1e-15)
 
 
 def test_pq_without_mask_is_single_high_momentum():
-    sv = em.compute_pq(None, no_warn_cfg())
+    sv = em.compute_pq(None, 0.8, 0.9999)
     assert sv.p == {} and sv.q == {}
     assert sv.p_default == 0.9999
     assert sv.q_default == 1.0 - 0.9999
 
 
 def test_gamma_equal_delta_collapses_to_single_momentum():
-    with pytest.warns(UserWarning):
-        cfg = em.EmaConfig(delta=0.97, gamma=0.97, lam=0.9)
-    sv = em.compute_pq(make_mask({"w": [True, False, True]}), cfg)
+    sv = em.compute_pq(make_mask({"w": [True, False, True]}), 0.97, 0.97)
     assert np.array_equal(sv.p["w"], np.full(3, 0.97))
     assert np.array_equal(sv.q["w"], np.full(3, 1.0 - 0.97))
 
@@ -128,7 +127,7 @@ def test_update_fixture_and_fixed_points():
 def test_identical_pair_is_near_fixed_point():
     # p*t + q*t re-rounds, so equality is to the ulp, not bitwise
     _, student, teacher = tiny_pair()
-    sv = em.compute_pq(None, no_warn_cfg())
+    sv = em.compute_pq(None, 0.8, 0.9999)
     before = {k: t.data.copy() for k, t in teacher.entries.items()}
     for _ in range(10):
         em.ema_update(teacher, student, sv)
@@ -138,7 +137,7 @@ def test_identical_pair_is_near_fixed_point():
 
 def test_alignment_errors():
     _, student, teacher = tiny_pair()
-    sv = em.compute_pq(None, no_warn_cfg())
+    sv = em.compute_pq(None, 0.8, 0.9999)
     del student.entries["proj.weight"]
     with pytest.raises(ValueError, match="paths"):
         em.ema_update(teacher, student, sv)
@@ -147,10 +146,8 @@ def test_alignment_errors():
 def test_single_momentum_reduction_matches_plain_ema_oracle():
     cfg, student, teacher = tiny_pair()
     delta = 0.97
-    with pytest.warns(UserWarning):
-        ema_cfg = em.EmaConfig(delta=delta, gamma=delta, lam=0.9)
     bits = np.random.default_rng(1).uniform(size=(cfg.token_dim, cfg.mlp_hidden_dim)) < 0.3
-    sv = em.compute_pq(make_mask({"block0.mlp.fc1.weight": bits}), ema_cfg)
+    sv = em.compute_pq(make_mask({"block0.mlp.fc1.weight": bits}), delta, delta)
 
     oracle = {k: t.data.copy() for k, t in teacher.entries.items()}
     rng = np.random.default_rng(2)
@@ -170,7 +167,7 @@ def test_non_candidate_closed_form():
     student.entries[path].data[...] = v + 0.5  # constant student from here on
     s = student.entries[path].data.copy()
     delta = 0.9999
-    sv = em.compute_pq(None, no_warn_cfg(delta=delta))
+    sv = em.compute_pq(None, 0.8, delta)
     checkpoints = {1, 10, 100, 1000}
     for n in range(1, 1001):
         em.ema_update(teacher, student, sv)
@@ -187,11 +184,11 @@ def test_ttl_phase_moves_teacher_more_slowly():
     student.entries[path].data += 1.0  # equal displacement for both phases
 
     moves = {}
-    for phase in ("supervised", "ttl"):
+    for phase, low in (("supervised", 0.8), ("ttl", 0.9)):
         teacher = student.clone()
         teacher.entries[path].data -= 1.0
         before = teacher.entries[path].data.copy()
-        em.ema_update(teacher, student, em.compute_pq(mask, no_warn_cfg(phase=phase)))
+        em.ema_update(teacher, student, em.compute_pq(mask, low, 0.9999))
         moves[phase] = np.abs(teacher.entries[path].data - before)
     assert np.all(moves["ttl"] < moves["supervised"])
 
@@ -205,9 +202,7 @@ def test_teacher_stays_in_convex_hull(seed):
     for t in student.entries.values():
         t.data += rng.normal(size=t.data.shape)
     bits = rng.uniform(size=teacher.entries["block0.mlp.fc1.weight"].shape) < 0.5
-    with pytest.warns(UserWarning) if not (gamma < lam < delta) else _nullcontext():
-        cfg = em.EmaConfig(delta=delta, gamma=gamma, lam=lam)
-    sv = em.compute_pq(make_mask({"block0.mlp.fc1.weight": bits}), cfg)
+    sv = em.compute_pq(make_mask({"block0.mlp.fc1.weight": bits}), gamma, delta)
     before = {k: t.data.copy() for k, t in teacher.entries.items()}
     em.ema_update(teacher, student, sv)
     for k, t in teacher.entries.items():

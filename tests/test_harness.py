@@ -98,7 +98,7 @@ def test_cloned_teacher_evaluates_identically():
     teacher = student.clone()
     table = dm.init_class_table(8, 8, 0)
     table.active_classes.update(range(8))
-    lc = dm.LogitConfig(temperature=cfg.temperature)
+    lc = cfg.temperature
     rs = hz.evaluate(student, table, sched, 1, lc)
     rt = hz.evaluate(teacher, table, sched, 1, lc)
     assert np.array_equal(rs, rt)
@@ -113,7 +113,7 @@ def test_evaluate_leaves_future_tasks_nan():
                            mlp_hidden_dim=12, embed_dim=8)
     student = dm.init_model(enc, 0)
     table = dm.init_class_table(8, 8, 0)
-    row = hz.evaluate(student, table, sched, 0, dm.LogitConfig(temperature=0.07))
+    row = hz.evaluate(student, table, sched, 0, 0.07)
     assert not np.isnan(row[0]) and np.isnan(row[1])
 
 
@@ -235,7 +235,7 @@ def test_restricting_to_fewer_classes_never_hurts_accuracy():
                            mlp_hidden_dim=12, embed_dim=8)
     params = dm.init_model(enc, 3)
     table = dm.init_class_table(8, 8, 3)
-    lc = dm.LogitConfig(temperature=0.07)
+    lc = 0.07  # temperature
     ev = sched.tasks[0].eval
     acc_narrow = float(np.mean(dm.predict(params, table, ev.x, [0, 1, 2, 3], lc) == ev.y))
     acc_wide = float(np.mean(dm.predict(params, table, ev.x, list(range(8)), lc) == ev.y))
@@ -251,7 +251,8 @@ def test_non_finite_loss_stops_supervised_session_before_the_step():
         samples_ttl=12, samples_eval=6, input_dim=16, seed=0))
     task = sched.tasks[0]
     task.train.x[5, 2] = np.nan
-    enc, _, _ = hz._derived_configs(cfg)
+    enc = dm.EncoderConfig(input_dim=16, token_count=2, token_dim=8, block_count=2,
+                           mlp_hidden_dim=12, embed_dim=8)
     student = dm.init_model(enc, 0)
     teacher = student.clone()
     fresh = student.clone()

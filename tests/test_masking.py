@@ -15,7 +15,7 @@ import dosapp.model as dm
 from dosapp.data import LabeledDataset
 from gradcheck import tiny_encoder_config
 
-LOGIT = dm.LogitConfig(temperature=0.07)
+LOGIT = 0.07  # temperature
 
 
 def tiny_model(seed=0):

@@ -7,7 +7,7 @@ import dosapp.autodiff as ad
 import dosapp.model as dm
 from gradcheck import tiny_encoder_config
 
-LOGIT = dm.LogitConfig(temperature=0.07)
+LOGIT = 0.07  # temperature
 
 
 @pytest.fixture
@@ -25,8 +25,6 @@ def test_encoder_config_validation():
     with pytest.raises(ValueError):
         dm.EncoderConfig(input_dim=8, token_count=2, token_dim=4, block_count=0,
                          mlp_hidden_dim=4, embed_dim=4)
-    with pytest.raises(ValueError):
-        dm.LogitConfig(temperature=0.0)
 
 
 def test_init_is_deterministic_and_seed_sensitive():
@@ -96,12 +94,15 @@ def test_logits_restriction_is_column_subset(tiny):
 def test_logit_temperature_scales_but_argmax_invariant(tiny):
     cfg, params, table = tiny
     x = np.random.default_rng(4).normal(size=(4, cfg.input_dim))
-    cold = dm.logits(params, table, x, list(range(6)), dm.LogitConfig(0.07)).data
-    warm = dm.logits(params, table, x, list(range(6)), dm.LogitConfig(1.0)).data
+    cold = dm.logits(params, table, x, list(range(6)), 0.07).data
+    warm = dm.logits(params, table, x, list(range(6)), 1.0).data
     assert np.allclose(cold, warm / 0.07, atol=1e-9)
     assert np.array_equal(np.argmax(cold, axis=1), np.argmax(warm, axis=1))
     # cosine similarities live in [-1, 1] before temperature scaling
     assert np.all(np.abs(warm) <= 1.0 + 1e-12)
+    for bad in (0.0, -0.07):
+        with pytest.raises(ValueError, match="temperature"):
+            dm.logits(params, table, x, list(range(6)), bad)
 
 
 def test_restriction_validation(tiny):
