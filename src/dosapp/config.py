@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -80,8 +81,8 @@ def _list_of(parse):
 
 _positive_int = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _nonnegative_int = _checked(int, lambda n: n >= 0, "an integer >= 0")
-_positive_float = _checked(float, lambda v: v > 0.0, "a number > 0")
-_nonnegative_float = _checked(float, lambda v: v >= 0.0, "a number >= 0")
+_positive_float = _checked(float, lambda v: v > 0.0 and math.isfinite(v), "a finite number > 0")
+_nonnegative_float = _checked(float, lambda v: v >= 0.0 and math.isfinite(v), "a finite number >= 0")
 _unit_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 _beta = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
@@ -184,18 +185,20 @@ def parse_config_file(path) -> tuple[RunConfig, dict]:
     """
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        manifest = json.loads(text)
-        return config_from_manifest(manifest), {}
+        return config_from_manifest(read_manifest(path)), {}
     parser = configparser.ConfigParser()
-    parser.read_string(text)
     pairs = {}
     ablate = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            if section == "ablate" and key in _ABLATE:
-                ablate[key] = _parsed(section, key, _ABLATE[key], raw)
-            else:
-                pairs[(section, key)] = raw
+    try:
+        parser.read_string(text, source=str(path))
+        for section in parser.sections():
+            for key, raw in parser.items(section):
+                if section == "ablate" and key in _ABLATE:
+                    ablate[key] = _parsed(section, key, _ABLATE[key], raw)
+                else:
+                    pairs[(section, key)] = raw
+    except configparser.Error as err:  # no section header, a repeated section or key, ...
+        raise ConfigError(str(err)) from None
     return _apply_pairs(RunConfig(), pairs), ablate
 
 
@@ -276,6 +279,8 @@ def write_manifest(path, manifest: dict) -> None:
 
 
 def _versioned(manifest: dict) -> dict:
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"a manifest is a JSON object, not a {type(manifest).__name__}")
     version = manifest.get("manifest_version")
     if version != MANIFEST_VERSION:
         raise ConfigError(f"unsupported manifest version {version!r}")
@@ -283,7 +288,11 @@ def _versioned(manifest: dict) -> dict:
 
 
 def read_manifest(path) -> dict:
-    return _versioned(json.loads(Path(path).read_text()))
+    text = Path(path).read_text()
+    try:
+        return _versioned(json.loads(text))
+    except ValueError as err:  # not JSON, or a ConfigError from _versioned
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def config_from_manifest(manifest: dict) -> RunConfig:

@@ -18,8 +18,8 @@ import numpy as np
 from .autodiff import Graph, backward
 from .records import read_records, write_records
 
-MASK_HEADER = "dosapp-mask v1"
-SCORES_HEADER = "dosapp-scores v1"
+MASK_MAGIC = "dosapp-mask"
+SCORES_MAGIC = "dosapp-scores"
 
 
 @dataclass
@@ -161,35 +161,21 @@ def reselect_topk(union_bits: dict[str, np.ndarray], history: MaskHistory, c: fl
 
 # ---------------------------------------------------------------- persistence
 
-def _read(path, magic: str, dtype, parsers: dict) -> tuple[dict, dict]:
-    """Header attributes (``key=value`` after the magic), each read by its
-    parser in ``parsers``, and tensors by path."""
-    (first,), records = read_records(path, magic, dtype)
-    raw = dict(tok.partition("=")[::2] for tok in first[len(magic):].split())
-    if tuple(raw) != tuple(parsers):
-        raise ValueError(f"{path}: malformed header {first!r} (want attributes {tuple(parsers)})")
-    try:
-        attrs = {key: parse(raw[key]) for key, parse in parsers.items()}
-    except ValueError as err:
-        raise ValueError(f"{path}: malformed header {first!r} ({err})") from None
-    return attrs, dict(records)
-
-
 def save_mask(path, mask: Mask) -> None:
-    header = f"{MASK_HEADER} sparsity={float.hex(float(mask.sparsity))} origin={mask.origin}"
-    write_records(path, [header], mask.bits.items())
+    write_records(path, MASK_MAGIC, {"origin": mask.origin, "sparsity": float(mask.sparsity)},
+                  mask.bits.items())
 
 
 def load_mask(path) -> Mask:
-    attrs, bits = _read(path, MASK_HEADER, bool, {"sparsity": float.fromhex, "origin": str})
+    attrs, bits = read_records(path, MASK_MAGIC, bool, {"origin": str, "sparsity": float})
     return Mask(bits=bits, **attrs)
 
 
 def save_scores(path, score_map: ScoreMap) -> None:
-    header = f"{SCORES_HEADER} task={score_map.task_id} samples={score_map.sample_count}"
-    write_records(path, [header], score_map.scores.items())
+    write_records(path, SCORES_MAGIC, {"samples": score_map.sample_count, "task": score_map.task_id},
+                  score_map.scores.items())
 
 
 def load_scores(path) -> ScoreMap:
-    attrs, scores = _read(path, SCORES_HEADER, np.float64, {"task": int, "samples": int})
+    attrs, scores = read_records(path, SCORES_MAGIC, np.float64, {"samples": int, "task": int})
     return ScoreMap(scores=scores, task_id=attrs["task"], sample_count=attrs["samples"])

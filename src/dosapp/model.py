@@ -9,9 +9,7 @@ masked updates; everything else stays frozen under masked training.
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +19,7 @@ from .autodiff import Tensor
 from .records import read_records, write_records
 from .seeding import substream
 
-CHECKPOINT_HEADER = "dosapp-checkpoint v1"
+CHECKPOINT_MAGIC = "dosapp-checkpoint"
 
 
 @dataclass(frozen=True)
@@ -208,38 +206,32 @@ def save_checkpoint(path, params: ParameterSet, table: ClassEmbeddingTable | Non
     """Write parameters (and optionally the class table) bit-exactly as text."""
     cfg_dict = {f: getattr(params.config, f) for f in params.config.__dataclass_fields__}
     full_meta = dict(meta or {})
-    records = [(f"tensor {p} candidate={int(params.candidate_flags[p])}", t.data)
-               for p, t in params.entries.items()]
+    records = [(p, t.data) for p, t in params.entries.items()]
     if table is not None:
         full_meta["active_classes"] = sorted(int(c) for c in table.active_classes)
-        records.append(("tensor class_table candidate=0", table.vectors))
-    header = [CHECKPOINT_HEADER, "config " + json.dumps(cfg_dict, sort_keys=True),
-              "meta " + json.dumps(full_meta, sort_keys=True)]
-    write_records(path, header, records, end=True)
+        records.append(("class_table", table.vectors))
+    header = {"candidates": params.candidate_paths(), "config": cfg_dict, "meta": full_meta}
+    write_records(path, CHECKPOINT_MAGIC, header, records)
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ClassEmbeddingTable | None, dict]:
     """Inverse of save_checkpoint; rejects unknown versions and cut or corrupt files."""
-    (first, config_line, meta_line), records = read_records(path, CHECKPOINT_HEADER, np.float64,
-                                                            header_lines=3, end=True)
-    if (first, config_line[:7], meta_line[:5]) != (CHECKPOINT_HEADER, "config ", "meta "):
-        raise ValueError(f"{path}: malformed checkpoint header")
+    header, records = read_records(path, CHECKPOINT_MAGIC, np.float64,
+                                   {"candidates": list, "config": dict, "meta": dict})
+    names = [name for name in records if name != "class_table"]
+    meta = header["meta"]
     try:
-        cfg = EncoderConfig(**json.loads(config_line[len("config "):]))
-        meta = json.loads(meta_line[len("meta "):])
-        if not isinstance(meta, dict):
-            raise ValueError("meta is not a JSON object")
+        cfg = EncoderConfig(**header["config"])
+        unknown = [c for c in header["candidates"] if c not in names]
+        if unknown:
+            raise ValueError(f"candidate {unknown[0]!r} names no tensor")
+        active = set(meta.get("active_classes", []))
+        if not all(type(c) is int for c in active):
+            raise ValueError("active_classes is not a list of class ids")
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed checkpoint header ({err})") from None
     params = ParameterSet(cfg)
-    table = None
-    for head, values in records:
-        match = re.fullmatch(r"tensor (\S+) candidate=([01])", head)
-        if match is None:
-            raise ValueError(f"{path}: malformed checkpoint record {head!r}")
-        name, cand = match.group(1), match.group(2) == "1"
-        if name == "class_table":
-            table = ClassEmbeddingTable(values, set(meta.get("active_classes", [])))
-        else:
-            params.add(name, values, cand)
+    for name in names:
+        params.add(name, records[name], name in header["candidates"])
+    table = ClassEmbeddingTable(records["class_table"], active) if "class_table" in records else None
     return params, table, meta

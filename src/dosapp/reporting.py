@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, config_from_manifest, config_hash, read_manifest
+from . import masking as mk
+from . import model as dm
+from .config import ConfigError, config_from_manifest, config_hash, read_manifest, write_manifest
 from .harness import RunResult
 
 SUMMARY_FIELDS = ("avg_acc", "forgetting", "fta", "cta", "final_task_acc",
@@ -54,10 +56,6 @@ def write_metrics_jsonl(path, rows: list[dict]) -> None:
 
 def persist_run(run_dir, manifest: dict, result: RunResult) -> None:
     """Write the full artifact set for one finished run."""
-    from . import masking as mk
-    from . import model as dm
-    from .config import write_manifest
-
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(run_dir / "manifest.json", manifest)

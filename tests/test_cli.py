@@ -147,6 +147,11 @@ def test_bad_override_exits_2(tmp_path, capsys):
     (["--override", "optimizer.learning_rate=0"], "[optimizer] learning_rate"),
     (["--override", "data.tasks=3"], "[data] total_classes"),
     (["--override", "model.token_dim=4"], "[data] input_dim"),
+    (["--override", "ttl.imbalance=dirichlet", "--override", "ttl.dirichlet_alpha=inf"],
+     "[ttl] dirichlet_alpha"),
+    (["--override", "optimizer.learning_rate=inf"], "[optimizer] learning_rate"),
+    (["--override", "model.temperature=inf"], "[model] temperature"),
+    (["--override", "data.noise_sigma=inf"], "[data] noise_sigma"),
 ])
 def test_bad_value_exits_2_before_any_run(tmp_path, capsys, args, key):
     out = tmp_path / "out"
@@ -159,7 +164,8 @@ def test_bad_value_exits_2_before_any_run(tmp_path, capsys, args, key):
 
 @pytest.mark.parametrize("section, key, value", [
     ("ema", "gamma", 2.0), ("run", "batch_size", 0), ("model", "temperature", 0.0),
-    ("run", "epochs", 0), ("data", "tasks", 3),
+    ("run", "epochs", 0), ("data", "tasks", 3), ("optimizer", "learning_rate", float("inf")),
+    ("ttl", "dirichlet_alpha", float("inf")),
 ])
 def test_bad_manifest_value_exits_2_before_any_run(tmp_path, capsys, section, key, value):
     cfg = apply_overrides(RunConfig(), TINY)
@@ -227,6 +233,26 @@ def test_bad_ablate_value_exits_2_before_any_run(tmp_path, capsys, ablate, key):
     assert not out.exists()
 
 
+MALFORMED_CONFIG_FILES = {
+    "no_section.ini": "epochs = 3\n",
+    "repeated_section.ini": "[run]\nepochs = 3\n[run]\nbatch_size = 8\n",
+    "repeated_key.ini": "[run]\nepochs = 3\nepochs = 4\n",
+    "not_json.json": '{"config": {"run": {"epochs": 3}}\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIG_FILES))
+def test_malformed_config_file_exits_2_before_any_run(tmp_path, capsys, name):
+    bad = tmp_path / name
+    bad.write_text(MALFORMED_CONFIG_FILES[name])
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and str(bad) in err
+    assert not out.exists()
+
+
 def test_tampered_manifest_version_exits_2(tmp_path, capsys):
     first = run_cli(tmp_path / "a") / "dosapp" / "seed0"
     manifest = json.loads((first / "manifest.json").read_text())
@@ -236,6 +262,17 @@ def test_tampered_manifest_version_exits_2(tmp_path, capsys):
     rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]\n", '{"manifest_version": 1\n'], ids=["list", "not_json"])
+def test_report_on_a_malformed_manifest_exits_2(tmp_path, capsys, text):
+    run_dir = tmp_path / "runs" / "seed0"
+    run_dir.mkdir(parents=True)
+    (run_dir / "manifest.json").write_text(text)
+    rc = main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and str(run_dir / "manifest.json") in err
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

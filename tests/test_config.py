@@ -152,6 +152,9 @@ def test_seed_list_must_be_nonempty_integers(raw):
     "sparsity.score_sample_cap=0", "data.cluster_separation=-1", "data.noise_sigma=-1",
     "optimizer.learning_rate=0", "optimizer.epsilon=-1e-8", "optimizer.beta1=1.5",
     "optimizer.beta1=1", "optimizer.beta2=-0.1", "optimizer.weight_decay=-0.01",
+    "ttl.dirichlet_alpha=inf", "optimizer.learning_rate=inf", "model.temperature=inf",
+    "data.noise_sigma=inf", "optimizer.epsilon=inf", "data.cluster_separation=inf",
+    "optimizer.weight_decay=inf",
 ])
 def test_out_of_range_values_name_the_key(override):
     dotted = override.split("=")[0]
@@ -271,6 +274,8 @@ def test_overrides_of_a_configs_own_values_give_it_back(cfg):
     ("data", "cluster_separation", -0.5), ("optimizer", "learning_rate", 0.0),
     ("optimizer", "epsilon", 0.0), ("optimizer", "beta1", 1.5), ("optimizer", "beta2", 1.0),
     ("optimizer", "weight_decay", -1.0), ("data", "tasks", 6), ("data", "input_dim", 128),
+    ("ttl", "dirichlet_alpha", float("inf")), ("optimizer", "learning_rate", float("inf")),
+    ("model", "temperature", float("inf")), ("data", "noise_sigma", float("inf")),
 ])
 def test_manifest_values_get_the_parse_time_checks(section, key, value):
     manifest = cf.build_manifest(cf.RunConfig(), seed=0)
