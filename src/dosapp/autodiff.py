@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -252,6 +251,7 @@ def relu(a) -> Tensor:
 
 def gelu(a) -> Tensor:
     """Exact erf-form GELU: 0.5 * a * (1 + erf(a / sqrt 2))."""
+    from scipy.special import erf  # not at module level: processes that never run a GELU skip scipy
     a = _as_tensor(a)
     ad = a.data
     cdf = np.multiply(ad, _INV_SQRT2, out=np.empty_like(ad))

@@ -155,6 +155,7 @@ _SCHEMA = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 # [ablate] keys select a sweep rather than a run, so they live in config files only
 _ABLATE = {"variants": _list_of(_one_of(VARIANTS)), "momentum_grid": _list_of(_momentum_pair)}
+_SECTIONS = {section for section, _ in _SCHEMA} | {"ablate"}
 
 
 def _parsed(section: str, key: str, parse, raw: str):
@@ -186,12 +187,14 @@ def parse_config_file(path) -> tuple[RunConfig, dict]:
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         return config_from_manifest(read_manifest(path)), {}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section="")  # no header names "", so [DEFAULT] is unknown too
     pairs = {}
     ablate = {}
     try:
         parser.read_string(text, source=str(path))
         for section in parser.sections():
+            if section not in _SECTIONS:
+                raise ConfigError(f"{path}: unknown config section [{section}]")
             for key, raw in parser.items(section):
                 if section == "ablate" and key in _ABLATE:
                     ablate[key] = _parsed(section, key, _ABLATE[key], raw)
@@ -278,25 +281,32 @@ def write_manifest(path, manifest: dict) -> None:
     Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _versioned(manifest: dict) -> dict:
+def _checked_manifest(manifest: dict) -> dict:
+    """The manifest, once it is a JSON object of this version whose config holds every key."""
     if not isinstance(manifest, dict):
         raise ConfigError(f"a manifest is a JSON object, not a {type(manifest).__name__}")
     version = manifest.get("manifest_version")
     if version != MANIFEST_VERSION:
         raise ConfigError(f"unsupported manifest version {version!r}")
+    nested = manifest.get("config")
+    if not isinstance(nested, dict) or not all(isinstance(kv, dict) for kv in nested.values()):
+        raise ConfigError("a manifest's config is a JSON object of one object per section")
+    missing = [f"[{section}] {key}" for section, key in _SCHEMA if key not in nested.get(section, {})]
+    if missing:
+        raise ConfigError(f"the manifest's config lacks {', '.join(missing)}")
     return manifest
 
 
 def read_manifest(path) -> dict:
     text = Path(path).read_text()
     try:
-        return _versioned(json.loads(text))
-    except ValueError as err:  # not JSON, or a ConfigError from _versioned
+        return _checked_manifest(json.loads(text))
+    except ValueError as err:  # not JSON, or a ConfigError from _checked_manifest
         raise ConfigError(f"{path}: {err}") from None
 
 
 def config_from_manifest(manifest: dict) -> RunConfig:
-    cfg = config_from_dict(_versioned(manifest)["config"])
+    cfg = config_from_dict(_checked_manifest(manifest)["config"])
     if "seed" in manifest:
         cfg = _apply_pairs(cfg, {("run", "seeds"): _manifest_text("seed", manifest["seed"])})
     return check_cross_keys(cfg)

@@ -99,8 +99,7 @@ class ReportBundle:
 
 def load_run(run_dir) -> RunRecord:
     run_dir = Path(run_dir)
-    manifest = read_manifest(run_dir / "manifest.json")
-    ema = manifest["config"]["ema"]
+    cfg = config_from_manifest(read_manifest(run_dir / "manifest.json"))
     with open(run_dir / "summary.csv") as fh:
         rows = list(csv.DictReader(fh))
     if len(rows) != 1:
@@ -116,8 +115,7 @@ def load_run(run_dir) -> RunRecord:
                 curve.append(float(np.mean(vals)))
     return RunRecord(
         run_dir=run_dir, variant=raw["variant"], seed=int(raw["seed"]),
-        run_hash=config_hash(config_from_manifest(manifest)),
-        momenta=(float(ema["gamma"]), float(ema["lambda"]), float(ema["delta"])),
+        run_hash=config_hash(cfg), momenta=(cfg.gamma, cfg.lam, cfg.delta),
         summary=summary, curve=curve,
     )
 

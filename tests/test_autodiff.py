@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,26 @@ def test_gelu_matches_gaussian_cdf_form():
     out = ad.gelu(x).data
     from scipy.stats import norm
     assert np.allclose(out, x * norm.cdf(x), atol=1e-12)
+
+
+def test_scipy_is_loaded_at_the_first_gelu_only(tmp_path):
+    # import dosapp and a config error exit stay on numpy; scipy.special comes with gelu
+    code = textwrap.dedent("""
+        import json, math, sys
+        import numpy as np
+        import dosapp, dosapp.cli
+        rc = dosapp.cli.main(["run", "--override", "ema.gamma=2"])
+        scipy_mods = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        import dosapp.autodiff as ad
+        x = np.linspace(-6.0, 6.0, 97)
+        out = ad.gelu(x).data
+        from scipy.special import erf
+        want = 0.5 * x * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+        print(json.dumps({"rc": rc, "scipy": scipy_mods, "same": out.tobytes() == want.tobytes()}))
+    """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(Path(ad.__file__).parents[1])))
+    assert json.loads(done.stdout) == {"rc": 2, "scipy": [], "same": True}
 
 
 def test_shape_errors_name_op_and_shapes():

@@ -238,6 +238,8 @@ MALFORMED_CONFIG_FILES = {
     "repeated_section.ini": "[run]\nepochs = 3\n[run]\nbatch_size = 8\n",
     "repeated_key.ini": "[run]\nepochs = 3\nepochs = 4\n",
     "not_json.json": '{"config": {"run": {"epochs": 3}}\n',
+    "unknown_empty_section.ini": "[bogus]\n",
+    "json_list.json": "[1, 2]\n",
 }
 
 
@@ -264,7 +266,11 @@ def test_tampered_manifest_version_exits_2(tmp_path, capsys):
     assert "99" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["[1, 2]\n", '{"manifest_version": 1\n'], ids=["list", "not_json"])
+@pytest.mark.parametrize("text", [
+    "[1, 2]\n", '{"manifest_version": 1\n', '{"manifest_version": 1}\n',
+    '{"manifest_version": 1, "config": {"run": {"epochs": 3}}}\n',
+    '{"manifest_version": 1, "config": [1]}\n',
+], ids=["list", "not_json", "no_config", "no_ema", "config_not_object"])
 def test_report_on_a_malformed_manifest_exits_2(tmp_path, capsys, text):
     run_dir = tmp_path / "runs" / "seed0"
     run_dir.mkdir(parents=True)

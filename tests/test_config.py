@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -109,6 +110,17 @@ def test_unknown_key_names_section_and_key(tmp_path):
     p = tmp_path / "cfg.ini"
     p.write_text("[run]\nbogus_key = 1\n")
     with pytest.raises(cf.ConfigError, match=r"\[run\] bogus_key"):
+        cf.parse_config_file(p)
+
+
+@pytest.mark.parametrize("text, section", [
+    ("[bogus]\n", "bogus"), ("[1, 2]\n", "1, 2"), ("[DEFAULT]\n", "DEFAULT"),
+    ("[run]\nepochs = 3\n[Run]\n", "Run"), ("[DEFAULT]\nepochs = 3\n[run]\n", "DEFAULT"),
+], ids=["empty", "json_list", "empty_default", "wrong_case", "default_keys"])
+def test_unknown_section_names_the_section_even_when_empty(tmp_path, text, section):
+    p = tmp_path / "cfg.ini"
+    p.write_text(text)
+    with pytest.raises(cf.ConfigError, match=re.escape(f"unknown config section [{section}]")):
         cf.parse_config_file(p)
 
 
@@ -289,6 +301,29 @@ def test_manifest_seed_gets_the_seed_check(seed):
     manifest = cf.build_manifest(cf.RunConfig(), seed=0)
     manifest["seed"] = seed
     with pytest.raises(cf.ConfigError, match=r"\[run\] seeds"):
+        cf.config_from_manifest(manifest)
+
+
+@pytest.mark.parametrize("drop", ["ema", "gamma"])
+def test_manifest_needs_every_config_key(drop):
+    manifest = cf.build_manifest(cf.RunConfig(), seed=0)
+    if drop == "ema":
+        del manifest["config"]["ema"]
+    else:
+        del manifest["config"]["ema"]["gamma"]
+    with pytest.raises(cf.ConfigError, match=r"lacks .*\[ema\] gamma"):
+        cf.config_from_manifest(manifest)
+
+
+@pytest.mark.parametrize("config", [None, [1], {"ema": [0.8]}, "run"],
+                         ids=["missing", "list", "list_section", "string"])
+def test_manifest_config_must_be_an_object_of_sections(config):
+    manifest = cf.build_manifest(cf.RunConfig(), seed=0)
+    if config is None:
+        del manifest["config"]
+    else:
+        manifest["config"] = config
+    with pytest.raises(cf.ConfigError, match="one object per section"):
         cf.config_from_manifest(manifest)
 
 
