@@ -25,6 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import OPTIMIZER_KINDS
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-5
@@ -517,9 +519,6 @@ def backward(loss: Tensor, graph: Graph) -> None:
 
 
 # ---------------------------------------------------------------- optimizers
-
-OPTIMIZER_KINDS = ("adamw", "sgd")
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:

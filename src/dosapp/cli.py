@@ -1,4 +1,7 @@
-"""Command-line entry point: run experiments, run ablations, aggregate reports."""
+"""Command-line entry point: run experiments, run ablations, aggregate reports.
+
+Argv and config checks use the standard library; the commands import the run stack at first use.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +12,6 @@ from pathlib import Path
 
 from .config import (ConfigError, RunConfig, apply_overrides, build_manifest, check_cross_keys,
                      parse_config_file)
-from .harness import run_experiment
-from .reporting import (build_report, format_trend, load_run, persist_run,
-                        write_momentum_grid_csv, write_report_files)
 
 
 def _load_config(args) -> tuple[RunConfig, dict]:
@@ -25,6 +25,8 @@ def _load_config(args) -> tuple[RunConfig, dict]:
 
 
 def _run_and_persist(cfg: RunConfig, seed: int, out_root: Path, name: str | None = None) -> Path:
+    from .harness import run_experiment  # looked up per call, so a patched attribute is the one run
+    from .reporting import persist_run
     result = run_experiment(cfg, seed)
     run_dir = out_root / (name or cfg.variant) / f"seed{seed}"
     persist_run(run_dir, build_manifest(cfg, seed), result)
@@ -33,6 +35,7 @@ def _run_and_persist(cfg: RunConfig, seed: int, out_root: Path, name: str | None
 
 def cmd_run(args) -> int:
     cfg, _ = _load_config(args)
+    from .reporting import load_run  # after the config checks, so their exits load no numpy
     out_root = Path(args.out)
     for seed in cfg.seeds:
         run_dir = _run_and_persist(cfg, seed, out_root)
@@ -48,6 +51,7 @@ _DEFAULT_ABLATION = ("dosapp", "finetune_no_ttl", "self_label", "teacher_student
 
 def cmd_ablate(args) -> int:
     cfg, ablate = _load_config(args)
+    from .reporting import build_report, format_trend, load_run, write_momentum_grid_csv, write_report_files
     out_root = Path(args.out)
     variants = ablate.get("variants", _DEFAULT_ABLATION)
     grid = ablate.get("momentum_grid", ())
@@ -79,6 +83,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .reporting import build_report, format_trend, write_report_files
     run_dirs = []
     for root in args.run_dirs:
         root = Path(root)

@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .autodiff import OPTIMIZER_KINDS
-from .data import IMBALANCE_MODES, STREAM_SCOPES
+from . import __version__ as PACKAGE_VERSION
 
 MANIFEST_VERSION = 1
-PACKAGE_VERSION = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -109,6 +107,12 @@ def _key(section: str, key: str, default, parse):
     return field(default=default, metadata={"key": (section, key), "parse": parse})
 
 
+# the values of [optimizer] kind, [ttl] stream_scope and [ttl] imbalance, also read by autodiff and data
+OPTIMIZER_KINDS = ("adamw", "sgd")
+STREAM_SCOPES = ("seen", "current")
+IMBALANCE_MODES = ("balanced", "dirichlet")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     variant: str = _key("run", "variant", "dosapp", _one_of(VARIANTS))
@@ -186,7 +190,7 @@ def parse_config_file(path) -> tuple[RunConfig, dict]:
     """
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        return config_from_manifest(read_manifest(path)), {}
+        return read_manifest_config(path), {}
     parser = configparser.ConfigParser(default_section="")  # no header names "", so [DEFAULT] is unknown too
     pairs = {}
     ablate = {}
@@ -281,8 +285,8 @@ def write_manifest(path, manifest: dict) -> None:
     Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _checked_manifest(manifest: dict) -> dict:
-    """The manifest, once it is a JSON object of this version whose config holds every key."""
+def config_from_manifest(manifest: dict) -> RunConfig:
+    """The config of a manifest: a JSON object of this version whose config holds every key."""
     if not isinstance(manifest, dict):
         raise ConfigError(f"a manifest is a JSON object, not a {type(manifest).__name__}")
     version = manifest.get("manifest_version")
@@ -294,19 +298,16 @@ def _checked_manifest(manifest: dict) -> dict:
     missing = [f"[{section}] {key}" for section, key in _SCHEMA if key not in nested.get(section, {})]
     if missing:
         raise ConfigError(f"the manifest's config lacks {', '.join(missing)}")
-    return manifest
-
-
-def read_manifest(path) -> dict:
-    text = Path(path).read_text()
-    try:
-        return _checked_manifest(json.loads(text))
-    except ValueError as err:  # not JSON, or a ConfigError from _checked_manifest
-        raise ConfigError(f"{path}: {err}") from None
-
-
-def config_from_manifest(manifest: dict) -> RunConfig:
-    cfg = config_from_dict(_checked_manifest(manifest)["config"])
+    cfg = config_from_dict(nested)
     if "seed" in manifest:
         cfg = _apply_pairs(cfg, {("run", "seeds"): _manifest_text("seed", manifest["seed"])})
     return check_cross_keys(cfg)
+
+
+def read_manifest_config(path) -> RunConfig:
+    """config_from_manifest of a manifest file; every ConfigError names the file."""
+    text = Path(path).read_text()
+    try:
+        return config_from_manifest(json.loads(text))
+    except ValueError as err:  # not JSON, or a ConfigError from config_from_manifest
+        raise ConfigError(f"{path}: {err}") from None

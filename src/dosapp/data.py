@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import IMBALANCE_MODES, STREAM_SCOPES
 from .seeding import substream
-
-STREAM_SCOPES = ("seen", "current")
-IMBALANCE_MODES = ("balanced", "dirichlet")
 
 
 @dataclass(frozen=True)

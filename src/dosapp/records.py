@@ -17,9 +17,15 @@ VERSION = "v2"
 
 
 def write_records(path, magic: str, attrs: dict, records) -> None:
-    """Write the header line, a name and a body line per (name, array), and ``end``."""
+    """Write the header line, a name and a body line per (name, array), and ``end``;
+    a record read_records could not read back raises a ValueError before the file opens."""
     lines = [f"{magic} {VERSION} {json.dumps(attrs, sort_keys=True)}"]
+    names = set()
     for name, arr in records:
+        if not name or name in names or "\n" in name or "\r" in name or arr.ndim == 0:
+            raise ValueError(f"{path}: cannot write record {name!r} of shape {arr.shape} (no name, "
+                             "a repeated or multi-line name, or a 0-d array)")
+        names.add(name)
         lines.append(f"{name} shape={','.join(str(s) for s in arr.shape)}")
         if arr.dtype == np.bool_:
             lines.append("".join("1" if v else "0" for v in arr.ravel()))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import masking as mk
 from . import model as dm
-from .config import ConfigError, config_from_manifest, config_hash, read_manifest, write_manifest
+from .config import ConfigError, config_hash, read_manifest_config, write_manifest
 from .harness import RunResult
 
 SUMMARY_FIELDS = ("avg_acc", "forgetting", "fta", "cta", "final_task_acc",
@@ -99,7 +99,7 @@ class ReportBundle:
 
 def load_run(run_dir) -> RunRecord:
     run_dir = Path(run_dir)
-    cfg = config_from_manifest(read_manifest(run_dir / "manifest.json"))
+    cfg = read_manifest_config(run_dir / "manifest.json")
     with open(run_dir / "summary.csv") as fh:
         rows = list(csv.DictReader(fh))
     if len(rows) != 1:

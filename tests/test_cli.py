@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +181,7 @@ def test_bad_manifest_value_exits_2_before_any_run(tmp_path, capsys, section, ke
     rc = main(["run", "--config", str(bad), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "config error:" in err and f"[{section}] {key}" in err
+    assert "config error:" in err and f"[{section}] {key}" in err and str(bad) in err
     assert not out.exists()
 
 
@@ -233,6 +237,9 @@ def test_bad_ablate_value_exits_2_before_any_run(tmp_path, capsys, ablate, key):
     assert not out.exists()
 
 
+# complete and well-formed but for one value, so only config_from_manifest rejects it
+BAD_GAMMA_MANIFEST = json.dumps(build_manifest(RunConfig(), seed=0)).replace('"gamma": 0.8', '"gamma": 7') + "\n"
+
 MALFORMED_CONFIG_FILES = {
     "no_section.ini": "epochs = 3\n",
     "repeated_section.ini": "[run]\nepochs = 3\n[run]\nbatch_size = 8\n",
@@ -240,6 +247,7 @@ MALFORMED_CONFIG_FILES = {
     "not_json.json": '{"config": {"run": {"epochs": 3}}\n',
     "unknown_empty_section.ini": "[bogus]\n",
     "json_list.json": "[1, 2]\n",
+    "bad_value_manifest.json": BAD_GAMMA_MANIFEST,
 }
 
 
@@ -269,8 +277,8 @@ def test_tampered_manifest_version_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     "[1, 2]\n", '{"manifest_version": 1\n', '{"manifest_version": 1}\n',
     '{"manifest_version": 1, "config": {"run": {"epochs": 3}}}\n',
-    '{"manifest_version": 1, "config": [1]}\n',
-], ids=["list", "not_json", "no_config", "no_ema", "config_not_object"])
+    '{"manifest_version": 1, "config": [1]}\n', BAD_GAMMA_MANIFEST,
+], ids=["list", "not_json", "no_config", "no_ema", "config_not_object", "bad_value"])
 def test_report_on_a_malformed_manifest_exits_2(tmp_path, capsys, text):
     run_dir = tmp_path / "runs" / "seed0"
     run_dir.mkdir(parents=True)
@@ -285,6 +293,44 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "io error:" in capsys.readouterr().err
+
+
+def test_the_front_end_loads_no_numpy_and_no_run_stack(monkeypatch):
+    # argv parsing, config checks, --help and config errors need only cli and
+    # config; numpy and the model come with the first command that runs one
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    specs = {name: (str(spec["ini"]) if spec["ini"] else None, list(spec["overrides"]))
+             for name, spec in WORKLOADS.items()}
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        def loaded():
+            return sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")
+                          or m.startswith("dosapp.") and m not in ("dosapp.cli", "dosapp.config"))
+        import dosapp, dosapp.cli
+        from dosapp.config import RunConfig, apply_overrides, parse_config_file
+        seen = {"import": loaded()}
+        for name, (ini, overrides) in json.loads(sys.argv[1]).items():
+            apply_overrides(parse_config_file(ini)[0] if ini else RunConfig(), overrides)
+            seen[name] = loaded()
+        with contextlib.redirect_stdout(io.StringIO()) as shown:
+            try:
+                dosapp.cli.main(["--help"])
+            except SystemExit as done:
+                help_exit = done.code
+        seen["help"] = loaded()
+        rc = dosapp.cli.main(["run", "--override", "ema.gamma=2"])
+        seen["config_error"] = loaded()
+        print(json.dumps({"help": (help_exit, "usage: dosapp" in shown.getvalue()), "rc": rc,
+                          "seen": seen}))
+    """)
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(specs)], capture_output=True,
+                          text=True, check=True, cwd=Path(__file__).parents[1],
+                          env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")))
+    assert json.loads(done.stdout) == {
+        "help": [0, True], "rc": 2,
+        "seen": {name: [] for name in ("import", *WORKLOADS, "help", "config_error")}}
 
 
 # ------------------------------------------------------------ ablate + report

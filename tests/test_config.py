@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -334,6 +335,15 @@ def test_manifest_rejects_ablate_keys():
         cf.config_from_manifest(manifest)
 
 
+def test_one_package_version_matches_pyproject():
+    import dosapp
+
+    pyproject = (Path(cf.__file__).parents[2] / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+    assert dosapp.__version__ == cf.PACKAGE_VERSION == version
+    assert cf.build_manifest(cf.RunConfig(), seed=0)["package_version"] == version
+
+
 def test_config_hash_is_stable_and_sensitive():
     a = cf.config_hash(cf.RunConfig())
     b = cf.config_hash(cf.RunConfig())
@@ -347,9 +357,9 @@ def test_manifest_round_trip(tmp_path):
     manifest = cf.build_manifest(cfg, seed=1)
     p = tmp_path / "manifest.json"
     cf.write_manifest(p, manifest)
-    back = cf.read_manifest(p)
+    back = json.loads(p.read_text())
     assert back == manifest
-    restored = cf.config_from_manifest(back)
+    restored = cf.read_manifest_config(p)
     # the manifest pins one concrete seed
     assert restored.seeds == (1,)
     assert restored == cf.apply_overrides(cfg, ["run.seeds=1"])
@@ -386,7 +396,7 @@ def test_manifest_version_is_enforced(tmp_path):
     p = tmp_path / "manifest.json"
     p.write_text(json.dumps(manifest))
     with pytest.raises(cf.ConfigError, match="99"):
-        cf.read_manifest(p)
+        cf.read_manifest_config(p)
     with pytest.raises(cf.ConfigError, match="99"):
         cf.config_from_manifest(manifest)
 

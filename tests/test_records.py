@@ -7,6 +7,7 @@ import pytest
 
 import dosapp.masking as mk
 import dosapp.model as dm
+from dosapp.records import read_records, write_records
 
 CHECKPOINT_TEXT = (
     'dosapp-checkpoint v2 {"candidates": ["block0.mlp.fc1.weight"], '
@@ -216,3 +217,32 @@ def test_a_v1_file_is_an_unsupported_header(tmp_path, kind):
     with pytest.raises(ValueError, match=rf"unsupported header .* in {re.escape(str(path))} "
                                          rf"\(want 'dosapp-{kind} v2'\)"):
         LOADERS[kind](path)
+
+
+# Each would write a file that read_records rejects or reads back shifted.
+UNREADABLE_RECORDS = {
+    "zero_d_array": ("w", np.array(1.5)),
+    "newline_in_name": ("a\nb", np.zeros(2)),
+    "carriage_return_in_name": ("a\rb", np.zeros(2)),
+    "empty_name": ("", np.zeros(2)),
+    "repeated_name": ("ok", np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_RECORDS))
+def test_the_writer_refuses_a_record_the_reader_cannot_read_back(tmp_path, case):
+    name, arr = UNREADABLE_RECORDS[case]
+    path = tmp_path / "r"
+    with pytest.raises(ValueError, match=re.escape(f"record {name!r}")):
+        write_records(path, "dosapp-scores", {}, [("ok", np.ones(1)), (name, arr)])
+    assert not path.exists()
+
+
+def test_empty_arrays_and_odd_names_read_back(tmp_path):
+    path = tmp_path / "r"
+    records = {"a shape=2": np.zeros((2, 0)), " spaced ": np.array([-0.0, np.inf]), "end": np.ones(1)}
+    write_records(path, "dosapp-scores", {}, records.items())
+    attrs, back = read_records(path, "dosapp-scores", float, {})
+    assert attrs == {} and list(back) == list(records)
+    for name, arr in records.items():
+        assert back[name].shape == arr.shape and back[name].tobytes() == arr.tobytes(), name
