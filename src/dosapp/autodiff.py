@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import OPTIMIZER_KINDS
+from .config import OPTIMIZER_KINDS, RunConfig
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -520,37 +520,17 @@ def backward(loss: Tensor, graph: Graph) -> None:
 
 # ---------------------------------------------------------------- optimizers
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    learning_rate: float
-    kind: str = "adamw"  # one of OPTIMIZER_KINDS
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer kind '{self.kind}'")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be nonnegative")
-
-
 class Optimizer:
-    """SGD / AdamW over a ParameterSet, optionally gated by a binary mask.
+    """SGD / AdamW over a ParameterSet, set by a RunConfig's [optimizer] keys.
 
     With a mask, only mask=1 coordinates of the mask's tensors change and
     moment state exists only for those tensors; everything else is untouched
     bit for bit. Without a mask every parameter is stepped.
     """
 
-    def __init__(self, cfg: OptimizerConfig):
+    def __init__(self, cfg: RunConfig):
+        if cfg.optimizer_kind not in OPTIMIZER_KINDS:
+            raise ValueError(f"unknown optimizer kind '{cfg.optimizer_kind}'")
         self.cfg = cfg
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -575,7 +555,7 @@ class Optimizer:
 
     def _update(self, path: str, g: np.ndarray, theta: np.ndarray) -> np.ndarray:
         cfg = self.cfg
-        if cfg.kind == "sgd":
+        if cfg.optimizer_kind == "sgd":
             return cfg.learning_rate * g
         if path not in self._m:
             self._m[path], self._v[path] = np.zeros_like(theta), np.zeros_like(theta)

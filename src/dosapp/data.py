@@ -9,40 +9,12 @@ built from the pools only and never carry labels.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import IMBALANCE_MODES, STREAM_SCOPES
+from .config import IMBALANCE_MODES, STREAM_SCOPES, RunConfig
 from .seeding import substream
-
-
-@dataclass(frozen=True)
-class SyntheticTaskSpec:
-    total_classes: int = 20
-    tasks: int = 5
-    classes_per_task: int = 4
-    samples_train: int = 32
-    samples_ttl: int = 128
-    samples_eval: int = 16
-    input_dim: int = 64
-    cluster_separation: float = 10.0
-    noise_sigma: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.tasks * self.classes_per_task > self.total_classes:
-            raise ValueError(
-                f"{self.tasks} tasks x {self.classes_per_task} classes exceed "
-                f"total_classes={self.total_classes}"
-            )
-        for name in ("samples_train", "samples_ttl", "samples_eval"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"SyntheticTaskSpec.{name} too small to fill its split")
-        if self.tasks < 1 or self.classes_per_task < 1 or self.input_dim < 1:
-            raise ValueError("tasks, classes_per_task, input_dim must be positive")
-        if self.noise_sigma < 0.0 or self.cluster_separation < 0.0:
-            raise ValueError("noise_sigma and cluster_separation must be nonnegative")
 
 
 @dataclass
@@ -87,7 +59,6 @@ class SessionSchedule:
     """Alternating supervised/adaptation sessions over a fixed task order."""
 
     tasks: list[TaskData]
-    spec: SyntheticTaskSpec
 
     def seen_classes(self, upto: int) -> list[int]:
         out: list[int] = []
@@ -96,31 +67,31 @@ class SessionSchedule:
         return sorted(out)
 
 
-def generate_tasks(spec: SyntheticTaskSpec) -> SessionSchedule:
-    """Draw all class clouds and split them; fully determined by spec.seed."""
-    rng = substream(spec.seed, "data")
-    n_classes = spec.tasks * spec.classes_per_task
-    per_class = spec.samples_train + spec.samples_ttl + spec.samples_eval
+def generate_tasks(cfg: RunConfig, seed: int) -> SessionSchedule:
+    """Draw all class clouds and split them by cfg's [data] keys; fully determined by seed."""
+    rng = substream(seed, "data")
+    n_classes = cfg.tasks * cfg.classes_per_task
+    per_class = cfg.samples_train + cfg.samples_ttl + cfg.samples_eval
     next_id = 0
     by_class: dict[int, tuple[np.ndarray, ...]] = {}
     for c in range(n_classes):
-        mean = rng.standard_normal(spec.input_dim)
+        mean = rng.standard_normal(cfg.input_dim)
         mean /= np.linalg.norm(mean)
-        samples = mean * spec.cluster_separation + rng.standard_normal(
-            (per_class, spec.input_dim)) * spec.noise_sigma
+        samples = mean * cfg.cluster_separation + rng.standard_normal(
+            (per_class, cfg.input_dim)) * cfg.noise_sigma
         ids = np.arange(next_id, next_id + per_class, dtype=np.int64)
         next_id += per_class
-        a, b = spec.samples_train, spec.samples_train + spec.samples_ttl
+        a, b = cfg.samples_train, cfg.samples_train + cfg.samples_ttl
         by_class[c] = (samples[:a], ids[:a], samples[a:b], ids[a:b], samples[b:], ids[b:])
 
     tasks = []
-    for t in range(spec.tasks):
-        cls = tuple(range(t * spec.classes_per_task, (t + 1) * spec.classes_per_task))
+    for t in range(cfg.tasks):
+        cls = tuple(range(t * cfg.classes_per_task, (t + 1) * cfg.classes_per_task))
         tr_x = np.concatenate([by_class[c][0] for c in cls])
-        tr_y = np.concatenate([np.full(spec.samples_train, c, dtype=np.int64) for c in cls])
+        tr_y = np.concatenate([np.full(cfg.samples_train, c, dtype=np.int64) for c in cls])
         tr_i = np.concatenate([by_class[c][1] for c in cls])
         ev_x = np.concatenate([by_class[c][4] for c in cls])
-        ev_y = np.concatenate([np.full(spec.samples_eval, c, dtype=np.int64) for c in cls])
+        ev_y = np.concatenate([np.full(cfg.samples_eval, c, dtype=np.int64) for c in cls])
         ev_i = np.concatenate([by_class[c][5] for c in cls])
         pool = {c: (by_class[c][2], by_class[c][3]) for c in cls}
         tasks.append(TaskData(
@@ -130,7 +101,7 @@ def generate_tasks(spec: SyntheticTaskSpec) -> SessionSchedule:
             ttl_pool=pool,
             eval=LabeledDataset(ev_x, ev_y, ev_i),
         ))
-    return SessionSchedule(tasks=tasks, spec=spec)
+    return SessionSchedule(tasks=tasks)
 
 
 def sample_imbalanced_ttl(class_ids, pool_sizes, alpha: float, rng: np.random.Generator
@@ -166,14 +137,15 @@ def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int, 
         raise ValueError(f"unknown ttl stream scope '{scope}'")
     if imbalance_mode not in IMBALANCE_MODES:
         raise ValueError(f"unknown imbalance mode '{imbalance_mode}'")
-    task_range = schedule.tasks[: session + 1] if scope == "seen" else [schedule.tasks[session]]
+    current = schedule.tasks[session]
+    task_range = schedule.tasks[: session + 1] if scope == "seen" else [current]
     pools: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for t in task_range:
         pools.update(t.ttl_pool)
     class_ids = sorted(pools)
 
     if imbalance_mode == "dirichlet":
-        alpha = float(schedule.spec.classes_per_task) if dirichlet_alpha is None else dirichlet_alpha
+        alpha = float(len(current.class_ids)) if dirichlet_alpha is None else dirichlet_alpha
         rng_d = substream(master_seed, "dirichlet", f"session{session}")
         counts, _ = sample_imbalanced_ttl(
             class_ids, {c: len(pools[c][1]) for c in class_ids}, alpha, rng_d)
@@ -197,7 +169,7 @@ def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int, 
             ids.append(pi)
     if not xs:
         warnings.warn(f"session {session}: empty adaptation stream")
-        return UnlabeledStream(np.zeros((0, schedule.spec.input_dim)), np.zeros(0, dtype=np.int64)), counts
+        return UnlabeledStream(np.zeros((0, current.train.x.shape[1])), np.zeros(0, dtype=np.int64)), counts
     x = np.concatenate(xs)
     id_arr = np.concatenate(ids)
     order = rng_s.permutation(len(id_arr))

@@ -15,21 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as dm
-from .autodiff import Optimizer, OptimizerConfig
-from .config import VARIANTS, ConfigError, RunConfig, VariantKnobs
-from .data import (LabeledDataset, ReplayBuffer, SessionSchedule, SyntheticTaskSpec, TaskData,
-                   build_ttl_stream, generate_tasks)
+from .autodiff import Optimizer
+from .config import VARIANTS, RunConfig, VariantKnobs
+from .data import LabeledDataset, ReplayBuffer, SessionSchedule, TaskData, build_ttl_stream, generate_tasks
 from .ema import compute_pq
 from .masking import Mask, MaskHistory, ScoreMap, reselect_topk, score_parameters, select_topk, union_masks
 from .model import ClassEmbeddingTable, EncoderConfig, ParameterSet
 from .seeding import substream
 from .ttl import train_step, ttl_session
-
-
-def knobs_for(variant: str) -> VariantKnobs:
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r} (known: {', '.join(sorted(VARIANTS))})")
-    return VARIANTS[variant]
 
 
 class RunAudit:
@@ -67,13 +60,6 @@ class RunResult:
     table: ClassEmbeddingTable
 
 
-def _optimizer_config(cfg: RunConfig) -> OptimizerConfig:
-    return OptimizerConfig(
-        learning_rate=cfg.learning_rate, kind=cfg.optimizer_kind, beta1=cfg.beta1,
-        beta2=cfg.beta2, epsilon=cfg.epsilon, weight_decay=cfg.weight_decay,
-    )
-
-
 def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
                            table: ClassEmbeddingTable, task: TaskData, seen_classes: list[int],
                            knobs: VariantKnobs, cfg: RunConfig, seed: int,
@@ -98,7 +84,7 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
                                      cfg.score_sample_cap, task.task_id)
         mask = select_topk(score_map, cfg.sparsity_c)
 
-    opt = Optimizer(_optimizer_config(cfg))
+    opt = Optimizer(cfg)
     pq = None if teacher is None else compute_pq(mask if knobs.dual_momentum else None, cfg.gamma, cfg.delta)
 
     train = task.train
@@ -184,7 +170,7 @@ def _row_json(row: np.ndarray) -> list:
 
 def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> RunResult:
     """Full alternating schedule for one variant and one seed; writes nothing."""
-    knobs = knobs_for(cfg.variant)
+    knobs = VARIANTS[cfg.variant]
     if knobs.use_teacher and not (cfg.gamma < cfg.lam < cfg.delta):
         warnings.warn(f"momentum ordering [ema] gamma < [ema] lambda < [ema] delta violated "
                       f"({cfg.gamma}, {cfg.lam}, {cfg.delta}); proceeding anyway")
@@ -193,13 +179,7 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
         block_count=cfg.block_count, mlp_hidden_dim=cfg.mlp_hidden_dim,
         embed_dim=cfg.embed_dim, use_attention=cfg.use_attention,
     )
-    spec = SyntheticTaskSpec(
-        total_classes=cfg.total_classes, tasks=cfg.tasks, classes_per_task=cfg.classes_per_task,
-        samples_train=cfg.samples_train, samples_ttl=cfg.samples_ttl, samples_eval=cfg.samples_eval,
-        input_dim=cfg.input_dim, cluster_separation=cfg.cluster_separation,
-        noise_sigma=cfg.noise_sigma, seed=seed,
-    )
-    schedule = generate_tasks(spec)
+    schedule = generate_tasks(cfg, seed)
     student = dm.init_model(enc, seed)
     teacher = student.clone() if knobs.use_teacher else None
     table = dm.init_class_table(cfg.total_classes, cfg.embed_dim, seed)
@@ -243,7 +223,7 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
                                                          cfg.lam, cfg.delta)
             metrics_rows.extend(ttl_session(
                 student, teacher, ttl_mask, pq, stream, table, seen, cfg.temperature,
-                _optimizer_config(cfg), cfg.ttl_batch_size, audit=audit, session=t))
+                Optimizer(cfg), cfg.ttl_batch_size, audit=audit, session=t))
             r_ttl[t] = evaluate(eval_params, table, schedule, t, cfg.temperature)
         else:
             r_ttl[t] = r_sup[t]

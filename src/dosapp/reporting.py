@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,8 +56,15 @@ def write_metrics_jsonl(path, rows: list[dict]) -> None:
 
 
 def persist_run(run_dir, manifest: dict, result: RunResult) -> None:
-    """Write the full artifact set for one finished run."""
+    """Write one finished run's artifacts; an earlier run's go first, files never written here stay."""
     run_dir = Path(run_dir)
+    mask_dir = run_dir / "masks"
+    (run_dir / "teacher.ckpt").unlink(missing_ok=True)
+    for old in mask_dir.glob("*"):
+        if re.fullmatch(r"task\d+\.(mask|scores)|ttl_final\.mask", old.name):
+            old.unlink()
+    if mask_dir.is_dir() and not any(mask_dir.iterdir()):
+        mask_dir.rmdir()
     run_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(run_dir / "manifest.json", manifest)
     write_metrics_jsonl(run_dir / "metrics.jsonl", result.metrics_rows)
@@ -67,7 +75,6 @@ def persist_run(run_dir, manifest: dict, result: RunResult) -> None:
     if result.teacher is not None:
         dm.save_checkpoint(run_dir / "teacher.ckpt", result.teacher, result.table)
     if len(result.history):
-        mask_dir = run_dir / "masks"
         mask_dir.mkdir(exist_ok=True)
         for mask, scores in zip(result.history.masks, result.history.scores):
             mk.save_mask(mask_dir / f"task{scores.task_id}.mask", mask)
@@ -100,21 +107,30 @@ class ReportBundle:
 def load_run(run_dir) -> RunRecord:
     run_dir = Path(run_dir)
     cfg = read_manifest_config(run_dir / "manifest.json")
-    with open(run_dir / "summary.csv") as fh:
+    summary_path = run_dir / "summary.csv"
+    with open(summary_path) as fh:
         rows = list(csv.DictReader(fh))
     if len(rows) != 1:
-        raise ConfigError(f"{run_dir}: summary.csv must hold exactly one run")
+        raise ConfigError(f"{summary_path}: must hold exactly one run")
     raw = rows[0]
-    summary = {k: (float(raw[k]) if raw[k] != "" else None) for k in SUMMARY_FIELDS}
+    try:
+        variant, seed = raw["variant"], int(raw["seed"])
+        summary = {k: (float(raw[k]) if raw[k] != "" else None) for k in SUMMARY_FIELDS}
+    except (KeyError, TypeError, ValueError) as err:  # no such column, a short row, not a number
+        raise ConfigError(f"{summary_path}: a missing or bad value: {err!r}") from None
     curve = []
-    with open(run_dir / "metrics.jsonl") as fh:
-        for line in fh:
-            row = json.loads(line)
-            if row.get("type") == "eval" and row.get("checkpoint") == "post_ttl":
-                vals = [v for v in row["row"] if v is not None]
-                curve.append(float(np.mean(vals)))
+    metrics_path = run_dir / "metrics.jsonl"
+    with open(metrics_path) as fh:
+        for n, line in enumerate(fh, 1):
+            try:  # a line cut short or not JSON, a row not an object, an eval row without cells
+                row = json.loads(line)
+                if row.get("type") == "eval" and row.get("checkpoint") == "post_ttl":
+                    vals = [v for v in row["row"] if v is not None]
+                    curve.append(float(np.mean(vals)))
+            except (AttributeError, KeyError, TypeError, ValueError) as err:
+                raise ConfigError(f"{metrics_path}: line {n}: {err!r}") from None
     return RunRecord(
-        run_dir=run_dir, variant=raw["variant"], seed=int(raw["seed"]),
+        run_dir=run_dir, variant=variant, seed=seed,
         run_hash=config_hash(cfg), momenta=(cfg.gamma, cfg.lam, cfg.delta),
         summary=summary, curve=curve,
     )

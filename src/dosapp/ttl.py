@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import model as dm
-from .autodiff import Graph, Optimizer, OptimizerConfig, backward, cross_entropy_from_logits
+from .autodiff import Graph, Optimizer, backward, cross_entropy_from_logits
 from .data import UnlabeledStream
 from .ema import SmoothingVectors, ema_update
 
@@ -68,12 +68,12 @@ def _entropy(labels: np.ndarray) -> float:
 
 
 def ttl_session(student, teacher, mask, pq: SmoothingVectors | None, stream: UnlabeledStream,
-                table, class_set, temperature: float, opt_cfg: OptimizerConfig, batch_size: int,
+                table, class_set, temperature: float, opt: Optimizer, batch_size: int,
                 audit=None, session: int = 0) -> list[dict]:
     """Adapt the student on one unlabeled stream; the teacher trails by EMA.
 
-    mask gates the optimizer (None trains everything); pq holds the teacher's
-    blend weights (compute_pq with the adaptation phase's low momentum).
+    opt, fresh for the session, steps the student where mask allows (None trains
+    all); pq holds the teacher's blend weights (compute_pq at the adaptation low momentum).
     teacher=None self-labels from the student and skips the EMA entirely.
     Logits cover class_set. Mutates student/teacher in place and returns one
     routing row per batch of batch_size stream samples.
@@ -86,7 +86,6 @@ def ttl_session(student, teacher, mask, pq: SmoothingVectors | None, stream: Unl
         return rows
     x_all, ids_all = stream.take()
     classes = tuple(sorted(class_set))
-    opt = Optimizer(opt_cfg)
 
     for b, start in enumerate(range(0, len(ids_all), batch_size)):
         xb = x_all[start : start + batch_size]

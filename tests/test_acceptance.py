@@ -24,7 +24,7 @@ import dosapp.ttl as tt
 from conftest import ACCEPTANCE_LINES
 from dosapp.cli import main as cli_main
 from dosapp.config import RunConfig, build_manifest, write_manifest
-from dosapp.data import SyntheticTaskSpec, build_ttl_stream, generate_tasks
+from dosapp.data import build_ttl_stream, generate_tasks
 from dosapp.harness import RunAudit, compute_metrics, run_experiment
 from dosapp.masking import Mask, MaskHistory, ScoreMap
 from gradcheck import FD_STEP, OP_CASES, REL_TOL, check_case, check_model_gradients, tiny_encoder_config
@@ -303,13 +303,7 @@ def test_criterion_09_stream_and_label_discipline():
         audit = RunAudit()
         run_experiment(cfg, seed, audit=audit)
 
-        spec = SyntheticTaskSpec(
-            total_classes=cfg.total_classes, tasks=cfg.tasks,
-            classes_per_task=cfg.classes_per_task, samples_train=cfg.samples_train,
-            samples_ttl=cfg.samples_ttl, samples_eval=cfg.samples_eval,
-            input_dim=cfg.input_dim, cluster_separation=cfg.cluster_separation,
-            noise_sigma=cfg.noise_sigma, seed=seed)
-        schedule = generate_tasks(spec)
+        schedule = generate_tasks(cfg, seed)
 
         # every adaptation-stream instance hits exactly one gradient step
         checked = 0

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import dosapp.autodiff as ad
 import dosapp.model as dm
+from dosapp.config import RunConfig
 from dosapp.masking import Mask
 from gradcheck import OP_CASES, check_case, check_model_gradients, tiny_encoder_config
 
@@ -347,7 +348,7 @@ def test_cross_entropy_label_range_errors():
 def test_sgd_step_definition():
     bag = Bag(w=[1.0])
     bag.entries["w"].grad = np.array([2.0])
-    opt = ad.Optimizer(ad.OptimizerConfig(learning_rate=0.1, kind="sgd"))
+    opt = ad.Optimizer(RunConfig(optimizer_kind="sgd", learning_rate=0.1))
     opt.step(bag)
     assert bag.entries["w"].data[0] == 1.0 - 0.1 * 2.0
     assert bag.entries["w"].data[0] == pytest.approx(0.8, abs=1e-12)
@@ -357,7 +358,7 @@ def test_sgd_masked_out_parameter_frozen():
     bag = Bag(w=[1.0, 1.0])
     bag.entries["w"].grad = np.array([2.0, 2.0])
     mask = Mask(bits={"w": np.array([False, True])}, sparsity=0.5, origin="per_task")
-    opt = ad.Optimizer(ad.OptimizerConfig(learning_rate=0.1, kind="sgd"))
+    opt = ad.Optimizer(RunConfig(optimizer_kind="sgd", learning_rate=0.1))
     opt.step(bag, mask)
     assert bag.entries["w"].data[0] == 1.0
     assert bag.entries["w"].data[1] == pytest.approx(0.8, abs=1e-12)
@@ -367,8 +368,8 @@ def test_adamw_first_step_matches_hand_recurrence():
     lr, b1, b2, eps = 7.5e-6, 0.9, 0.999, 1e-8
     bag = Bag(w=[1.0])
     bag.entries["w"].grad = np.array([1.0])
-    opt = ad.Optimizer(ad.OptimizerConfig(learning_rate=lr, kind="adamw",
-                                          beta1=b1, beta2=b2, epsilon=eps))
+    opt = ad.Optimizer(RunConfig(optimizer_kind="adamw", learning_rate=lr,
+                                 beta1=b1, beta2=b2, epsilon=eps))
     opt.step(bag)
     # independent recompute of one bias-corrected Adam step
     m = (1.0 - b1) * 1.0
@@ -388,7 +389,7 @@ def test_adamw_masked_freeze_is_bit_exact_with_weight_decay():
     bits = np.zeros(8, dtype=bool)
     bits[[1, 4, 6]] = True
     mask = Mask(bits={"w": bits}, sparsity=3 / 8, origin="per_task")
-    opt = ad.Optimizer(ad.OptimizerConfig(learning_rate=0.05, kind="adamw", weight_decay=0.01))
+    opt = ad.Optimizer(RunConfig(optimizer_kind="adamw", learning_rate=0.05, weight_decay=0.01))
     for _ in range(25):
         bag.entries["w"].grad = rng.normal(size=8)
         opt.step(bag, mask)
@@ -402,7 +403,7 @@ def test_optimizer_state_allocated_only_for_stepped_paths():
     bag.entries["a"].grad = np.array([1.0])
     bag.entries["b"].grad = np.array([1.0])
     mask = Mask(bits={"a": np.array([True])}, sparsity=1.0, origin="per_task")
-    opt = ad.Optimizer(ad.OptimizerConfig(learning_rate=0.1, kind="adamw"))
+    opt = ad.Optimizer(RunConfig(optimizer_kind="adamw", learning_rate=0.1))
     opt.step(bag, mask)
     assert set(opt._m) == {"a"}
     assert bag.entries["b"].data[0] == 1.0
@@ -410,22 +411,16 @@ def test_optimizer_state_allocated_only_for_stepped_paths():
 
 def test_missing_grad_raises_with_path():
     bag = Bag(w=[1.0])
-    opt = ad.Optimizer(ad.OptimizerConfig(learning_rate=0.1, kind="sgd"))
+    opt = ad.Optimizer(RunConfig(optimizer_kind="sgd", learning_rate=0.1))
     with pytest.raises(ValueError, match="'w'"):
         opt.step(bag)
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        ad.OptimizerConfig(learning_rate=0.0, kind="sgd")
-    with pytest.raises(ValueError):
-        ad.OptimizerConfig(learning_rate=0.1, kind="sgd", beta1=1.0)
-    with pytest.raises(ValueError):
-        ad.OptimizerConfig(learning_rate=0.1, kind="sgd", epsilon=0.0)
-    with pytest.raises(ValueError):
-        ad.OptimizerConfig(learning_rate=0.1, kind="sgd", weight_decay=-0.1)
-    with pytest.raises(ValueError):
-        ad.OptimizerConfig(learning_rate=0.1, kind="rmsprop")
+    # the value ranges are RunConfig's parse-time checks; the kind is checked
+    # here too, so no other value can silently run AdamW
+    with pytest.raises(ValueError, match="rmsprop"):
+        ad.Optimizer(RunConfig(optimizer_kind="rmsprop", learning_rate=0.1))
 
 
 def test_sgd_loss_decreases_on_separable_problem():
@@ -434,7 +429,7 @@ def test_sgd_loss_decreases_on_separable_problem():
                         rng.normal(loc=(-3.0, 0.0), scale=0.2, size=(4, 2))])
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     bag = Bag(w=rng.normal(scale=0.1, size=(2, 2)))
-    opt = ad.Optimizer(ad.OptimizerConfig(learning_rate=0.5, kind="sgd"))
+    opt = ad.Optimizer(RunConfig(optimizer_kind="sgd", learning_rate=0.5))
     losses = []
     for _ in range(20):
         bag.entries["w"].grad = None

@@ -13,6 +13,8 @@ import pytest
 
 from dosapp.cli import main
 from dosapp.config import RunConfig, apply_overrides, build_manifest
+from dosapp.harness import run_experiment
+from dosapp.reporting import persist_run
 
 
 TINY = [
@@ -108,6 +110,31 @@ def test_finetune_variant_writes_no_adaptation_artifacts(tmp_path):
     rows = read_jsonl(d / "metrics.jsonl")
     assert not any(r["type"] == "ttl_batch" for r in rows)
     assert any(r["type"] == "summary" for r in rows)
+
+
+def _files(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
+def test_a_rerun_leaves_only_its_own_files_and_the_users(tmp_path):
+    # a 3-task run, then the same directory rerun with 2 tasks, then a run with
+    # no teacher and no masks: nothing of an earlier run may survive beside the
+    # new manifest, and a file the writer never writes must stay
+    d = run_cli(tmp_path, "data.total_classes=12", "data.tasks=3") / "dosapp" / "seed0"
+    (d / "notes.txt").write_text("mine\n")
+    (d / "masks" / "notes.txt").write_text("mine too\n")
+    run_cli(tmp_path, "data.total_classes=12")
+    fresh = run_cli(tmp_path / "fresh", "data.total_classes=12") / "dosapp" / "seed0"
+    assert _files(d) == sorted([*_files(fresh), "notes.txt", "masks/notes.txt"])
+    for name in _files(fresh):
+        assert (d / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    (d / "masks" / "notes.txt").unlink()
+    cfg = apply_overrides(RunConfig(), [*TINY, "run.variant=finetune_no_ttl"])
+    persist_run(d, build_manifest(cfg, 0), run_experiment(cfg, 0))
+    assert _files(d) == ["R_postsup.csv", "R_postttl.csv", "manifest.json", "metrics.jsonl",
+                         "notes.txt", "student.ckpt", "summary.csv"]
+    assert not (d / "masks").exists()
 
 
 # ------------------------------------------------------------ error paths
@@ -287,6 +314,39 @@ def test_report_on_a_malformed_manifest_exits_2(tmp_path, capsys, text):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error:" in err and str(run_dir / "manifest.json") in err
+
+
+def _edit_summary(text, edit):
+    """summary.csv text with edit(header, row) applied to its two lines' cells."""
+    header, row = (line.split(",") for line in text.splitlines())
+    edit(header, row)
+    return ",".join(header) + "\n" + ",".join(row) + "\n"
+
+
+def _drop_fta(header, row):
+    del row[header.index("fta")], header[header.index("fta")]
+
+
+def _worded_avg_acc(header, row):
+    row[header.index("avg_acc")] = "high"
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("metrics.jsonl", lambda text: text[: text.rindex("\n", 0, -1) + 8]),  # 7 bytes of the last line
+    ("metrics.jsonl", lambda text: text + "[1]\n"),
+    ("metrics.jsonl", lambda text: text + '{"type": "eval", "checkpoint": "post_ttl"}\n'),
+    ("summary.csv", lambda text: _edit_summary(text, _drop_fta)),
+    ("summary.csv", lambda text: _edit_summary(text, _worded_avg_acc)),
+], ids=["metrics_cut_mid_line", "metrics_row_not_an_object", "metrics_eval_row_without_cells",
+        "summary_without_fta", "summary_not_numeric"])
+def test_report_on_a_corrupt_run_file_exits_2(tmp_path, capsys, name, corrupt):
+    run_dir = run_cli(tmp_path) / "dosapp" / "seed0"
+    path = run_dir / name
+    path.write_text(corrupt(path.read_text()))
+    rc = main(["report", str(run_dir), "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and str(path) in err
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

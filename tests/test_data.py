@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import dosapp.data as dd
+from dosapp.config import RunConfig
 
 
-def small_spec(**kw):
+def small_cfg(**kw):
     base = dict(total_classes=8, tasks=2, classes_per_task=4, samples_train=6,
-                samples_ttl=10, samples_eval=4, input_dim=12, seed=0)
+                samples_ttl=10, samples_eval=4, input_dim=12)
     base.update(kw)
-    return dd.SyntheticTaskSpec(**base)
+    return RunConfig(**base)
 
 
 def all_ids(task: dd.TaskData):
@@ -22,9 +23,9 @@ def all_ids(task: dd.TaskData):
 # ------------------------------------------------------------ generation
 
 def test_generation_is_deterministic_and_seed_sensitive():
-    a = dd.generate_tasks(small_spec())
-    b = dd.generate_tasks(small_spec())
-    c = dd.generate_tasks(small_spec(seed=1))
+    a = dd.generate_tasks(small_cfg(), 0)
+    b = dd.generate_tasks(small_cfg(), 0)
+    c = dd.generate_tasks(small_cfg(), 1)
     for ta, tb in zip(a.tasks, b.tasks):
         assert np.array_equal(ta.train.x, tb.train.x)
         assert np.array_equal(ta.eval.y, tb.eval.y)
@@ -34,16 +35,16 @@ def test_generation_is_deterministic_and_seed_sensitive():
 
 
 def test_split_sizes_and_disjoint_instance_ids():
-    spec = small_spec()
-    sched = dd.generate_tasks(spec)
-    assert len(sched.tasks) == spec.tasks
+    cfg = small_cfg()
+    sched = dd.generate_tasks(cfg, 0)
+    assert len(sched.tasks) == cfg.tasks
     seen = set()
     for task in sched.tasks:
-        assert len(task.train) == spec.classes_per_task * spec.samples_train
-        assert len(task.eval) == spec.classes_per_task * spec.samples_eval
+        assert len(task.train) == cfg.classes_per_task * cfg.samples_train
+        assert len(task.eval) == cfg.classes_per_task * cfg.samples_eval
         assert set(task.ttl_pool) == set(task.class_ids)
         for _, ids in task.ttl_pool.values():
-            assert len(ids) == spec.samples_ttl
+            assert len(ids) == cfg.samples_ttl
         ids = all_ids(task)
         assert len(set(ids.tolist())) == len(ids)  # unique within the task
         assert not (set(ids.tolist()) & seen)      # and across tasks
@@ -51,7 +52,7 @@ def test_split_sizes_and_disjoint_instance_ids():
 
 
 def test_task_class_sets_are_disjoint_and_ordered():
-    sched = dd.generate_tasks(small_spec())
+    sched = dd.generate_tasks(small_cfg(), 0)
     assert sched.tasks[0].class_ids == (0, 1, 2, 3)
     assert sched.tasks[1].class_ids == (4, 5, 6, 7)
     assert sched.seen_classes(0) == [0, 1, 2, 3]
@@ -59,7 +60,7 @@ def test_task_class_sets_are_disjoint_and_ordered():
 
 
 def test_adaptation_pool_is_feature_only():
-    sched = dd.generate_tasks(small_spec())
+    sched = dd.generate_tasks(small_cfg(), 0)
     for task in sched.tasks:
         for x, ids in task.ttl_pool.values():
             assert x.ndim == 2 and ids.ndim == 1
@@ -68,9 +69,9 @@ def test_adaptation_pool_is_feature_only():
 
 def test_clusters_are_separable_when_noise_is_small():
     # wide separation, tiny noise: nearest train centroid should nail eval
-    spec = small_spec(cluster_separation=10.0, noise_sigma=0.01,
-                      samples_train=16, samples_eval=8)
-    sched = dd.generate_tasks(spec)
+    cfg = small_cfg(cluster_separation=10.0, noise_sigma=0.01,
+                    samples_train=16, samples_eval=8)
+    sched = dd.generate_tasks(cfg, 0)
     hits = total = 0
     centroids, labels = [], []
     for task in sched.tasks:
@@ -87,14 +88,8 @@ def test_clusters_are_separable_when_noise_is_small():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="exceed"):
-        small_spec(total_classes=4)
-    with pytest.raises(ValueError, match="samples_ttl"):
-        small_spec(samples_ttl=0)
-    with pytest.raises(ValueError):
-        small_spec(noise_sigma=-1.0)
     with pytest.raises(ValueError, match="imbalance"):
-        dd.build_ttl_stream(dd.generate_tasks(small_spec()), 0, master_seed=0, imbalance_mode="zipf")
+        dd.build_ttl_stream(dd.generate_tasks(small_cfg(), 0), 0, master_seed=0, imbalance_mode="zipf")
 
 
 # ------------------------------------------------------------ imbalance
@@ -134,12 +129,12 @@ def test_dirichlet_alpha_must_be_positive():
 # ------------------------------------------------------------ stream assembly
 
 def test_stream_scope_and_length():
-    spec = small_spec()
-    sched = dd.generate_tasks(spec)
+    cfg = small_cfg()
+    sched = dd.generate_tasks(cfg, 0)
     cur, comp_cur = dd.build_ttl_stream(sched, 1, master_seed=0, scope="current")
     seen, comp_seen = dd.build_ttl_stream(sched, 1, master_seed=0, scope="seen")
-    assert len(cur) == spec.classes_per_task * spec.samples_ttl
-    assert len(seen) == 2 * spec.classes_per_task * spec.samples_ttl
+    assert len(cur) == cfg.classes_per_task * cfg.samples_ttl
+    assert len(seen) == 2 * cfg.classes_per_task * cfg.samples_ttl
     assert set(comp_cur) == {4, 5, 6, 7}
     assert set(comp_seen) == {0, 1, 2, 3, 4, 5, 6, 7}
     assert sum(comp_seen.values()) == len(seen)
@@ -148,7 +143,7 @@ def test_stream_scope_and_length():
 
 
 def test_stream_is_shuffled_and_deterministic():
-    sched = dd.generate_tasks(small_spec())
+    sched = dd.generate_tasks(small_cfg(), 0)
     s1, _ = dd.build_ttl_stream(sched, 1, master_seed=7)
     s2, _ = dd.build_ttl_stream(sched, 1, master_seed=7)
     s3, _ = dd.build_ttl_stream(sched, 1, master_seed=8)
@@ -158,7 +153,7 @@ def test_stream_is_shuffled_and_deterministic():
 
 
 def test_stream_ids_come_from_the_right_pools():
-    sched = dd.generate_tasks(small_spec())
+    sched = dd.generate_tasks(small_cfg(), 0)
     stream, _ = dd.build_ttl_stream(sched, 1, master_seed=0, scope="seen")
     pool_ids = set()
     for task in sched.tasks[:2]:
@@ -169,13 +164,40 @@ def test_stream_ids_come_from_the_right_pools():
     assert len(set(got)) == len(got)
 
 
+def test_dirichlet_alpha_none_means_classes_per_task():
+    cfg = small_cfg()
+    sched = dd.generate_tasks(cfg, 0)
+
+    def stream(alpha):
+        return dd.build_ttl_stream(sched, 1, master_seed=3, imbalance_mode="dirichlet",
+                                   dirichlet_alpha=alpha)
+
+    default, comp = stream(None)
+    explicit, comp_explicit = stream(float(cfg.classes_per_task))
+    assert comp == comp_explicit
+    assert default.x.tobytes() == explicit.x.tobytes()
+    assert default.ids.tobytes() == explicit.ids.tobytes()
+    assert stream(0.3)[1] != comp  # the composition does depend on alpha
+
+
+def test_a_stream_with_no_samples_keeps_the_feature_width(monkeypatch):
+    # every pool holds samples_ttl >= 1 items, so only a stubbed draw leaves the stream empty
+    cfg = small_cfg()
+    sched = dd.generate_tasks(cfg, 0)
+    monkeypatch.setattr(dd, "sample_imbalanced_ttl",
+                        lambda class_ids, sizes, alpha, rng: ({c: 0 for c in class_ids}, None))
+    with pytest.warns(UserWarning, match="empty adaptation stream"):
+        stream, _ = dd.build_ttl_stream(sched, 1, master_seed=0, imbalance_mode="dirichlet")
+    assert stream.x.shape == (0, cfg.input_dim) and len(stream) == 0
+
+
 def test_dirichlet_stream_respects_composition():
-    spec = small_spec()
-    sched = dd.generate_tasks(spec)
+    cfg = small_cfg()
+    sched = dd.generate_tasks(cfg, 0)
     stream, comp = dd.build_ttl_stream(sched, 1, master_seed=3, scope="seen",
                                        imbalance_mode="dirichlet", dirichlet_alpha=0.3)
     assert sum(comp.values()) == len(stream)
-    assert all(v <= spec.samples_ttl for v in comp.values())
+    assert all(v <= cfg.samples_ttl for v in comp.values())
     # label the stream from the generator's own pools to verify the counts
     id_to_class = {}
     for task in sched.tasks:

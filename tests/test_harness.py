@@ -5,7 +5,7 @@ import pytest
 
 import dosapp.harness as hz
 import dosapp.model as dm
-from dosapp.config import ConfigError, RunConfig
+from dosapp.config import VARIANTS, RunConfig
 from dosapp.data import generate_tasks
 
 
@@ -89,9 +89,7 @@ def test_metrics_reject_non_square():
 
 def test_cloned_teacher_evaluates_identically():
     cfg = tiny_cfg()
-    sched = generate_tasks(hz.SyntheticTaskSpec(
-        total_classes=8, tasks=2, classes_per_task=4, samples_train=8,
-        samples_ttl=12, samples_eval=6, input_dim=16, seed=0))
+    sched = generate_tasks(cfg, 0)
     enc = dm.EncoderConfig(input_dim=16, token_count=2, token_dim=8, block_count=2,
                            mlp_hidden_dim=12, embed_dim=8)
     student = dm.init_model(enc, 0)
@@ -106,9 +104,7 @@ def test_cloned_teacher_evaluates_identically():
 
 
 def test_evaluate_leaves_future_tasks_nan():
-    sched = generate_tasks(hz.SyntheticTaskSpec(
-        total_classes=8, tasks=2, classes_per_task=4, samples_train=8,
-        samples_ttl=12, samples_eval=6, input_dim=16, seed=0))
+    sched = generate_tasks(tiny_cfg(), 0)
     enc = dm.EncoderConfig(input_dim=16, token_count=2, token_dim=8, block_count=2,
                            mlp_hidden_dim=12, embed_dim=8)
     student = dm.init_model(enc, 0)
@@ -118,11 +114,6 @@ def test_evaluate_leaves_future_tasks_nan():
 
 
 # ------------------------------------------------------------ variants
-
-def test_unknown_variant_is_rejected():
-    with pytest.raises(ConfigError, match="known:"):
-        hz.knobs_for("dosapp_v2")
-
 
 def test_finetune_variant_skips_adaptation_entirely():
     res = hz.run_experiment(tiny_cfg(variant="finetune_no_ttl"), seed=0)
@@ -228,9 +219,7 @@ def test_eval_rows_present_at_both_checkpoints():
 
 def test_restricting_to_fewer_classes_never_hurts_accuracy():
     # scoring against only the true task's classes is an easier problem
-    sched = generate_tasks(hz.SyntheticTaskSpec(
-        total_classes=8, tasks=2, classes_per_task=4, samples_train=8,
-        samples_ttl=12, samples_eval=6, input_dim=16, seed=3))
+    sched = generate_tasks(tiny_cfg(), 3)
     enc = dm.EncoderConfig(input_dim=16, token_count=2, token_dim=8, block_count=2,
                            mlp_hidden_dim=12, embed_dim=8)
     params = dm.init_model(enc, 3)
@@ -246,9 +235,7 @@ def test_non_finite_loss_stops_supervised_session_before_the_step():
     # one batch per epoch, so a NaN feature poisons the very first step;
     # student and teacher must keep their initial values
     cfg = tiny_cfg(variant="teacher_student_only", batch_size=64)
-    sched = generate_tasks(hz.SyntheticTaskSpec(
-        total_classes=8, tasks=2, classes_per_task=4, samples_train=8,
-        samples_ttl=12, samples_eval=6, input_dim=16, seed=0))
+    sched = generate_tasks(cfg, 0)
     task = sched.tasks[0]
     task.train.x[5, 2] = np.nan
     enc = dm.EncoderConfig(input_dim=16, token_count=2, token_dim=8, block_count=2,
@@ -259,7 +246,7 @@ def test_non_finite_loss_stops_supervised_session_before_the_step():
     table = dm.init_class_table(8, 8, 0)
     with pytest.raises(FloatingPointError, match=r"supervised session 0 epoch 0 batch 0"):
         hz.run_supervised_session(student, teacher, table, task, sched.seen_classes(0),
-                                  hz.knobs_for(cfg.variant), cfg, seed=0)
+                                  VARIANTS[cfg.variant], cfg, seed=0)
     for k in fresh.entries:
         assert np.array_equal(student.entries[k].data, fresh.entries[k].data), k
         assert np.array_equal(teacher.entries[k].data, fresh.entries[k].data), k

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import erf
 
 import dosapp.autodiff as ad
+from dosapp.config import RunConfig
 
 
 class Bag:
@@ -165,7 +166,7 @@ def adamw_reference(cfg, steps, theta, grads):
        st.floats(1e-6, 1.0), st.floats(0.0, 0.99), st.floats(0.0, 0.9999), st.floats(1e-10, 1e-2),
        st.floats(1e-4, 0.5), st.integers(1, 6))
 def test_adamw_matches_the_plain_expressions(seed, shape, lr, beta1, beta2, eps, decay, steps):
-    cfg = ad.OptimizerConfig(learning_rate=lr, beta1=beta1, beta2=beta2, epsilon=eps, weight_decay=decay)
+    cfg = RunConfig(learning_rate=lr, beta1=beta1, beta2=beta2, epsilon=eps, weight_decay=decay)
     rng = np.random.default_rng(seed)
     theta0 = spread(rng, shape)
     grads = [spread(rng, shape) for _ in range(steps)]
@@ -208,7 +209,7 @@ def test_adamw_leaves_a_shared_gradient_alone():
     shared = spread(rng, (4, 3))
     bag = Bag(a=spread(rng, (4, 3)), b=spread(rng, (4, 3)))
     kept = shared.copy()
-    opt = ad.Optimizer(ad.OptimizerConfig(learning_rate=0.1, weight_decay=0.01))
+    opt = ad.Optimizer(RunConfig(learning_rate=0.1, weight_decay=0.01))
     for _ in range(3):
         bag.entries["a"].grad = bag.entries["b"].grad = shared   # grads may alias
         opt.step(bag)

@@ -6,7 +6,8 @@ import pytest
 import dosapp.ema as em
 import dosapp.model as dm
 import dosapp.ttl as tt
-from dosapp.autodiff import OptimizerConfig
+from dosapp.autodiff import Optimizer
+from dosapp.config import RunConfig
 from dosapp.data import UnlabeledStream
 from dosapp.masking import Mask
 from gradcheck import tiny_encoder_config
@@ -34,16 +35,15 @@ def ttl_fixture(seed=0, n=24):
     rng = np.random.default_rng(seed + 100)
     stream = UnlabeledStream(x=rng.normal(size=(n, cfg.input_dim)),
                              ids=np.arange(n, dtype=np.int64))
-    opt_cfg = OptimizerConfig(learning_rate=0.05)
-    return cfg, student, teacher, table, stream, opt_cfg
+    return cfg, student, teacher, table, stream
 
 
-def session(student, teacher, mask, stream, table, opt_cfg, ema_mask=None, classes=(0, 1, 2, 3),
+def session(student, teacher, mask, stream, table, ema_mask=None, classes=(0, 1, 2, 3),
             batch_size=8, **kw):
     """ttl_session at the fixture's settings; ema_mask picks the dual-momentum lane."""
     pq = em.compute_pq(ema_mask, 0.9, 0.9999)  # the default adaptation and high momenta
-    return tt.ttl_session(student, teacher, mask, pq, stream, table, classes, 0.07, opt_cfg,
-                          batch_size, **kw)
+    return tt.ttl_session(student, teacher, mask, pq, stream, table, classes, 0.07,
+                          Optimizer(RunConfig(learning_rate=0.05)), batch_size, **kw)
 
 
 def full_candidate_mask(params):
@@ -124,48 +124,48 @@ def test_routing_validation():
 
 
 def test_stream_config_validation():
-    _, student, teacher, table, stream, opt_cfg = ttl_fixture()
+    _, student, teacher, table, stream = ttl_fixture()
     for bad in (0, -4):
         with pytest.raises(ValueError, match="batch_size"):
-            session(student, teacher, None, stream, table, opt_cfg, batch_size=bad)
+            session(student, teacher, None, stream, table, batch_size=bad)
     with pytest.raises(ValueError, match="empty class"):
-        session(student, teacher, None, stream, table, opt_cfg, classes=())
+        session(student, teacher, None, stream, table, classes=())
 
 
 # ------------------------------------------------------------ session mechanics
 
 def test_stream_is_consumed_exactly_once():
-    _, student, teacher, table, stream, opt_cfg = ttl_fixture()
+    _, student, teacher, table, stream = ttl_fixture()
     mask = full_candidate_mask(student)
-    session(student, teacher, mask, stream, table, opt_cfg)
+    session(student, teacher, mask, stream, table)
     with pytest.raises(RuntimeError, match="single-pass"):
         stream.take()
     with pytest.raises(RuntimeError, match="single-pass"):
-        session(student, teacher, mask, stream, table, opt_cfg)
+        session(student, teacher, mask, stream, table)
 
 
 def test_empty_stream_warns_and_changes_nothing():
-    cfg, student, teacher, table, _, opt_cfg = ttl_fixture()
+    cfg, student, teacher, table, _ = ttl_fixture()
     empty = UnlabeledStream(x=np.zeros((0, cfg.input_dim)), ids=np.zeros(0, dtype=np.int64))
     before = {k: t.data.copy() for k, t in student.entries.items()}
     with pytest.warns(UserWarning, match="empty"):
-        rows = session(student, teacher, None, empty, table, opt_cfg)
+        rows = session(student, teacher, None, empty, table)
     assert rows == []
     for k in before:
         assert np.array_equal(student.entries[k].data, before[k])
 
 
 def test_stream_carries_no_labels():
-    _, _, _, _, stream, _ = ttl_fixture()
+    _, _, _, _, stream = ttl_fixture()
     assert not hasattr(stream, "y")
     x, ids = stream.take()
     assert x.dtype == np.float64 and ids.dtype == np.int64  # features and ids only
 
 
 def test_report_counts_sum_to_stream_length():
-    _, student, teacher, table, stream, opt_cfg = ttl_fixture(n=23)
+    _, student, teacher, table, stream = ttl_fixture(n=23)
     mask = full_candidate_mask(student)
-    rows = session(student, teacher, mask, stream, table, opt_cfg, ema_mask=mask)
+    rows = session(student, teacher, mask, stream, table, ema_mask=mask)
     assert sum(r["size"] for r in rows) == 23
     for row in rows:
         assert row["type"] == "ttl_batch"
@@ -173,9 +173,10 @@ def test_report_counts_sum_to_stream_length():
 
 
 def test_self_label_mode_skips_teacher_entirely():
-    _, student, _, table, stream, opt_cfg = ttl_fixture()
+    _, student, _, table, stream = ttl_fixture()
     mask = full_candidate_mask(student)
-    rows = tt.ttl_session(student, None, mask, None, stream, table, (0, 1, 2, 3), 0.07, opt_cfg, 8)
+    rows = tt.ttl_session(student, None, mask, None, stream, table, (0, 1, 2, 3), 0.07,
+                          Optimizer(RunConfig(learning_rate=0.05)), 8)
     assert sum(r["size"] for r in rows) > 0
     for row in rows:
         assert row["teacher_fraction"] == 0.0
@@ -184,13 +185,13 @@ def test_self_label_mode_skips_teacher_entirely():
 
 
 def test_adaptation_moves_only_masked_coordinates():
-    _, student, teacher, table, stream, opt_cfg = ttl_fixture()
+    _, student, teacher, table, stream = ttl_fixture()
     paths = student.candidate_paths()
     rng = np.random.default_rng(5)
     bits = {p: rng.uniform(size=student.entries[p].shape) < 0.4 for p in paths}
     mask = Mask(bits=bits, sparsity=0.4, origin="union_reselected")
     before = {k: t.data.copy() for k, t in student.entries.items()}
-    session(student, teacher, mask, stream, table, opt_cfg, ema_mask=mask)
+    session(student, teacher, mask, stream, table, ema_mask=mask)
     moved_somewhere = False
     for k, t in student.entries.items():
         if k in bits:
@@ -205,11 +206,11 @@ def test_adaptation_moves_only_masked_coordinates():
 def test_zero_mask_freezes_student_and_teacher_barely_drifts():
     # nothing is stepped, so the student is bit-exact; the teacher re-rounds
     # p*t + q*t once per batch, at most one ulp per step
-    _, student, teacher, table, stream, opt_cfg = ttl_fixture()
+    _, student, teacher, table, stream = ttl_fixture()
     mask = zero_candidate_mask(student)
     s_before = {k: t.data.copy() for k, t in student.entries.items()}
     t_before = {k: t.data.copy() for k, t in teacher.entries.items()}
-    session(student, teacher, mask, stream, table, opt_cfg, ema_mask=mask)
+    session(student, teacher, mask, stream, table, ema_mask=mask)
     for k in s_before:
         assert np.array_equal(student.entries[k].data, s_before[k]), k
         assert np.allclose(teacher.entries[k].data, t_before[k], rtol=1e-12, atol=1e-15), k
@@ -218,10 +219,10 @@ def test_zero_mask_freezes_student_and_teacher_barely_drifts():
 def test_audit_sees_every_stream_sample_once():
     from dosapp.harness import RunAudit
 
-    _, student, teacher, table, stream, opt_cfg = ttl_fixture(n=20)
+    _, student, teacher, table, stream = ttl_fixture(n=20)
     audit = RunAudit()
     mask = full_candidate_mask(student)
-    session(student, teacher, mask, stream, table, opt_cfg, ema_mask=mask, audit=audit, session=3)
+    session(student, teacher, mask, stream, table, ema_mask=mask, audit=audit, session=3)
     seen = audit.ids_seen(phase="ttl", session=3)
     assert sorted(seen) == list(range(20))
     counts = {}
@@ -234,15 +235,15 @@ def test_audit_sees_every_stream_sample_once():
 def test_non_finite_loss_stops_adaptation_before_the_step():
     # batch 1 carries a NaN feature: the session must stop there, leaving
     # student and teacher exactly as batch 0 left them
-    cfg, student, teacher, table, stream, opt_cfg = ttl_fixture(n=16)
-    _, ref_student, ref_teacher, _, _, _ = ttl_fixture(n=16)
+    cfg, student, teacher, table, stream = ttl_fixture(n=16)
+    _, ref_student, ref_teacher, _, _ = ttl_fixture(n=16)
     x, ids = stream.x.copy(), stream.ids.copy()
     mask = full_candidate_mask(student)
-    session(ref_student, ref_teacher, mask, UnlabeledStream(x=x[:8], ids=ids[:8]), table, opt_cfg,
+    session(ref_student, ref_teacher, mask, UnlabeledStream(x=x[:8], ids=ids[:8]), table,
             ema_mask=mask)
     x[10, 3] = np.nan
     with pytest.raises(FloatingPointError, match=r"ttl session 2 batch 1"):
-        session(student, teacher, mask, UnlabeledStream(x=x, ids=ids), table, opt_cfg,
+        session(student, teacher, mask, UnlabeledStream(x=x, ids=ids), table,
                 ema_mask=mask, session=2)
     for k in student.entries:
         assert np.array_equal(student.entries[k].data, ref_student.entries[k].data), k
