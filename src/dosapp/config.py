@@ -181,6 +181,14 @@ def _apply_pairs(cfg: RunConfig, pairs: dict[tuple[str, str], str]) -> RunConfig
     return replace(cfg, **updates)
 
 
+def read_text(path) -> str:
+    """A config or run file's text; one that is not UTF-8 is a ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err})") from None
+
+
 def parse_config_file(path) -> tuple[RunConfig, dict]:
     """Load a RunConfig from an INI file or a manifest JSON.
 
@@ -188,7 +196,7 @@ def parse_config_file(path) -> tuple[RunConfig, dict]:
     manifests): "variants" a tuple of variant names, "momentum_grid" a
     tuple of (gamma, lambda) pairs.
     """
-    text = Path(path).read_text()
+    text = read_text(path)
     if text.lstrip().startswith("{"):
         return read_manifest_config(path), {}
     parser = configparser.ConfigParser(default_section="")  # no header names "", so [DEFAULT] is unknown too
@@ -306,7 +314,7 @@ def config_from_manifest(manifest: dict) -> RunConfig:
 
 def read_manifest_config(path) -> RunConfig:
     """config_from_manifest of a manifest file; every ConfigError names the file."""
-    text = Path(path).read_text()
+    text = read_text(path)
     try:
         return config_from_manifest(json.loads(text))
     except ValueError as err:  # not JSON, or a ConfigError from config_from_manifest

@@ -8,7 +8,6 @@ built from the pools only and never carry labels.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,11 +104,10 @@ def generate_tasks(cfg: RunConfig, seed: int) -> SessionSchedule:
 
 
 def sample_imbalanced_ttl(class_ids, pool_sizes, alpha: float, rng: np.random.Generator
-                          ) -> tuple[dict[int, int], np.ndarray]:
+                          ) -> dict[int, int]:
     """Symmetric-Dirichlet class proportions, rounded to per-class counts.
 
-    Counts are capped by each class pool; zero counts are allowed. Returns
-    (counts per class, the raw proportion vector).
+    Counts are capped by each class pool; zero counts are allowed.
     """
     if alpha <= 0.0:
         raise ValueError("dirichlet alpha must be positive")
@@ -119,7 +117,7 @@ def sample_imbalanced_ttl(class_ids, pool_sizes, alpha: float, rng: np.random.Ge
     counts = {}
     for c, p in zip(class_ids, props):
         counts[c] = min(int(round(p * total)), int(pool_sizes[c]))
-    return counts, props
+    return counts
 
 
 def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int, scope: str = "seen",
@@ -147,7 +145,7 @@ def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int, 
     if imbalance_mode == "dirichlet":
         alpha = float(len(current.class_ids)) if dirichlet_alpha is None else dirichlet_alpha
         rng_d = substream(master_seed, "dirichlet", f"session{session}")
-        counts, _ = sample_imbalanced_ttl(
+        counts = sample_imbalanced_ttl(
             class_ids, {c: len(pools[c][1]) for c in class_ids}, alpha, rng_d)
     else:
         counts = {c: len(pools[c][1]) for c in class_ids}
@@ -167,9 +165,6 @@ def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int, 
         else:
             xs.append(px)
             ids.append(pi)
-    if not xs:
-        warnings.warn(f"session {session}: empty adaptation stream")
-        return UnlabeledStream(np.zeros((0, current.train.x.shape[1])), np.zeros(0, dtype=np.int64)), counts
     x = np.concatenate(xs)
     id_arr = np.concatenate(ids)
     order = rng_s.permutation(len(id_arr))

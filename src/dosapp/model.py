@@ -203,7 +203,7 @@ def predict(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, te
 
 def save_checkpoint(path, params: ParameterSet, table: ClassEmbeddingTable | None = None,
                     meta: dict | None = None) -> None:
-    """Write parameters (and optionally the class table) bit-exactly as text."""
+    """Write parameters (and optionally the class table) bit-exactly as a tensor-record file."""
     cfg_dict = {f: getattr(params.config, f) for f in params.config.__dataclass_fields__}
     full_meta = dict(meta or {})
     records = [(p, t.data) for p, t in params.entries.items()]

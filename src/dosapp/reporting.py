@@ -19,7 +19,7 @@ import numpy as np
 
 from . import masking as mk
 from . import model as dm
-from .config import ConfigError, config_hash, read_manifest_config, write_manifest
+from .config import ConfigError, config_hash, read_manifest_config, read_text, write_manifest
 from .harness import RunResult
 
 SUMMARY_FIELDS = ("avg_acc", "forgetting", "fta", "cta", "final_task_acc",
@@ -108,8 +108,7 @@ def load_run(run_dir) -> RunRecord:
     run_dir = Path(run_dir)
     cfg = read_manifest_config(run_dir / "manifest.json")
     summary_path = run_dir / "summary.csv"
-    with open(summary_path) as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(read_text(summary_path).splitlines()))
     if len(rows) != 1:
         raise ConfigError(f"{summary_path}: must hold exactly one run")
     raw = rows[0]
@@ -120,15 +119,14 @@ def load_run(run_dir) -> RunRecord:
         raise ConfigError(f"{summary_path}: a missing or bad value: {err!r}") from None
     curve = []
     metrics_path = run_dir / "metrics.jsonl"
-    with open(metrics_path) as fh:
-        for n, line in enumerate(fh, 1):
-            try:  # a line cut short or not JSON, a row not an object, an eval row without cells
-                row = json.loads(line)
-                if row.get("type") == "eval" and row.get("checkpoint") == "post_ttl":
-                    vals = [v for v in row["row"] if v is not None]
-                    curve.append(float(np.mean(vals)))
-            except (AttributeError, KeyError, TypeError, ValueError) as err:
-                raise ConfigError(f"{metrics_path}: line {n}: {err!r}") from None
+    for n, line in enumerate(read_text(metrics_path).splitlines(), 1):
+        try:  # a line cut short or not JSON, a row not an object, an eval row without cells
+            row = json.loads(line)
+            if row.get("type") == "eval" and row.get("checkpoint") == "post_ttl":
+                vals = [v for v in row["row"] if v is not None]
+                curve.append(float(np.mean(vals)))
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"{metrics_path}: line {n}: {err!r}") from None
     return RunRecord(
         run_dir=run_dir, variant=variant, seed=seed,
         run_hash=config_hash(cfg), momenta=(cfg.gamma, cfg.lam, cfg.delta),

@@ -9,7 +9,6 @@ once: adaptation is single-pass by construction.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -81,9 +80,6 @@ def ttl_session(student, teacher, mask, pq: SmoothingVectors | None, stream: Unl
     if batch_size < 1:
         raise ValueError(f"ttl_session: batch_size must be positive, got {batch_size}")
     rows: list[dict] = []
-    if len(stream) == 0:
-        warnings.warn("empty adaptation stream; nothing to adapt")
-        return rows
     x_all, ids_all = stream.take()
     classes = tuple(sorted(class_set))
 

@@ -290,6 +290,21 @@ def test_malformed_config_file_exits_2_before_any_run(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, data", [
+    ("bad.ini", b"[run]\nepochs = 3\xff\n"),
+    ("bad.json", b'{"manifest_version": 1, "note": "\xff"}\n'),
+], ids=["ini", "manifest"])
+def test_a_config_file_that_is_not_utf8_exits_2_before_any_run(tmp_path, capsys, name, data):
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and str(bad) in err and "UTF-8" in err
+    assert not out.exists()
+
+
 def test_tampered_manifest_version_exits_2(tmp_path, capsys):
     first = run_cli(tmp_path / "a") / "dosapp" / "seed0"
     manifest = json.loads((first / "manifest.json").read_text())
@@ -347,6 +362,17 @@ def test_report_on_a_corrupt_run_file_exits_2(tmp_path, capsys, name, corrupt):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error:" in err and str(path) in err
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "summary.csv", "metrics.jsonl"])
+def test_report_on_a_run_file_that_is_not_utf8_exits_2(tmp_path, capsys, name):
+    run_dir = run_cli(tmp_path) / "dosapp" / "seed0"
+    path = run_dir / name
+    path.write_bytes(path.read_bytes() + b"\xff")
+    rc = main(["report", str(run_dir), "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and str(path) in err and "UTF-8" in err
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

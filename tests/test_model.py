@@ -175,6 +175,6 @@ def test_checkpoint_version_rejected(tiny, tmp_path):
     path = tmp_path / "model.ckpt"
     dm.save_checkpoint(path, params)
     text = path.read_text()
-    path.write_text(text.replace("dosapp-checkpoint v2", "dosapp-checkpoint v9", 1))
+    path.write_text(text.replace("dosapp-checkpoint v3", "dosapp-checkpoint v9", 1))
     with pytest.raises(ValueError, match="v9"):
         dm.load_checkpoint(path)

@@ -1,6 +1,9 @@
 """Tensor-record files: pinned bytes on disk, and rejection of cut or corrupt files."""
 
+import base64
+import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,36 +13,69 @@ import dosapp.model as dm
 from dosapp.records import read_records, write_records
 
 CHECKPOINT_TEXT = (
-    'dosapp-checkpoint v2 {"candidates": ["block0.mlp.fc1.weight"], '
+    'dosapp-checkpoint v3 {"candidates": ["block0.mlp.fc1.weight"], '
     '"config": {"block_count": 1, "embed_dim": 1, "input_dim": 2, "mlp_hidden_dim": 1, '
     '"token_count": 1, "token_dim": 2, "use_attention": false}, '
     '"meta": {"active_classes": [0, 2], "note": "golden"}}\n'
     "block0.mlp.fc1.weight shape=2,1\n"
-    "0x1.0000000000000p-1 -0x1.4000000000000p+0\n"
+    "AAAAAAAA4D8AAAAAAAD0vw==\n"
     "proj.weight shape=2,1\n"
-    "0x1.999999999999ap-4 -0x0.0p+0\n"
+    "mpmZmZmZuT8AAAAAAAAAgA==\n"
     "class_table shape=3,1\n"
-    "0x1.0000000000000p+0 -0x1.0000000000000p+0 0x1.01297d23ab683p-995\n"
-    "end\n"
+    "AAAAAAAA8D8AAAAAAADwv4O2OtKXEsAB\n"
+    "end sha256=8fde7b50a2d3731cd75a30eb336a533f512ca5e032614b59e80a619fe2514467\n"
 )
 
 MASK_TEXT = (
-    'dosapp-mask v2 {"origin": "union_reselected", "sparsity": 0.1}\n'
+    'dosapp-mask v3 {"origin": "union_reselected", "sparsity": 0.1}\n'
     "block0.mlp.fc1.weight shape=2,1\n"
-    "10\n"
+    "AQA=\n"
     "w shape=3\n"
-    "011\n"
-    "end\n"
+    "AAEB\n"
+    "end sha256=7bea2b906f92dc9c49700dbc818ef843b651431558396e6b06f13bab632d77c2\n"
 )
 
 SCORES_TEXT = (
-    'dosapp-scores v2 {"samples": 17, "task": 3}\n'
+    'dosapp-scores v3 {"samples": 17, "task": 3}\n'
     "block0.mlp.fc1.weight shape=2,1\n"
-    "0x0.0p+0 0x1.ad7f29abcaf48p-24\n"
+    "AAAAAAAAAABIr7ya8td6Pg==\n"
     "w shape=3\n"
-    "0x1.4000000000000p+1 0x1.8000000000000p-1 0x1.0000000000000p+0\n"
-    "end\n"
+    "AAAAAAAABEAAAAAAAADoPwAAAAAAAPA/\n"
+    "end sha256=b4e65aeb81d95b45bd3ce7dc12ed04abd1633425cc48ae4feca8f3f7799e1797\n"
 )
+
+# The same three files in the v2 format, which no loader reads any more.
+V2_TEXTS = {
+    "checkpoint": (
+        'dosapp-checkpoint v2 {"candidates": ["block0.mlp.fc1.weight"], '
+        '"config": {"block_count": 1, "embed_dim": 1, "input_dim": 2, "mlp_hidden_dim": 1, '
+        '"token_count": 1, "token_dim": 2, "use_attention": false}, '
+        '"meta": {"active_classes": [0, 2], "note": "golden"}}\n'
+        "block0.mlp.fc1.weight shape=2,1\n"
+        "0x1.0000000000000p-1 -0x1.4000000000000p+0\n"
+        "proj.weight shape=2,1\n"
+        "0x1.999999999999ap-4 -0x0.0p+0\n"
+        "class_table shape=3,1\n"
+        "0x1.0000000000000p+0 -0x1.0000000000000p+0 0x1.01297d23ab683p-995\n"
+        "end\n"
+    ),
+    "mask": (
+        'dosapp-mask v2 {"origin": "union_reselected", "sparsity": 0.1}\n'
+        "block0.mlp.fc1.weight shape=2,1\n"
+        "10\n"
+        "w shape=3\n"
+        "011\n"
+        "end\n"
+    ),
+    "scores": (
+        'dosapp-scores v2 {"samples": 17, "task": 3}\n'
+        "block0.mlp.fc1.weight shape=2,1\n"
+        "0x0.0p+0 0x1.ad7f29abcaf48p-24\n"
+        "w shape=3\n"
+        "0x1.4000000000000p+1 0x1.8000000000000p-1 0x1.0000000000000p+0\n"
+        "end\n"
+    ),
+}
 
 # The same three files in the v1 format, which no loader reads any more.
 V1_TEXTS = {
@@ -121,56 +157,82 @@ def _cut_lines(text, keep):
     return "".join(text.splitlines(keepends=True)[:keep])
 
 
-# Every case is a file a crash, a bad copy or an older version can leave behind.
+def _signed(body):
+    """body plus a valid end line: the damage is then seen by the check it is meant for."""
+    return body + f"end sha256={hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+def _edited(text, old, new):
+    body = text[:text.rindex("end sha256=")]
+    assert old in body
+    return _signed(body.replace(old, new))
+
+
+def _f8(*values):
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()
+
+
+# Every case is a file a crash, a bad copy, a hand edit or an older version can leave behind.
 DAMAGED_CHECKPOINTS = {
     "cut_at_record_boundary": _cut_lines(CHECKPOINT_TEXT, 5),
     "empty": "",
     "header_only": _cut_lines(CHECKPOINT_TEXT, 1),
-    "head_without_body": _cut_lines(CHECKPOINT_TEXT, 2) + "end\n",
-    "body_cut_mid_line": CHECKPOINT_TEXT[:CHECKPOINT_TEXT.index("-0x1.4")],
+    "head_without_body": _signed(_cut_lines(CHECKPOINT_TEXT, 2)),
+    "body_cut_mid_line": CHECKPOINT_TEXT[:CHECKPOINT_TEXT.index("AAAAAAAD0vw")],
     "no_final_newline": CHECKPOINT_TEXT[:-1],
-    "count_mismatch": CHECKPOINT_TEXT.replace("shape=3,1", "shape=4,1"),
-    "repeated_name": CHECKPOINT_TEXT.replace("proj.weight shape", "block0.mlp.fc1.weight shape"),
-    "bad_candidate_flag": CHECKPOINT_TEXT.replace('["block0.mlp.fc1', '["block0.mlp.fc9'),
-    "candidates_not_a_list": CHECKPOINT_TEXT.replace('["block0.mlp.fc1.weight"]', '"block0.mlp.fc1.weight"'),
-    "config_not_json": CHECKPOINT_TEXT.replace('"use_attention": false}', '"use_attention": false'),
-    "config_not_an_object": CHECKPOINT_TEXT.replace('"config": {"block_count"', '"config": [{"block_count"')
-                                           .replace('false}, "meta"', 'false}], "meta"'),
-    "config_unknown_key": CHECKPOINT_TEXT.replace('"block_count"', '"blocks"'),
-    "config_bad_value": CHECKPOINT_TEXT.replace('"embed_dim": 1', '"embed_dim": 0'),
-    "meta_not_json": CHECKPOINT_TEXT.replace('"note": "golden"', '"note": golden'),
-    "meta_not_an_object": CHECKPOINT_TEXT.replace('"meta": {"active_classes": [0, 2], "note": "golden"}',
-                                                  '"meta": [0, 2]'),
-    "active_classes_not_ids": CHECKPOINT_TEXT.replace("[0, 2], ", '"02", '),
-    "active_classes_nested": CHECKPOINT_TEXT.replace("[0, 2], ", "[[0], 2], "),
+    "changed_weight": CHECKPOINT_TEXT.replace("mpmZmZmZuT8", "mpmZmZmZuT9"),
+    "changed_digest": CHECKPOINT_TEXT.replace("sha256=8f", "sha256=9f"),
+    "count_mismatch": _edited(CHECKPOINT_TEXT, "shape=3,1", "shape=4,1"),
+    "repeated_name": _edited(CHECKPOINT_TEXT, "proj.weight shape", "block0.mlp.fc1.weight shape"),
+    "bad_candidate_flag": _edited(CHECKPOINT_TEXT, '["block0.mlp.fc1', '["block0.mlp.fc9'),
+    "candidates_not_a_list": _edited(CHECKPOINT_TEXT, '["block0.mlp.fc1.weight"]', '"block0.mlp.fc1.weight"'),
+    "config_not_json": _edited(CHECKPOINT_TEXT, '"use_attention": false}', '"use_attention": false'),
+    "config_not_an_object": _edited(_edited(CHECKPOINT_TEXT, '"config": {"block_count"', '"config": [{"block_count"'),
+                                    'false}, "meta"', 'false}], "meta"'),
+    "config_unknown_key": _edited(CHECKPOINT_TEXT, '"block_count"', '"blocks"'),
+    "config_bad_value": _edited(CHECKPOINT_TEXT, '"embed_dim": 1', '"embed_dim": 0'),
+    "meta_not_json": _edited(CHECKPOINT_TEXT, '"note": "golden"', '"note": golden'),
+    "meta_not_an_object": _edited(CHECKPOINT_TEXT, '"meta": {"active_classes": [0, 2], "note": "golden"}',
+                                  '"meta": [0, 2]'),
+    "active_classes_not_ids": _edited(CHECKPOINT_TEXT, "[0, 2], ", '"02", '),
+    "active_classes_nested": _edited(CHECKPOINT_TEXT, "[0, 2], ", "[[0], 2], "),
+    "nan_value": _edited(CHECKPOINT_TEXT, "AAAAAAAA8D8AAAAAAADwv4O2OtKXEsAB", _f8(1.0, -1.0, float("nan"))),
+    "inf_value": _edited(CHECKPOINT_TEXT, "AAAAAAAA8D8AAAAAAADwv4O2OtKXEsAB", _f8(1.0, float("-inf"), 3e-300)),
     "v1_file": V1_TEXTS["checkpoint"],
+    "v2_file": V2_TEXTS["checkpoint"],
 }
 
 DAMAGED_MASKS = {
     "empty": "",
-    "head_without_body": _cut_lines(MASK_TEXT, 4) + "end\n",
-    "body_cut_mid_line": MASK_TEXT[:MASK_TEXT.index("011") + 2],
+    "head_without_body": _signed(_cut_lines(MASK_TEXT, 4)),
+    "body_cut_mid_line": MASK_TEXT[:MASK_TEXT.index("AAEB") + 2],
     "no_final_newline": MASK_TEXT[:-1],
-    "count_mismatch": MASK_TEXT.replace("shape=3", "shape=4"),
-    "repeated_name": MASK_TEXT.replace("w shape=3", "block0.mlp.fc1.weight shape=3"),
-    "bad_bit": MASK_TEXT.replace("011", "0x1"),
-    "bad_header_attribute": MASK_TEXT.replace('"origin"', '"source"'),
-    "bad_sparsity": MASK_TEXT.replace('"sparsity": 0.1', '"sparsity": "zz"'),
+    "changed_bit": MASK_TEXT.replace("AAEB", "AQEB"),
+    "count_mismatch": _edited(MASK_TEXT, "shape=3", "shape=4"),
+    "repeated_name": _edited(MASK_TEXT, "w shape=3", "block0.mlp.fc1.weight shape=3"),
+    "bad_bit": _edited(MASK_TEXT, "AAEB", "AAIB"),
+    "bad_header_attribute": _edited(MASK_TEXT, '"origin"', '"source"'),
+    "bad_sparsity": _edited(MASK_TEXT, '"sparsity": 0.1', '"sparsity": "zz"'),
     "v1_file": V1_TEXTS["mask"],
+    "v2_file": V2_TEXTS["mask"],
 }
 
 DAMAGED_SCORES = {
     "empty": "",
-    "head_without_body": _cut_lines(SCORES_TEXT, 4) + "end\n",
-    "body_cut_mid_line": SCORES_TEXT[:SCORES_TEXT.index("0x1.0000000000000p+0")],
+    "head_without_body": _signed(_cut_lines(SCORES_TEXT, 4)),
+    "body_cut_mid_line": SCORES_TEXT[:SCORES_TEXT.index("AAAAAAAADoPw")],
     "no_final_newline": SCORES_TEXT[:-1],
-    "count_mismatch": SCORES_TEXT.replace("shape=3", "shape=2"),
-    "repeated_name": SCORES_TEXT.replace("w shape=3", "block0.mlp.fc1.weight shape=3"),
-    "bad_value": SCORES_TEXT.replace("0x1.8000000000000p-1", "0x1.8zp-1"),
-    "non_integer_task": SCORES_TEXT.replace('"task": 3', '"task": "x"'),
-    "non_integer_samples": SCORES_TEXT.replace('"samples": 17', '"samples": 1.5'),
-    "boolean_task": SCORES_TEXT.replace('"task": 3', '"task": true'),
+    "count_mismatch": _edited(SCORES_TEXT, "shape=3", "shape=2"),
+    "repeated_name": _edited(SCORES_TEXT, "w shape=3", "block0.mlp.fc1.weight shape=3"),
+    "bad_value": _edited(SCORES_TEXT, "AAAAAAAADoPw", "AAAAAAAA*oPw"),
+    "nan_value": _edited(SCORES_TEXT, "AAAAAAAAAABIr7ya8td6Pg==", _f8(float("nan"), 1e-7)),
+    "inf_value": _edited(SCORES_TEXT, "AAAAAAAAAABIr7ya8td6Pg==", _f8(0.0, float("inf"))),
+    "overflowing_hex_value": _edited(SCORES_TEXT, "AAAAAAAAAABIr7ya8td6Pg==", "0x1p+99999"),
+    "non_integer_task": _edited(SCORES_TEXT, '"task": 3', '"task": "x"'),
+    "non_integer_samples": _edited(SCORES_TEXT, '"samples": 17', '"samples": 1.5'),
+    "boolean_task": _edited(SCORES_TEXT, '"task": 3', '"task": true'),
     "v1_file": V1_TEXTS["scores"],
+    "v2_file": V2_TEXTS["scores"],
 }
 
 
@@ -210,22 +272,54 @@ def test_every_cut_is_rejected(tmp_path, kind):
             LOADERS[kind](path)
 
 
-@pytest.mark.parametrize("kind", sorted(V1_TEXTS))
-def test_a_v1_file_is_an_unsupported_header(tmp_path, kind):
+@pytest.mark.parametrize("kind", sorted(TEXTS))
+def test_every_byte_change_is_rejected(tmp_path, kind):
+    # the digest covers every byte, so even a flipped low bit inside a weight cannot load
+    path = tmp_path / "changed"
+    data = TEXTS[kind].encode()
+    for pos in range(len(data)):
+        for flip in (0x01, 0x80):  # a byte that stays ASCII, and one that is not UTF-8
+            path.write_bytes(data[:pos] + bytes([data[pos] ^ flip]) + data[pos + 1:])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                LOADERS[kind](path)
+
+
+def test_bodies_are_little_endian_bytes_under_a_digest_of_the_rest():
+    lines = CHECKPOINT_TEXT.splitlines(keepends=True)
+    assert struct.unpack("<3d", base64.b64decode(lines[6])) == (1.0, -1.0, 3e-300)
+    assert base64.b64decode(MASK_TEXT.splitlines()[2]) == b"\x01\x00"
+    for text in TEXTS.values():
+        body, end = text[:text.rindex("end ")], text[text.rindex("end "):]
+        assert end == f"end sha256={hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+def _assert_unsupported(tmp_path, kind, text):
     path = tmp_path / kind
-    path.write_text(V1_TEXTS[kind])
+    path.write_text(text)
     with pytest.raises(ValueError, match=rf"unsupported header .* in {re.escape(str(path))} "
-                                         rf"\(want 'dosapp-{kind} v2'\)"):
+                                         rf"\(want 'dosapp-{kind} v3'\)"):
         LOADERS[kind](path)
 
 
-# Each would write a file that read_records rejects or reads back shifted.
+@pytest.mark.parametrize("kind", sorted(V1_TEXTS))
+def test_a_v1_file_is_an_unsupported_header(tmp_path, kind):
+    _assert_unsupported(tmp_path, kind, V1_TEXTS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(V2_TEXTS))
+def test_a_v2_file_is_an_unsupported_header(tmp_path, kind):
+    _assert_unsupported(tmp_path, kind, V2_TEXTS[kind])
+
+
+# Each would write a file that read_records rejects, or whose lines a text-mode reader splits.
 UNREADABLE_RECORDS = {
     "zero_d_array": ("w", np.array(1.5)),
     "newline_in_name": ("a\nb", np.zeros(2)),
     "carriage_return_in_name": ("a\rb", np.zeros(2)),
     "empty_name": ("", np.zeros(2)),
     "repeated_name": ("ok", np.zeros(2)),
+    "nan_value": ("w", np.array([1.0, np.nan])),
+    "inf_value": ("w", np.array([[-np.inf]])),
 }
 
 
@@ -240,7 +334,8 @@ def test_the_writer_refuses_a_record_the_reader_cannot_read_back(tmp_path, case)
 
 def test_empty_arrays_and_odd_names_read_back(tmp_path):
     path = tmp_path / "r"
-    records = {"a shape=2": np.zeros((2, 0)), " spaced ": np.array([-0.0, np.inf]), "end": np.ones(1)}
+    records = {"a shape=2": np.zeros((2, 0)), " spaced ": np.array([-0.0, 5e-324, 1.7976931348623157e308]),
+               "end": np.ones(1)}
     write_records(path, "dosapp-scores", {}, records.items())
     attrs, back = read_records(path, "dosapp-scores", float, {})
     assert attrs == {} and list(back) == list(records)

@@ -144,12 +144,11 @@ def test_stream_is_consumed_exactly_once():
         session(student, teacher, mask, stream, table)
 
 
-def test_empty_stream_warns_and_changes_nothing():
+def test_empty_stream_changes_nothing():
     cfg, student, teacher, table, _ = ttl_fixture()
     empty = UnlabeledStream(x=np.zeros((0, cfg.input_dim)), ids=np.zeros(0, dtype=np.int64))
     before = {k: t.data.copy() for k, t in student.entries.items()}
-    with pytest.warns(UserWarning, match="empty"):
-        rows = session(student, teacher, None, empty, table)
+    rows = session(student, teacher, None, empty, table)
     assert rows == []
     for k in before:
         assert np.array_equal(student.entries[k].data, before[k])
