@@ -19,7 +19,10 @@ the expression it stands for, in the same order, so it gives the same bits.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -251,13 +254,59 @@ def relu(a) -> Tensor:
     return _record("relu", (a,), out, backward_fn)
 
 
+# The extension module that defines scipy's erf ufunc. On a 2-core Xeon VM
+# (scipy 1.17) it loads in about 1 ms and 1.1 MB of peak RSS, where
+# `from scipy.special import erf` imports the whole package: 0.22-0.27 s, 21 MB.
+_ERF_MODULE = "scipy.special._special_ufuncs"
+
+
+@functools.cache
+def _scipy_erf():
+    """scipy's erf ufunc, loaded at the first GELU without importing scipy.special.
+
+    The extension is loaded and registered under its real dotted name, so a
+    later ``import scipy.special`` reuses that module and exports this same
+    ufunc. Without the extension (older scipy), the package import is used.
+    """
+    module = sys.modules.get(_ERF_MODULE) or _load_scipy_extension(_ERF_MODULE)
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
+def _load_scipy_extension(name: str):
+    """Load one compiled module of scipy by file, skipping its packages' __init__; None if absent."""
+    import importlib.machinery
+    import importlib.util
+
+    scipy_spec = importlib.util.find_spec("scipy")   # locates scipy without running its __init__
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        return None
+    stem = os.path.join(scipy_spec.submodule_search_locations[0], *name.split(".")[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(name, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    return None
+
+
 def gelu(a) -> Tensor:
     """Exact erf-form GELU: 0.5 * a * (1 + erf(a / sqrt 2))."""
-    from scipy.special import erf  # not at module level: processes that never run a GELU skip scipy
+    erf = _scipy_erf()
     a = _as_tensor(a)
     ad = a.data
-    cdf = np.multiply(ad, _INV_SQRT2, out=np.empty_like(ad))
+    # cephes computes erf(-u) as -erf(u), so erf(|u|) with u's sign gives the
+    # bits of erf(u) for every u but NaN (a NaN input gives a NaN output either
+    # way). On the VM above, erf over a [64, 4, 64] normal input takes 222 us
+    # with the signs folded away and 278 us without.
+    cdf = np.absolute(ad, out=np.empty_like(ad))
+    cdf *= _INV_SQRT2
     erf(cdf, out=cdf)
+    np.copysign(cdf, ad, out=cdf)
     cdf += 1.0
     y = ad * 0.5
     y *= cdf

@@ -199,7 +199,9 @@ def parse_config_file(path) -> tuple[RunConfig, dict]:
     text = read_text(path)
     if text.lstrip().startswith("{"):
         return read_manifest_config(path), {}
-    parser = configparser.ConfigParser(default_section="")  # no header names "", so [DEFAULT] is unknown too
+    # no header names "", so [DEFAULT] is unknown too; without interpolation a
+    # "%" reaches the key's own parser, which names the key
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     pairs = {}
     ablate = {}
     try:

@@ -34,16 +34,6 @@ class RunAudit:
     def record_gradient_batch(self, phase: str, session: int, ids) -> None:
         self.events.append((phase, int(session), tuple(int(i) for i in ids)))
 
-    def ids_seen(self, phase: str | None = None, session: int | None = None) -> list[int]:
-        out: list[int] = []
-        for ph, se, ids in self.events:
-            if phase is not None and ph != phase:
-                continue
-            if session is not None and se != session:
-                continue
-            out.extend(ids)
-        return out
-
 
 @dataclass
 class RunResult:

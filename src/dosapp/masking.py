@@ -39,11 +39,6 @@ class Mask:
     sparsity: float
     origin: str  # "per_task" | "union_reselected"
 
-    def popcount(self, path: str | None = None) -> int:
-        if path is not None:
-            return int(self.bits[path].sum())
-        return int(sum(b.sum() for b in self.bits.values()))
-
 
 @dataclass
 class MaskHistory:

@@ -21,7 +21,7 @@ import dosapp.ema as em
 import dosapp.masking as mk
 import dosapp.model as dm
 import dosapp.ttl as tt
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, ids_seen
 from dosapp.cli import main as cli_main
 from dosapp.config import RunConfig, build_manifest, write_manifest
 from dosapp.data import build_ttl_stream, generate_tasks
@@ -310,7 +310,7 @@ def test_criterion_09_stream_and_label_discipline():
         for t in range(cfg.tasks):
             stream, _ = build_ttl_stream(schedule, t, seed, cfg.ttl_stream_scope)
             assert not hasattr(stream, "y")  # the stream type cannot carry labels
-            got = sorted(audit.ids_seen(phase="ttl", session=t))
+            got = sorted(ids_seen(audit, phase="ttl", session=t))
             assert got == sorted(stream.ids.tolist()), f"session {t}"
             checked += len(got)
 
@@ -318,21 +318,21 @@ def test_criterion_09_stream_and_label_discipline():
         eval_ids = set()
         for task in schedule.tasks:
             eval_ids.update(task.eval.ids.tolist())
-        stepped = set(audit.ids_seen())
+        stepped = set(ids_seen(audit))
         assert not (eval_ids & stepped)
 
         # supervised steps draw only on labeled training splits
         train_ids = set()
         for task in schedule.tasks:
             train_ids.update(task.train.ids.tolist())
-        assert set(audit.ids_seen(phase="supervised")) <= train_ids
+        assert set(ids_seen(audit, phase="supervised")) <= train_ids
 
         # adaptation steps draw only on the label-sealed pools
         pool_ids = set()
         for task in schedule.tasks:
             for _, ids in task.ttl_pool.values():
                 pool_ids.update(ids.tolist())
-        assert set(audit.ids_seen(phase="ttl")) <= pool_ids
+        assert set(ids_seen(audit, phase="ttl")) <= pool_ids
         rec.detail = (f"{checked} stream instances each used exactly once; "
                       f"{len(eval_ids)} holdout ids untouched; phases stay in their splits")
 

@@ -187,24 +187,71 @@ def test_gelu_matches_gaussian_cdf_form():
     assert np.allclose(out, x * norm.cdf(x), atol=1e-12)
 
 
-def test_scipy_is_loaded_at_the_first_gelu_only(tmp_path):
-    # import dosapp and a config error exit stay on numpy; scipy.special comes with gelu
+def run_fresh_python(tmp_path, body: str) -> dict:
+    """Run `body` in a new interpreter that imports dosapp from this tree; return its JSON line."""
     code = textwrap.dedent("""
         import json, math, sys
         import numpy as np
-        import dosapp, dosapp.cli
-        rc = dosapp.cli.main(["run", "--override", "ema.gamma=2"])
-        scipy_mods = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-        import dosapp.autodiff as ad
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
         x = np.linspace(-6.0, 6.0, 97)
-        out = ad.gelu(x).data
-        from scipy.special import erf
-        want = 0.5 * x * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
-        print(json.dumps({"rc": rc, "scipy": scipy_mods, "same": out.tobytes() == want.tobytes()}))
-    """)
+
+        def plain_gelu(erf):
+            return 0.5 * x * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    """) + textwrap.dedent(body)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(Path(ad.__file__).parents[1])))
-    assert json.loads(done.stdout) == {"rc": 2, "scipy": [], "same": True}
+    return json.loads(done.stdout)
+
+
+def test_scipy_is_loaded_at_the_first_gelu_only(tmp_path):
+    # import dosapp and a config error exit stay on numpy; the first gelu loads
+    # scipy's erf extension alone, and a later scipy.special reuses that ufunc
+    got = run_fresh_python(tmp_path, """
+        import dosapp, dosapp.cli
+        rc = dosapp.cli.main(["run", "--override", "ema.gamma=2"])
+        before = scipy_modules()
+        import dosapp.autodiff as ad
+        out = ad.gelu(x).data.tobytes()
+        after = scipy_modules()
+        used = ad._scipy_erf()
+        import scipy.special
+        print(json.dumps({"rc": rc, "before": before, "after": after,
+                          "same_erf": scipy.special.erf is used,
+                          "same_bits": out == plain_gelu(scipy.special.erf).tobytes(),
+                          "again": out == ad.gelu(x).data.tobytes()}))
+    """)
+    assert got == {"rc": 2, "before": [], "after": ["scipy.special._special_ufuncs"],
+                   "same_erf": True, "same_bits": True, "again": True}
+
+
+def test_gelu_after_scipy_special_uses_its_erf(tmp_path):
+    got = run_fresh_python(tmp_path, """
+        import scipy.special
+        before = scipy_modules()
+        import dosapp.autodiff as ad
+        out = ad.gelu(x).data.tobytes()
+        print(json.dumps({"same_erf": ad._scipy_erf() is scipy.special.erf,
+                          "new_modules": sorted(set(scipy_modules()) - set(before)),
+                          "same_bits": out == plain_gelu(scipy.special.erf).tobytes()}))
+    """)
+    assert got == {"same_erf": True, "new_modules": [], "same_bits": True}
+
+
+def test_gelu_without_the_erf_extension_imports_scipy_special(tmp_path):
+    # a scipy that lacks the extension (older releases) takes the package import
+    got = run_fresh_python(tmp_path, """
+        import dosapp.autodiff as ad
+        ad._ERF_MODULE = "scipy.special._no_such_ufuncs"
+        out = ad.gelu(x).data.tobytes()
+        loaded = "scipy.special" in sys.modules
+        import scipy.special
+        print(json.dumps({"loaded": loaded, "same_erf": ad._scipy_erf() is scipy.special.erf,
+                          "same_bits": out == plain_gelu(scipy.special.erf).tobytes()}))
+    """)
+    assert got == {"loaded": True, "same_erf": True, "same_bits": True}
 
 
 def test_shape_errors_name_op_and_shapes():

@@ -132,6 +132,17 @@ def test_bad_value_names_the_key(tmp_path):
         cf.parse_config_file(p)
 
 
+@pytest.mark.parametrize("section, key, raw", [
+    ("data", "samples_ttl", "%6"), ("run", "variant", "%(tasks)s"), ("ablate", "variants", "dosapp%"),
+])
+def test_a_percent_in_a_value_reaches_the_keys_own_parser(tmp_path, section, key, raw):
+    # no interpolation: the raw value is what the key's parser sees and names
+    p = tmp_path / "cfg.ini"
+    p.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(cf.ConfigError, match=re.escape(f"bad value for [{section}] {key}: {raw!r}")):
+        cf.parse_config_file(p)
+
+
 def test_overrides():
     cfg = cf.apply_overrides(cf.RunConfig(), ["ema.gamma=0.7", "run.epochs=2"])
     assert cfg.gamma == 0.7 and cfg.epochs == 2

@@ -5,6 +5,7 @@ import pytest
 
 import dosapp.harness as hz
 import dosapp.model as dm
+from conftest import ids_seen
 from dosapp.config import VARIANTS, RunConfig
 from dosapp.data import generate_tasks
 
@@ -185,8 +186,8 @@ def test_zero_capacity_buffer_matches_no_buffer():
 def test_replay_variant_sees_old_instances_again():
     audit = hz.RunAudit()
     hz.run_experiment(tiny_cfg(variant="dosapp_er", buffer_capacity=50), seed=0, audit=audit)
-    task0_train = set(audit.ids_seen(phase="supervised", session=0))
-    task1_train = set(audit.ids_seen(phase="supervised", session=1))
+    task0_train = set(ids_seen(audit, phase="supervised", session=0))
+    task1_train = set(ids_seen(audit, phase="supervised", session=1))
     assert task0_train & task1_train  # replayed ids reappear in session 1
 
 

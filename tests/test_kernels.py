@@ -120,6 +120,28 @@ def test_gelu_matches_the_plain_expressions(a, seed):
     assert np.array_equal(da, want_da, equal_nan=True)
 
 
+def test_gelu_sign_fold_matches_the_plain_erf_at_the_edges():
+    # the kernel runs erf on |a| / sqrt 2 and copies a's sign back
+    tiny = np.nextafter(0.0, 1.0)
+    one = np.sqrt(2.0)                    # |a / sqrt 2| = 1 here, where erf changes method
+    edges = [0.0, tiny, 2 * tiny, 3 * tiny, np.finfo(float).tiny,
+             np.nextafter(one, 0.0), one, np.nextafter(one, 3.0), 6.0, 40.0, np.inf]
+    rng = np.random.default_rng(20161008)
+    spread_out = rng.normal(size=10**6) * 10.0 ** rng.uniform(-300, 300, size=10**6)
+    a = np.concatenate([edges, np.negative(edges), spread_out])
+    g = rng.normal(size=a.shape)
+    with np.errstate(all="ignore"):
+        out, (da,) = backward_of(lambda: ad.gelu(ad.Tensor(a)), g)
+        e = erf(a * (1.0 / np.sqrt(2.0)))
+        pdf = np.exp(-0.5 * a * a) * (1.0 / np.sqrt(2.0 * np.pi))
+        want_out = 0.5 * a * (1.0 + e)
+        want_da = g * (0.5 * (1.0 + e) + a * pdf)
+    assert np.array_equal(out, want_out, equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(want_out))
+    assert np.array_equal(da, want_da, equal_nan=True)
+    assert np.array_equal(np.signbit(da), np.signbit(want_da))
+
+
 # ------------------------------------------------------------ layer_norm
 
 @settings(max_examples=80, deadline=None)

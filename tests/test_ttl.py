@@ -9,6 +9,7 @@ import dosapp.ttl as tt
 from dosapp.autodiff import Optimizer
 from dosapp.config import RunConfig
 from dosapp.data import UnlabeledStream
+from conftest import ids_seen
 from dosapp.masking import Mask
 from gradcheck import tiny_encoder_config
 
@@ -222,7 +223,7 @@ def test_audit_sees_every_stream_sample_once():
     audit = RunAudit()
     mask = full_candidate_mask(student)
     session(student, teacher, mask, stream, table, ema_mask=mask, audit=audit, session=3)
-    seen = audit.ids_seen(phase="ttl", session=3)
+    seen = ids_seen(audit, phase="ttl", session=3)
     assert sorted(seen) == list(range(20))
     counts = {}
     for _, _, ids in audit.events:
