@@ -8,9 +8,6 @@ to reproduce the run bit for bit.
 
 from __future__ import annotations
 
-import configparser
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -199,6 +196,7 @@ def parse_config_file(path) -> tuple[RunConfig, dict]:
     text = read_text(path)
     if text.lstrip().startswith("{"):
         return read_manifest_config(path), {}
+    import configparser
     # no header names "", so [DEFAULT] is unknown too; without interpolation a
     # "%" reaches the key's own parser, which names the key
     parser = configparser.ConfigParser(default_section="", interpolation=None)
@@ -208,15 +206,17 @@ def parse_config_file(path) -> tuple[RunConfig, dict]:
         parser.read_string(text, source=str(path))
         for section in parser.sections():
             if section not in _SECTIONS:
-                raise ConfigError(f"{path}: unknown config section [{section}]")
+                raise ConfigError(f"unknown config section [{section}]")
             for key, raw in parser.items(section):
                 if section == "ablate" and key in _ABLATE:
                     ablate[key] = _parsed(section, key, _ABLATE[key], raw)
                 else:
                     pairs[(section, key)] = raw
+        return _apply_pairs(RunConfig(), pairs), ablate
     except configparser.Error as err:  # no section header, a repeated section or key, ...
-        raise ConfigError(str(err)) from None
-    return _apply_pairs(RunConfig(), pairs), ablate
+        raise ConfigError(str(err)) from None  # it names the file as its source
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
@@ -277,6 +277,8 @@ def config_from_dict(nested: dict) -> RunConfig:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    import hashlib
+    import json
     blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
@@ -292,6 +294,7 @@ def build_manifest(cfg: RunConfig, seed: int) -> dict:
 
 
 def write_manifest(path, manifest: dict) -> None:
+    import json
     Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
@@ -316,6 +319,7 @@ def config_from_manifest(manifest: dict) -> RunConfig:
 
 def read_manifest_config(path) -> RunConfig:
     """config_from_manifest of a manifest file; every ConfigError names the file."""
+    import json
     text = read_text(path)
     try:
         return config_from_manifest(json.loads(text))

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import model as dm
 from .autodiff import Optimizer
-from .config import VARIANTS, RunConfig, VariantKnobs
+from .config import VARIANTS, RunConfig, VariantKnobs, check_cross_keys, config_from_dict, config_to_dict
 from .data import LabeledDataset, ReplayBuffer, SessionSchedule, TaskData, build_ttl_stream, generate_tasks
 from .ema import compute_pq
 from .masking import Mask, MaskHistory, ScoreMap, reselect_topk, score_parameters, select_topk, union_masks
-from .model import ClassEmbeddingTable, EncoderConfig, ParameterSet
+from .model import ClassEmbeddingTable, ParameterSet
 from .seeding import substream
 from .ttl import train_step, ttl_session
 
@@ -160,17 +160,14 @@ def _row_json(row: np.ndarray) -> list:
 
 def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> RunResult:
     """Full alternating schedule for one variant and one seed; writes nothing."""
+    # every key gets its config-file checks, so a bad value fails here, naming it, before any work
+    check_cross_keys(config_from_dict(config_to_dict(cfg)))
     knobs = VARIANTS[cfg.variant]
     if knobs.use_teacher and not (cfg.gamma < cfg.lam < cfg.delta):
         warnings.warn(f"momentum ordering [ema] gamma < [ema] lambda < [ema] delta violated "
                       f"({cfg.gamma}, {cfg.lam}, {cfg.delta}); proceeding anyway")
-    enc = EncoderConfig(
-        input_dim=cfg.input_dim, token_count=cfg.token_count, token_dim=cfg.token_dim,
-        block_count=cfg.block_count, mlp_hidden_dim=cfg.mlp_hidden_dim,
-        embed_dim=cfg.embed_dim, use_attention=cfg.use_attention,
-    )
     schedule = generate_tasks(cfg, seed)
-    student = dm.init_model(enc, seed)
+    student = dm.init_model(cfg, seed)
     teacher = student.clone() if knobs.use_teacher else None
     table = dm.init_class_table(cfg.total_classes, cfg.embed_dim, seed)
     capacity = cfg.buffer_capacity if cfg.buffer_capacity > 0 else knobs.default_buffer
@@ -184,7 +181,6 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
     metrics_rows: list[dict] = []
 
     for t, task in enumerate(schedule.tasks):
-        table.active_classes.update(task.class_ids)
         seen = schedule.seen_classes(t)
         mask, score_map = run_supervised_session(
             student, teacher, table, task, seen, knobs, cfg, seed,

@@ -9,98 +9,100 @@ masked updates; everything else stays frozen under masked training.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import RunConfig
 from .records import read_records, write_records
 from .seeding import substream
 
 CHECKPOINT_MAGIC = "dosapp-checkpoint"
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    input_dim: int = 64
-    token_count: int = 4
-    token_dim: int = 16
-    block_count: int = 2
-    mlp_hidden_dim: int = 64
-    embed_dim: int = 32
-    use_attention: bool = True
-
-    def __post_init__(self):
-        for name in ("input_dim", "token_count", "token_dim", "block_count", "mlp_hidden_dim", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"EncoderConfig.{name} must be positive")
-        if self.token_count * self.token_dim != self.input_dim:
-            raise ValueError(
-                f"token_count*token_dim must equal input_dim "
-                f"({self.token_count}*{self.token_dim} != {self.input_dim})"
-            )
-
-
 class ParameterSet:
-    """Named float64 parameter tensors plus per-tensor candidate flags.
+    """Named float64 parameter tensors.
 
-    Candidate tensors (the per-block first MLP weights) are the only ones a
-    sparse mask may select from. Iteration order is construction order and
-    is stable, which keeps every downstream loop deterministic.
+    Candidate tensors (the per-block first MLP weights, by name) are the only
+    ones a sparse mask may select from. Iteration order is construction order
+    and is stable, which keeps every downstream loop deterministic.
     """
 
-    def __init__(self, config: EncoderConfig):
-        self.config = config
+    def __init__(self):
         self.entries: dict[str, Tensor] = {}
-        self.candidate_flags: dict[str, bool] = {}
 
-    def add(self, path: str, value: np.ndarray, candidate: bool = False) -> None:
+    def add(self, path: str, value: np.ndarray) -> None:
         if path in self.entries:
             raise ValueError(f"duplicate parameter path '{path}'")
         self.entries[path] = Tensor(value)
-        self.candidate_flags[path] = candidate
 
     def candidate_paths(self) -> list[str]:
-        return [p for p, f in self.candidate_flags.items() if f]
+        return [p for p in self.entries if p.endswith(".mlp.fc1.weight")]
 
     def zero_grads(self) -> None:
         for t in self.entries.values():
             t.grad = None
 
     def clone(self) -> "ParameterSet":
-        out = ParameterSet(self.config)
+        out = ParameterSet()
         for path, t in self.entries.items():
-            out.add(path, t.data.copy(), self.candidate_flags[path])
+            out.add(path, t.data.copy())
         return out
 
 
-def init_model(cfg: EncoderConfig, seed: int) -> ParameterSet:
-    """Deterministic init: scaled-uniform weights per fan-in, identity norms."""
+@functools.lru_cache(maxsize=16)  # encode checks its encoder on every call
+def _layout(token_dim: int, hidden: int, blocks: int, attention: bool, flat: int,
+            embed: int) -> MappingProxyType[str, tuple[int, ...]]:
+    """The shape of every tensor of one encoder, by path, in init order (read-only: it is shared)."""
+    d, h = token_dim, hidden
+    attn = {"ln1.gain": (d,), "ln1.bias": (d,), "attn.q.weight": (d, d), "attn.k.weight": (d, d),
+            "attn.v.weight": (d, d), "attn.out.weight": (d, d)}
+    block = {**(attn if attention else {}), "ln2.gain": (d,), "ln2.bias": (d,),
+             "mlp.fc1.weight": (d, h), "mlp.fc1.bias": (h,), "mlp.fc2.weight": (h, d), "mlp.fc2.bias": (d,)}
+    out = {f"block{i}.{name}": shape for i in range(blocks) for name, shape in block.items()}
+    out["proj.weight"] = (flat, embed)
+    return MappingProxyType(out)
+
+
+def init_model(cfg: RunConfig, seed: int) -> ParameterSet:
+    """Deterministic init: weights uniform in +-1/sqrt(fan-in), identity norms."""
     rng = substream(seed, "init")
-    params = ParameterSet(cfg)
-    d, h = cfg.token_dim, cfg.mlp_hidden_dim
-
-    def uniform(shape, fan_in):
-        s = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-s, s, size=shape)
-
-    for i in range(cfg.block_count):
-        if cfg.use_attention:
-            params.add(f"block{i}.ln1.gain", np.ones(d))
-            params.add(f"block{i}.ln1.bias", np.zeros(d))
-            for name in ("q", "k", "v", "out"):
-                params.add(f"block{i}.attn.{name}.weight", uniform((d, d), d))
-        params.add(f"block{i}.ln2.gain", np.ones(d))
-        params.add(f"block{i}.ln2.bias", np.zeros(d))
-        params.add(f"block{i}.mlp.fc1.weight", uniform((d, h), d), candidate=True)
-        params.add(f"block{i}.mlp.fc1.bias", np.zeros(h))
-        params.add(f"block{i}.mlp.fc2.weight", uniform((h, d), h))
-        params.add(f"block{i}.mlp.fc2.bias", np.zeros(d))
-    flat = cfg.token_count * d
-    params.add("proj.weight", uniform((flat, cfg.embed_dim), flat))
+    params = ParameterSet()
+    for path, shape in _layout(cfg.token_dim, cfg.mlp_hidden_dim, cfg.block_count, cfg.use_attention,
+                               cfg.token_count * cfg.token_dim, cfg.embed_dim).items():
+        bound = 1.0 / math.sqrt(shape[0])
+        value = (np.ones(shape) if path.endswith(".gain") else np.zeros(shape) if path.endswith(".bias")
+                 else rng.uniform(-bound, bound, size=shape))
+        params.add(path, value)
     return params
+
+
+def encoder_shape(params: ParameterSet) -> tuple[int, int, int, bool]:
+    """(token_dim, token_count, block_count, use_attention) of the encoder params holds.
+
+    Read from block0.ln2.gain, block0.mlp.fc1.weight, proj.weight and the
+    block names; a ValueError if the tensors do not form that one encoder.
+    """
+    shapes = {path: t.data.shape for path, t in params.entries.items()}
+    d, h = shapes.get("block0.ln2.gain", (1,))[0], shapes.get("block0.mlp.fc1.weight", (1,))[-1]
+    flat, embed = (shapes.get("proj.weight", (1,))[i] for i in (0, -1))  # a wrong rank fails below
+    if min(d, h, flat, embed) < 1 or flat % d:
+        raise ValueError(f"no encoder has token width {d}, hidden width {h} and proj.weight {(flat, embed)}")
+    blocks = 0
+    while f"block{blocks}.ln2.gain" in shapes:
+        blocks += 1
+    attention = "block0.ln1.gain" in shapes
+    want = _layout(d, h, blocks, attention, flat, embed)
+    if shapes != want:
+        path = next(p for p in {**want, **shapes} if shapes.get(p) != want.get(p))
+        raise ValueError(f"tensor {path!r} has shape {shapes.get(path, '(absent)')} where one "
+                         f"encoder has {want.get(path, '(absent)')}")
+    return d, flat // d, blocks, attention
 
 
 @dataclass
@@ -108,7 +110,6 @@ class ClassEmbeddingTable:
     """Fixed unit-norm class embedding per class id; frozen during training."""
 
     vectors: np.ndarray  # [total_classes, embed_dim]
-    active_classes: set[int] = field(default_factory=set)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -132,16 +133,15 @@ def init_class_table(total_classes: int, embed_dim: int, seed: int) -> ClassEmbe
 
 def encode(params: ParameterSet, x) -> Tensor:
     """Embed a batch [batch, input_dim] into unit-norm rows [batch, embed_dim]."""
-    cfg = params.config
+    d, token_count, blocks, attention = encoder_shape(params)
     x = ad._as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != cfg.input_dim:
-        raise ValueError(f"encode: want [batch, {cfg.input_dim}], got {x.data.shape}")
+    if x.data.ndim != 2 or x.data.shape[1] != token_count * d:
+        raise ValueError(f"encode: want [batch, {token_count * d}], got {x.data.shape}")
     b = x.data.shape[0]
     e = params.entries
-    d = cfg.token_dim
-    tokens = ad.reshape(x, (b, cfg.token_count, d))
-    for i in range(cfg.block_count):
-        if cfg.use_attention:
+    tokens = ad.reshape(x, (b, token_count, d))
+    for i in range(blocks):
+        if attention:
             hn = ad.layer_norm(tokens, e[f"block{i}.ln1.gain"], e[f"block{i}.ln1.bias"])
             q = ad.matmul(hn, e[f"block{i}.attn.q.weight"])
             k = ad.matmul(hn, e[f"block{i}.attn.k.weight"])
@@ -153,7 +153,7 @@ def encode(params: ParameterSet, x) -> Tensor:
         hidden = ad.gelu(ad.linear(hn2, e[f"block{i}.mlp.fc1.weight"], e[f"block{i}.mlp.fc1.bias"]))
         out = ad.linear(hidden, e[f"block{i}.mlp.fc2.weight"], e[f"block{i}.mlp.fc2.bias"])
         tokens = ad.add(tokens, out)
-    flat = ad.reshape(tokens, (b, cfg.token_count * d))
+    flat = ad.reshape(tokens, (b, token_count * d))
     return ad.normalize_rows(ad.matmul(flat, e["proj.weight"]))
 
 
@@ -204,34 +204,26 @@ def predict(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, te
 def save_checkpoint(path, params: ParameterSet, table: ClassEmbeddingTable | None = None,
                     meta: dict | None = None) -> None:
     """Write parameters (and optionally the class table) bit-exactly as a tensor-record file."""
-    cfg_dict = {f: getattr(params.config, f) for f in params.config.__dataclass_fields__}
-    full_meta = dict(meta or {})
     records = [(p, t.data) for p, t in params.entries.items()]
     if table is not None:
-        full_meta["active_classes"] = sorted(int(c) for c in table.active_classes)
         records.append(("class_table", table.vectors))
-    header = {"candidates": params.candidate_paths(), "config": cfg_dict, "meta": full_meta}
+    header = {"candidates": params.candidate_paths(), "meta": meta or {}}
     write_records(path, CHECKPOINT_MAGIC, header, records)
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ClassEmbeddingTable | None, dict]:
-    """Inverse of save_checkpoint; rejects unknown versions and cut or corrupt files."""
-    header, records = read_records(path, CHECKPOINT_MAGIC, np.float64,
-                                   {"candidates": list, "config": dict, "meta": dict})
-    names = [name for name in records if name != "class_table"]
-    meta = header["meta"]
+    """Inverse of save_checkpoint; rejects unknown versions, cut or corrupt files, and
+    records that do not form one encoder."""
+    header, records = read_records(path, CHECKPOINT_MAGIC, np.float64, {"candidates": list, "meta": dict})
+    vectors = records.pop("class_table", None)
+    params = ParameterSet()
+    for name, value in records.items():
+        params.add(name, value)
     try:
-        cfg = EncoderConfig(**header["config"])
-        unknown = [c for c in header["candidates"] if c not in names]
-        if unknown:
-            raise ValueError(f"candidate {unknown[0]!r} names no tensor")
-        active = set(meta.get("active_classes", []))
-        if not all(type(c) is int for c in active):
-            raise ValueError("active_classes is not a list of class ids")
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: malformed checkpoint header ({err})") from None
-    params = ParameterSet(cfg)
-    for name in names:
-        params.add(name, records[name], name in header["candidates"])
-    table = ClassEmbeddingTable(records["class_table"], active) if "class_table" in records else None
-    return params, table, meta
+        encoder_shape(params)
+        if header["candidates"] != params.candidate_paths():
+            raise ValueError(f"candidates {header['candidates']} are not {params.candidate_paths()}")
+        table = None if vectors is None else ClassEmbeddingTable(vectors)
+    except ValueError as err:
+        raise ValueError(f"{path}: malformed checkpoint ({err})") from None
+    return params, table, header["meta"]

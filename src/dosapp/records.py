@@ -1,6 +1,6 @@
 """Tensor records: the one file format of checkpoints, masks and scores.
 
-A header line ``<magic> v3 <json object>``, then a ``<name> shape=d0,d1``
+A header line ``<magic> v4 <json object>``, then a ``<name> shape=d0,d1``
 line and a body line per tensor: the base64 of the array's raw bytes,
 little-endian float64 (bit-exact) or one byte of 0/1 per bool. The last
 line is ``end sha256=<hex>``, the digest of every byte before it, so a file
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-VERSION = "v3"
+VERSION = "v4"
 
 
 def _wire(dtype) -> np.dtype:

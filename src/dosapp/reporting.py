@@ -108,7 +108,10 @@ def load_run(run_dir) -> RunRecord:
     run_dir = Path(run_dir)
     cfg = read_manifest_config(run_dir / "manifest.json")
     summary_path = run_dir / "summary.csv"
-    rows = list(csv.DictReader(read_text(summary_path).splitlines()))
+    try:
+        rows = list(csv.DictReader(read_text(summary_path).splitlines()))
+    except csv.Error as err:  # a NUL byte, before Python 3.11
+        raise ConfigError(f"{summary_path}: {err}") from None
     if len(rows) != 1:
         raise ConfigError(f"{summary_path}: must hold exactly one run")
     raw = rows[0]

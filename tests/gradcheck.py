@@ -12,6 +12,7 @@ import numpy as np
 
 import dosapp.autodiff as ad
 import dosapp.model as dm
+from dosapp.config import RunConfig
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-8
@@ -280,8 +281,9 @@ def check_all_ops(seed=0):
 
 
 def tiny_encoder_config(use_attention=True):
-    return dm.EncoderConfig(input_dim=8, token_count=2, token_dim=4, block_count=2,
-                            mlp_hidden_dim=6, embed_dim=5, use_attention=use_attention)
+    """A RunConfig whose encoder is a tiny 2-block one."""
+    return RunConfig(input_dim=8, token_count=2, token_dim=4, block_count=2,
+                     mlp_hidden_dim=6, embed_dim=5, use_attention=use_attention)
 
 
 def check_model_gradients(seed=0, use_attention=True):

@@ -5,10 +5,7 @@ in the terminal summary (see conftest.py). Numeric thresholds here are
 contractual; loosening them is never the right fix.
 """
 
-import dataclasses
-import json
 import time
-import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 from math import ceil
@@ -21,7 +18,7 @@ import dosapp.ema as em
 import dosapp.masking as mk
 import dosapp.model as dm
 import dosapp.ttl as tt
-from conftest import ACCEPTANCE_LINES, ids_seen
+from conftest import ACCEPTANCE_LINES, ids_seen, in_workers, timed_summary
 from dosapp.cli import main as cli_main
 from dosapp.config import RunConfig, build_manifest, write_manifest
 from dosapp.data import build_ttl_stream, generate_tasks
@@ -44,28 +41,22 @@ def criterion(num, name):
     ACCEPTANCE_LINES.append(f"ACCEPTANCE criterion {num:02d} ({name}): PASS - {rec.detail}")
 
 
-def summaries_for(variant, seeds=SEEDS, **cfg_updates):
-    cfg = dataclasses.replace(RunConfig(), variant=variant, **cfg_updates)
-    return [run_experiment(cfg, s).summary for s in seeds]
-
-
 @pytest.fixture(scope="module")
 def ladder():
-    """Full-size runs shared by the comparative criteria, timed per variant."""
-    out, times = {}, {}
-    for variant in ("dosapp", "finetune_no_ttl", "teacher_student_only",
-                    "plus_union_single_momentum"):
-        t0 = time.perf_counter()
-        out[variant] = summaries_for(variant)
-        times[variant] = time.perf_counter() - t0
-    return out, times
+    """Full-size runs shared by the comparative criteria, in worker processes; per variant,
+    its summaries and the summed wall time of its runs, each timed alone."""
+    variants = ("dosapp", "finetune_no_ttl", "teacher_student_only", "plus_union_single_momentum")
+    done = iter(in_workers(timed_summary, [(RunConfig(variant=v), s) for v in variants for s in SEEDS]))
+    runs = {v: [next(done) for _ in SEEDS] for v in variants}
+    return ({v: [summary for summary, _ in r] for v, r in runs.items()},
+            {v: sum(wall for _, wall in r) for v, r in runs.items()})
 
 
 @pytest.fixture(scope="module")
 def single_momentum_runs():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # collapsed ordering warns by design
-        return summaries_for("dosapp", gamma=0.9999, lam=0.9999, delta=0.9999)
+    # the collapsed ordering warns by design, in the worker
+    cfg = RunConfig(gamma=0.9999, lam=0.9999, delta=0.9999)
+    return [summary for summary, _ in in_workers(timed_summary, [(cfg, s) for s in SEEDS])]
 
 
 # ------------------------------------------------------------ 1: gradients
@@ -153,9 +144,7 @@ def random_score_map(rng, shapes, task_id):
 def test_criterion_03_mask_selection():
     with criterion(3, "sparse mask selection") as rec:
         # exact popcount per candidate layer at each sparsity level, real pipeline
-        enc = dm.EncoderConfig(input_dim=64, token_count=4, token_dim=16, block_count=2,
-                               mlp_hidden_dim=64, embed_dim=16)
-        params = dm.init_model(enc, 0)
+        params = dm.init_model(RunConfig(embed_dim=16), 0)
         table = dm.init_class_table(4, 16, 0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(32, 64))
@@ -343,13 +332,13 @@ def test_criterion_10_manifest_reproducibility(tmp_path):
     with criterion(10, "manifest reruns are byte-identical") as rec:
         manifest_path = tmp_path / "manifest.json"
         write_manifest(manifest_path, build_manifest(RunConfig(), seed=0))
-        for sub in ("a", "b"):
-            rc = cli_main(["run", "--config", str(manifest_path),
-                           "--out", str(tmp_path / sub)])
+        for sub in ("a", "b"):  # each replay in a fresh process of its own
+            argv = ["run", "--config", str(manifest_path), "--out", str(tmp_path / sub)]
+            (rc,) = in_workers(cli_main, [(argv,)])
             assert rc == 0
         names = ("R_postttl.csv", "R_postsup.csv", "summary.csv")
         for name in names:
             fa = (tmp_path / "a" / "dosapp" / "seed0" / name).read_bytes()
             fb = (tmp_path / "b" / "dosapp" / "seed0" / name).read_bytes()
             assert fa == fb, name
-        rec.detail = f"two executions agree byte-for-byte on {', '.join(names)}"
+        rec.detail = f"two executions in two processes agree byte-for-byte on {', '.join(names)}"

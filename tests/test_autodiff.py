@@ -51,9 +51,9 @@ def test_model_gradients_match_finite_differences(use_attention):
     check_model_gradients(seed=3, use_attention=use_attention)
 
 
-def _model_grads(params, table, wrt):
+def _model_grads(params, table, wrt, input_dim):
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(6, params.config.input_dim))
+    x = rng.normal(size=(6, input_dim))
     params.zero_grads()
     with ad.Graph(wrt=wrt) as g:
         loss = dm.model_loss(params, table, x, [0, 1, 2, 3, 1, 0], [0, 1, 2, 3],
@@ -64,14 +64,14 @@ def _model_grads(params, table, wrt):
 
 
 @pytest.mark.parametrize("wanted", ["candidates", "every_parameter", "one_late_tensor"])
-@pytest.mark.parametrize("cfg", [tiny_encoder_config(), dm.EncoderConfig()], ids=["tiny", "default"])
+@pytest.mark.parametrize("cfg", [tiny_encoder_config(), RunConfig()], ids=["tiny", "default"])
 def test_wrt_graph_gives_the_same_gradients_on_a_shorter_tape(cfg, wanted):
     params = dm.init_model(cfg, 4)
     table = dm.init_class_table(4, cfg.embed_dim, 4)
     paths = {"candidates": params.candidate_paths(), "every_parameter": list(params.entries),
              "one_late_tensor": ["block1.attn.q.weight"]}[wanted]
-    full_nodes, full = _model_grads(params, table, None)
-    nodes, grads = _model_grads(params, table, [params.entries[p] for p in paths])
+    full_nodes, full = _model_grads(params, table, None, cfg.input_dim)
+    nodes, grads = _model_grads(params, table, [params.entries[p] for p in paths], cfg.input_dim)
     assert nodes < full_nodes
     for path in params.entries:
         if path in paths:

@@ -273,6 +273,9 @@ MALFORMED_CONFIG_FILES = {
     "repeated_key.ini": "[run]\nepochs = 3\nepochs = 4\n",
     "not_json.json": '{"config": {"run": {"epochs": 3}}\n',
     "unknown_empty_section.ini": "[bogus]\n",
+    "bad_value.ini": "[optimizer]\nlearning_rate = 0.0x\n",
+    "unknown_key.ini": "[run]\nbogus_key = 1\n",
+    "bad_ablate_value.ini": "[ablate]\nvariants = dosapp nope\n",
     "json_list.json": "[1, 2]\n",
     "bad_value_manifest.json": BAD_GAMMA_MANIFEST,
 }
@@ -383,23 +386,22 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
 
 def test_the_front_end_loads_no_numpy_and_no_run_stack(monkeypatch):
     # argv parsing, config checks, --help and config errors need only cli and
-    # config; numpy and the model come with the first command that runs one
+    # config; numpy and the model come with the first command that runs one,
+    # and configparser, hashlib and json with the first INI file or manifest
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     from workloads import WORKLOADS
 
     specs = {name: (str(spec["ini"]) if spec["ini"] else None, list(spec["overrides"]))
-             for name, spec in WORKLOADS.items()}
-    code = textwrap.dedent("""
-        import contextlib, io, json, sys
+             for name, spec in sorted(WORKLOADS.items(), key=lambda item: item[1]["ini"] is not None)}
+    code = f"SPECS = {specs!r}\n" + textwrap.dedent("""
+        import contextlib, io, sys
         def loaded():
             return sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")
+                          or m in ("configparser", "hashlib", "json")
                           or m.startswith("dosapp.") and m not in ("dosapp.cli", "dosapp.config"))
         import dosapp, dosapp.cli
         from dosapp.config import RunConfig, apply_overrides, parse_config_file
         seen = {"import": loaded()}
-        for name, (ini, overrides) in json.loads(sys.argv[1]).items():
-            apply_overrides(parse_config_file(ini)[0] if ini else RunConfig(), overrides)
-            seen[name] = loaded()
         with contextlib.redirect_stdout(io.StringIO()) as shown:
             try:
                 dosapp.cli.main(["--help"])
@@ -408,15 +410,20 @@ def test_the_front_end_loads_no_numpy_and_no_run_stack(monkeypatch):
         seen["help"] = loaded()
         rc = dosapp.cli.main(["run", "--override", "ema.gamma=2"])
         seen["config_error"] = loaded()
+        for name, (ini, overrides) in SPECS.items():  # the workloads without an INI file first
+            apply_overrides(parse_config_file(ini)[0] if ini else RunConfig(), overrides)
+            seen[name] = loaded()
+        import json
         print(json.dumps({"help": (help_exit, "usage: dosapp" in shown.getvalue()), "rc": rc,
                           "seen": seen}))
     """)
-    done = subprocess.run([sys.executable, "-c", code, json.dumps(specs)], capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, cwd=Path(__file__).parents[1],
                           env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")))
     assert json.loads(done.stdout) == {
         "help": [0, True], "rc": 2,
-        "seen": {name: [] for name in ("import", *WORKLOADS, "help", "config_error")}}
+        "seen": {"import": [], "help": [], "config_error": [],
+                 **{name: ["configparser"] if ini else [] for name, (ini, _) in specs.items()}}}
 
 
 # ------------------------------------------------------------ ablate + report

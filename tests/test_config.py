@@ -132,6 +132,25 @@ def test_bad_value_names_the_key(tmp_path):
         cf.parse_config_file(p)
 
 
+@pytest.mark.parametrize("text", [
+    "[optimizer]\nlearning_rate = 0.0x\n", "[run]\nbogus_key = 1\n", "[ablate]\nvariants = nope\n",
+    "[ablate]\nmomentum_grid = 0.8\n", "[bogus]\n", "epochs = 3\n", "[run]\nepochs = 3\nepochs = 4\n",
+], ids=["bad_value", "unknown_key", "bad_ablate_value", "bad_grid", "unknown_section", "no_section",
+        "repeated_key"])
+def test_every_error_of_a_config_file_names_the_file(tmp_path, text):
+    p = tmp_path / "cfg.ini"
+    p.write_text(text)
+    with pytest.raises(cf.ConfigError, match=re.escape(str(p))):
+        cf.parse_config_file(p)
+
+
+def test_an_override_error_names_no_file():
+    with pytest.raises(cf.ConfigError, match=re.escape("bad value for [optimizer] learning_rate: '0.0x' (")):
+        cf.apply_overrides(cf.RunConfig(), ["optimizer.learning_rate=0.0x"])
+    with pytest.raises(cf.ConfigError, match=r"^unknown config key \[run\] bogus_key$"):
+        cf.apply_overrides(cf.RunConfig(), ["run.bogus_key=1"])
+
+
 @pytest.mark.parametrize("section, key, raw", [
     ("data", "samples_ttl", "%6"), ("run", "variant", "%(tasks)s"), ("ablate", "variants", "dosapp%"),
 ])

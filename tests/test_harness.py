@@ -91,12 +91,9 @@ def test_metrics_reject_non_square():
 def test_cloned_teacher_evaluates_identically():
     cfg = tiny_cfg()
     sched = generate_tasks(cfg, 0)
-    enc = dm.EncoderConfig(input_dim=16, token_count=2, token_dim=8, block_count=2,
-                           mlp_hidden_dim=12, embed_dim=8)
-    student = dm.init_model(enc, 0)
+    student = dm.init_model(cfg, 0)
     teacher = student.clone()
     table = dm.init_class_table(8, 8, 0)
-    table.active_classes.update(range(8))
     lc = cfg.temperature
     rs = hz.evaluate(student, table, sched, 1, lc)
     rt = hz.evaluate(teacher, table, sched, 1, lc)
@@ -106,9 +103,7 @@ def test_cloned_teacher_evaluates_identically():
 
 def test_evaluate_leaves_future_tasks_nan():
     sched = generate_tasks(tiny_cfg(), 0)
-    enc = dm.EncoderConfig(input_dim=16, token_count=2, token_dim=8, block_count=2,
-                           mlp_hidden_dim=12, embed_dim=8)
-    student = dm.init_model(enc, 0)
+    student = dm.init_model(tiny_cfg(), 0)
     table = dm.init_class_table(8, 8, 0)
     row = hz.evaluate(student, table, sched, 0, 0.07)
     assert not np.isnan(row[0]) and np.isnan(row[1])
@@ -148,10 +143,7 @@ def test_teacher_student_only_trains_unmasked():
 def test_non_candidate_parameters_never_move_in_masked_run():
     cfg = tiny_cfg(variant="dosapp")
     res = hz.run_experiment(cfg, seed=0)
-    fresh = dm.init_model(dm.EncoderConfig(
-        input_dim=cfg.input_dim, token_count=cfg.token_count, token_dim=cfg.token_dim,
-        block_count=cfg.block_count, mlp_hidden_dim=cfg.mlp_hidden_dim,
-        embed_dim=cfg.embed_dim, use_attention=cfg.use_attention), 0)
+    fresh = dm.init_model(cfg, 0)
     candidates = set(res.student.candidate_paths())
     moved = []
     for path, entry in res.student.entries.items():
@@ -221,9 +213,7 @@ def test_eval_rows_present_at_both_checkpoints():
 def test_restricting_to_fewer_classes_never_hurts_accuracy():
     # scoring against only the true task's classes is an easier problem
     sched = generate_tasks(tiny_cfg(), 3)
-    enc = dm.EncoderConfig(input_dim=16, token_count=2, token_dim=8, block_count=2,
-                           mlp_hidden_dim=12, embed_dim=8)
-    params = dm.init_model(enc, 3)
+    params = dm.init_model(tiny_cfg(), 3)
     table = dm.init_class_table(8, 8, 3)
     lc = 0.07  # temperature
     ev = sched.tasks[0].eval
@@ -239,9 +229,7 @@ def test_non_finite_loss_stops_supervised_session_before_the_step():
     sched = generate_tasks(cfg, 0)
     task = sched.tasks[0]
     task.train.x[5, 2] = np.nan
-    enc = dm.EncoderConfig(input_dim=16, token_count=2, token_dim=8, block_count=2,
-                           mlp_hidden_dim=12, embed_dim=8)
-    student = dm.init_model(enc, 0)
+    student = dm.init_model(cfg, 0)
     teacher = student.clone()
     fresh = student.clone()
     table = dm.init_class_table(8, 8, 0)

@@ -332,6 +332,6 @@ def test_mask_header_rejected(tmp_path):
     mask = mk.Mask(bits={"w": np.array([True])}, sparsity=1.0, origin="per_task")
     path = tmp_path / "m.mask"
     mk.save_mask(path, mask)
-    path.write_text(path.read_text().replace("dosapp-mask v3", "dosapp-mask v9", 1))
+    path.write_text(path.read_text().replace("dosapp-mask v4", "dosapp-mask v9", 1))
     with pytest.raises(ValueError):
         mk.load_mask(path)

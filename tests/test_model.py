@@ -1,10 +1,16 @@
 """Encoder, class table, logits, and checkpoint round-trips."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 import dosapp.autodiff as ad
+import dosapp.harness as hz
 import dosapp.model as dm
+from dosapp.config import ConfigError, RunConfig
+from dosapp.records import read_records, write_records
 from gradcheck import tiny_encoder_config
 
 LOGIT = 0.07  # temperature
@@ -18,13 +24,15 @@ def tiny():
     return cfg, params, table
 
 
-def test_encoder_config_validation():
-    with pytest.raises(ValueError, match="token_count"):
-        dm.EncoderConfig(input_dim=8, token_count=3, token_dim=4, block_count=1,
-                         mlp_hidden_dim=4, embed_dim=4)
-    with pytest.raises(ValueError):
-        dm.EncoderConfig(input_dim=8, token_count=2, token_dim=4, block_count=0,
-                         mlp_hidden_dim=4, embed_dim=4)
+def test_encoder_config_validation(monkeypatch):
+    # run_experiment checks the encoder's keys before it draws any data
+    def no_data(*args):
+        raise AssertionError("generate_tasks ran")
+    monkeypatch.setattr(hz, "generate_tasks", no_data)
+    for updates, key in (({"token_count": 3}, "[model] token_count"),
+                         ({"block_count": 0}, "[model] block_count"), ({"embed_dim": -1}, "[model] embed_dim")):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            hz.run_experiment(RunConfig(**updates), seed=0)
 
 
 def test_init_is_deterministic_and_seed_sensitive():
@@ -148,7 +156,6 @@ def test_predict_returns_raw_class_ids(tiny):
 
 def test_checkpoint_round_trip_bit_exact(tiny, tmp_path):
     cfg, params, table = tiny
-    table.active_classes.update({0, 1, 2})
     path = tmp_path / "model.ckpt"
     dm.save_checkpoint(path, params, table, meta={"note": "fixture"})
     loaded, loaded_table, meta = dm.load_checkpoint(path)
@@ -157,7 +164,6 @@ def test_checkpoint_round_trip_bit_exact(tiny, tmp_path):
         assert np.array_equal(loaded.entries[p].data, params.entries[p].data), p
     assert set(loaded.candidate_paths()) == set(params.candidate_paths())
     assert np.array_equal(loaded_table.vectors, table.vectors)
-    assert loaded_table.active_classes == {0, 1, 2}
     assert meta["note"] == "fixture"
 
 
@@ -175,6 +181,60 @@ def test_checkpoint_version_rejected(tiny, tmp_path):
     path = tmp_path / "model.ckpt"
     dm.save_checkpoint(path, params)
     text = path.read_text()
-    path.write_text(text.replace("dosapp-checkpoint v3", "dosapp-checkpoint v9", 1))
+    path.write_text(text.replace("dosapp-checkpoint v4", "dosapp-checkpoint v9", 1))
     with pytest.raises(ValueError, match="v9"):
         dm.load_checkpoint(path)
+
+
+def _rewritten(path, edit):
+    """The checkpoint at path, rewritten under its own header with edit(records) as its records."""
+    with open(path, "rb") as fh:
+        attrs = json.loads(fh.readline().decode().split(" ", 2)[2])
+    _, records = read_records(path, dm.CHECKPOINT_MAGIC, np.float64, {k: type(v) for k, v in attrs.items()})
+    write_records(path, dm.CHECKPOINT_MAGIC, attrs, list(edit(records).items()))
+
+
+def _without(*names):
+    return lambda records: {k: v for k, v in records.items() if k not in names}
+
+
+def _with(name, value):
+    return lambda records: {**records, name: value}
+
+
+def _renamed(old, new):
+    return lambda records: {k.replace(old, new): v for k, v in records.items()}
+
+
+NOT_ONE_ENCODER = {
+    "block_lacks_a_tensor": _without("block1.mlp.fc2.bias"),
+    "block_lacks_attention": _without("block1.attn.q.weight"),
+    "no_projection": _without("proj.weight"),
+    "unknown_tensor": _with("block0.mlp.fc3.weight", np.zeros((4, 4))),
+    "gap_in_block_numbers": _renamed("block1.", "block2."),
+    "shapes_do_not_chain": _with("block1.mlp.fc2.weight", np.zeros((6, 5))),
+    "gain_and_bias_differ": _with("block0.ln2.bias", np.zeros(5)),
+    "projection_rows_not_tokens": _with("proj.weight", np.zeros((9, 5))),
+    "one_d_projection": _with("proj.weight", np.zeros(8)),
+    "one_d_weight": _with("block0.attn.k.weight", np.zeros(16)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ONE_ENCODER))
+def test_a_checkpoint_that_is_not_one_encoder_is_rejected(tiny, tmp_path, case):
+    _, params, table = tiny
+    path = tmp_path / "model.ckpt"
+    dm.save_checkpoint(path, params, table)
+    _rewritten(path, NOT_ONE_ENCODER[case])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        dm.load_checkpoint(path)
+
+
+def test_a_rewritten_checkpoint_that_is_one_encoder_loads(tiny, tmp_path):
+    # the rewrite itself is sound: unedited, the file loads to the same tensors
+    _, params, table = tiny
+    path = tmp_path / "model.ckpt"
+    dm.save_checkpoint(path, params, table)
+    _rewritten(path, dict)
+    loaded, _, _ = dm.load_checkpoint(path)
+    assert all(np.array_equal(loaded.entries[p].data, t.data) for p, t in params.entries.items())
