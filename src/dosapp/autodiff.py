@@ -2,8 +2,8 @@
 
 Define-by-run: ops executed while a Graph is active append tape nodes to it;
 ``backward`` replays the tape in reverse creation order (creation order is a
-topological order by construction). Ops executed with no active graph just
-compute values, which is how evaluation paths run.
+topological order by construction) and consumes it as it goes. Ops executed
+with no active graph just compute values, which is how evaluation paths run.
 
 ``Graph(wrt=tensors)`` differentiates only what depends on those tensors: an
 op is taped only if one of its inputs does, and it skips the vector-Jacobian
@@ -81,12 +81,18 @@ class Graph:
     wrt=None tapes every op and differentiates every input. Otherwise ``live``
     holds the ids of the wrt tensors and of every taped output, all kept
     alive by the graph, so an id in it cannot be reused.
+
+    ``backward`` consumes the tape: it pops each node once the node's
+    gradients are passed on, which frees the activations its VJP saved and
+    the intermediate grads no one else holds. Afterwards ``nodes`` is empty,
+    ``consumed`` is set, and a second ``backward`` raises.
     """
 
     def __init__(self, wrt=None):
         self.nodes: list[Node] = []
         self.wrt = None if wrt is None else tuple(wrt)
         self.live = None if wrt is None else {id(t) for t in self.wrt}
+        self.consumed = False
 
     def __enter__(self) -> "Graph":
         _ACTIVE.append(self)
@@ -488,9 +494,11 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 
 
 def normalize_rows(a) -> Tensor:
-    """Scale each row (last axis) to unit L2 norm; rows must be nonzero."""
+    """Scale each row (last axis) to unit L2 norm; a row of zero norm is a ValueError."""
     a = _as_tensor(a)
     n = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
+    if not n.all():                       # a NaN norm passes, to fail as a non-finite loss
+        raise ValueError(f"normalize_rows: row {np.flatnonzero(n == 0.0)[0]} has zero norm")
     y = a.data / n
     out = Tensor(y)
 
@@ -552,19 +560,23 @@ def backward(loss: Tensor, graph: Graph) -> None:
     Grads add onto whatever is already stored, so callers zero parameter
     grads between passes; loss must be 0-d. A first gradient is stored as
     the op returned it, possibly shared with other grads; later ones make a
-    new array.
+    new array. The tape is consumed, last node first, so a graph can be
+    differentiated once.
     """
     if loss.data.ndim != 0:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+    if graph.consumed:
+        raise RuntimeError("backward: this graph's tape was consumed by an earlier backward")
+    graph.consumed = True
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(graph.nodes):
+    nodes = graph.nodes
+    while nodes:
+        node = nodes.pop()    # dropping the node frees what only its VJP held
         g = node.output.grad
-        if g is None:
-            continue
-        grads = node.backward_fn(g)
-        for t, gi in zip(node.inputs, grads):
-            if gi is not None:
-                t.grad = gi if t.grad is None else t.grad + gi
+        if g is not None:
+            for t, gi in zip(node.inputs, node.backward_fn(g)):
+                if gi is not None:
+                    t.grad = gi if t.grad is None else t.grad + gi
 
 
 # ---------------------------------------------------------------- optimizers

@@ -67,38 +67,37 @@ class SessionSchedule:
 
 
 def generate_tasks(cfg: RunConfig, seed: int) -> SessionSchedule:
-    """Draw all class clouds and split them by cfg's [data] keys; fully determined by seed."""
-    rng = substream(seed, "data")
-    n_classes = cfg.tasks * cfg.classes_per_task
-    per_class = cfg.samples_train + cfg.samples_ttl + cfg.samples_eval
-    next_id = 0
-    by_class: dict[int, tuple[np.ndarray, ...]] = {}
-    for c in range(n_classes):
-        mean = rng.standard_normal(cfg.input_dim)
-        mean /= np.linalg.norm(mean)
-        samples = mean * cfg.cluster_separation + rng.standard_normal(
-            (per_class, cfg.input_dim)) * cfg.noise_sigma
-        ids = np.arange(next_id, next_id + per_class, dtype=np.int64)
-        next_id += per_class
-        a, b = cfg.samples_train, cfg.samples_train + cfg.samples_ttl
-        by_class[c] = (samples[:a], ids[:a], samples[a:b], ids[a:b], samples[b:], ids[b:])
+    """Draw all class clouds and split them by cfg's [data] keys; fully determined by seed.
 
+    Classes are drawn in id order and each draw is copied straight into its
+    task's train, pool and holdout arrays; each class's pool is a view of
+    its task's pool array.
+    """
+    rng = substream(seed, "data")
+    k = cfg.classes_per_task
+    sizes = (cfg.samples_train, cfg.samples_ttl, cfg.samples_eval)
+    starts = (0, sizes[0], sizes[0] + sizes[1])
     tasks = []
     for t in range(cfg.tasks):
-        cls = tuple(range(t * cfg.classes_per_task, (t + 1) * cfg.classes_per_task))
-        tr_x = np.concatenate([by_class[c][0] for c in cls])
-        tr_y = np.concatenate([np.full(cfg.samples_train, c, dtype=np.int64) for c in cls])
-        tr_i = np.concatenate([by_class[c][1] for c in cls])
-        ev_x = np.concatenate([by_class[c][4] for c in cls])
-        ev_y = np.concatenate([np.full(cfg.samples_eval, c, dtype=np.int64) for c in cls])
-        ev_i = np.concatenate([by_class[c][5] for c in cls])
-        pool = {c: (by_class[c][2], by_class[c][3]) for c in cls}
+        labels = np.arange(t * k, (t + 1) * k, dtype=np.int64)
+        xs = [np.empty((k * n, cfg.input_dim)) for n in sizes]
+        for j in range(k):
+            mean = rng.standard_normal(cfg.input_dim)
+            mean /= np.linalg.norm(mean)
+            samples = mean * cfg.cluster_separation + rng.standard_normal(
+                (sum(sizes), cfg.input_dim)) * cfg.noise_sigma
+            for x, n, lo in zip(xs, sizes, starts):
+                x[j * n:(j + 1) * n] = samples[lo:lo + n]
+        # class c owns ids [c * sum(sizes), (c + 1) * sum(sizes)), split in the same order
+        ids = [(labels[:, None] * sum(sizes) + np.arange(lo, lo + n)).ravel() for n, lo in zip(sizes, starts)]
+        n = cfg.samples_ttl
         tasks.append(TaskData(
             task_id=t,
-            class_ids=cls,
-            train=LabeledDataset(tr_x, tr_y, tr_i),
-            ttl_pool=pool,
-            eval=LabeledDataset(ev_x, ev_y, ev_i),
+            class_ids=tuple(labels.tolist()),
+            train=LabeledDataset(xs[0], np.repeat(labels, sizes[0]), ids[0]),
+            ttl_pool={c: (xs[1][j * n:(j + 1) * n], ids[1][j * n:(j + 1) * n])
+                      for j, c in enumerate(labels.tolist())},
+            eval=LabeledDataset(xs[2], np.repeat(labels, sizes[2]), ids[2]),
         ))
     return SessionSchedule(tasks=tasks)
 
@@ -151,24 +150,30 @@ def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int, 
         counts = {c: len(pools[c][1]) for c in class_ids}
 
     rng_s = substream(master_seed, "shuffle", f"ttl-session{session}")
-    xs, ids = [], []
+    picks = {}
     for c in class_ids:
+        k, size = counts[c], len(pools[c][1])
+        if 0 < k < size:
+            picks[c] = rng_s.choice(size, size=k, replace=False)
+            picks[c].sort()
+        elif k:
+            picks[c] = slice(None)
+    # The stream is the picked rows concatenated in class order, then permuted
+    # by `order`; each class's rows are scattered straight to their positions.
+    n = sum(counts.values())
+    order = rng_s.permutation(n)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(n)
+    x = np.empty((n, pools[class_ids[0]][0].shape[1]))
+    ids = np.empty(n, dtype=np.int64)
+    start = 0
+    for c, pick in picks.items():
         px, pi = pools[c]
-        k = counts[c]
-        if k == 0:
-            continue
-        if k < len(pi):
-            pick = rng_s.choice(len(pi), size=k, replace=False)
-            pick.sort()
-            xs.append(px[pick])
-            ids.append(pi[pick])
-        else:
-            xs.append(px)
-            ids.append(pi)
-    x = np.concatenate(xs)
-    id_arr = np.concatenate(ids)
-    order = rng_s.permutation(len(id_arr))
-    return UnlabeledStream(x[order], id_arr[order]), counts
+        dest = pos[start:start + counts[c]]
+        x[dest] = px[pick]
+        ids[dest] = pi[pick]
+        start += counts[c]
+    return UnlabeledStream(x, ids), counts
 
 
 class ReplayBuffer:

@@ -212,8 +212,8 @@ def save_checkpoint(path, params: ParameterSet, table: ClassEmbeddingTable | Non
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ClassEmbeddingTable | None, dict]:
-    """Inverse of save_checkpoint; rejects unknown versions, cut or corrupt files, and
-    records that do not form one encoder."""
+    """Inverse of save_checkpoint; rejects unknown versions, cut or corrupt files, records
+    that do not form one encoder, and a class table it cannot score against."""
     header, records = read_records(path, CHECKPOINT_MAGIC, np.float64, {"candidates": list, "meta": dict})
     vectors = records.pop("class_table", None)
     params = ParameterSet()
@@ -223,6 +223,10 @@ def load_checkpoint(path) -> tuple[ParameterSet, ClassEmbeddingTable | None, dic
         encoder_shape(params)
         if header["candidates"] != params.candidate_paths():
             raise ValueError(f"candidates {header['candidates']} are not {params.candidate_paths()}")
+        embed = params.entries["proj.weight"].shape[1]
+        if vectors is not None and (vectors.ndim != 2 or vectors.shape[1] != embed or not vectors.any(axis=1).all()):
+            raise ValueError(f"class_table of shape {vectors.shape} is not nonzero rows as wide as "
+                             f"proj.weight's {embed} columns")   # nan and inf failed in read_records
         table = None if vectors is None else ClassEmbeddingTable(vectors)
     except ValueError as err:
         raise ValueError(f"{path}: malformed checkpoint ({err})") from None

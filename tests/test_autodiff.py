@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +59,9 @@ def _model_grads(params, table, wrt, input_dim):
     with ad.Graph(wrt=wrt) as g:
         loss = dm.model_loss(params, table, x, [0, 1, 2, 3, 1, 0], [0, 1, 2, 3],
                              temperature=0.07)
+    taped = len(g.nodes)   # read before backward, which consumes the tape
     ad.backward(loss, g)
-    return len(g.nodes), {p: None if t.grad is None else t.grad.copy()
-                          for p, t in params.entries.items()}
+    return taped, {p: None if t.grad is None else t.grad.copy() for p, t in params.entries.items()}
 
 
 @pytest.mark.parametrize("wanted", ["candidates", "every_parameter", "one_late_tensor"])
@@ -85,10 +86,46 @@ def test_wrt_graph_tapes_nothing_that_does_not_depend_on_wrt():
     with ad.Graph(wrt=[a]) as g:
         c = ad.add(frozen, b)
         loss = ad.mean(ad.add(ad.scale(c, 2.0), a))
-    ad.backward(loss, g)
     assert [n.kind for n in g.nodes] == ["add", "mean"]
+    ad.backward(loss, g)
     assert np.array_equal(a.grad, [0.5, 0.5])
     assert b.grad is None and frozen.grad is None and c.grad is None
+
+
+def _saved_by_vjp(node):
+    """The arrays a node's VJP closes over that are not its inputs' values."""
+    inputs = {id(t.data) for t in node.inputs}
+    cells = node.backward_fn.__closure__ or ()
+    return [c.cell_contents for c in cells
+            if isinstance(c.cell_contents, np.ndarray) and id(c.cell_contents) not in inputs]
+
+
+def test_backward_frees_what_each_node_saved_once_it_has_passed_the_node():
+    rng = np.random.default_rng(2)
+    x, w = ad.Tensor(rng.normal(size=(3, 4))), ad.Tensor(rng.normal(size=(4, 4)))
+    with ad.Graph() as g:
+        loss = ad.cross_entropy_from_logits(ad.gelu(ad.matmul(x, w)), [0, 1, 2])
+    assert [n.kind for n in g.nodes] == ["matmul", "gelu", "cross_entropy_from_logits"]
+    # the arrays the gelu and loss VJPs saved, the gelu output (its grad is an
+    # intermediate grad) and, last, the matmul output
+    refs = [weakref.ref(a) for n in g.nodes[1:] for a in _saved_by_vjp(n)]
+    refs += [weakref.ref(g.nodes[1].output), weakref.ref(g.nodes[0].output)]
+    assert len(refs) >= 6
+    first = g.nodes[0]
+    original, alive = first.backward_fn, []
+
+    def probe(grad):   # runs last, after backward has passed every other node
+        alive.extend(r() is not None for r in refs[:-1])
+        return original(grad)
+
+    first.backward_fn = probe
+    del first
+    ad.backward(loss, g)
+    assert alive and not any(alive)
+    assert refs[-1]() is None   # the matmul output, once its own node is gone
+    assert g.nodes == [] and w.grad is not None
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.backward(loss, g)
 
 
 def test_shared_first_gradients_are_never_mutated_in_place():
@@ -161,6 +198,31 @@ def test_linear_and_dead_relu_gradients():
         loss = ad.mean(ad.relu(v))
     ad.backward(loss, g)
     assert v.grad[0] == 0.0
+
+
+def test_normalize_rows_rejects_a_row_of_zero_norm():
+    with pytest.raises(ValueError, match="normalize_rows: row 2 has zero norm"):
+        ad.normalize_rows(np.array([[[1.0, 2.0], [3.0, 0.0]], [[0.0, 0.0], [0.0, -1e-3]]]))
+
+
+def test_normalize_rows_keeps_the_bits_of_nonzero_rows_and_passes_nan_rows_on():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(7, 5)) * 10.0 ** rng.uniform(-150, 150, size=(7, 1))
+    assert np.array_equal(ad.normalize_rows(a).data, a / np.sqrt((a * a).sum(axis=-1, keepdims=True)))
+    a[3, 1] = np.nan
+    out = ad.normalize_rows(a).data
+    assert np.isnan(out[3]).all() and np.isfinite(np.delete(out, 3, axis=0)).all()
+
+
+def test_predict_on_an_all_zero_input_row_raises_instead_of_guessing():
+    # zero biases map a zero input to a zero embedding, which has no direction
+    cfg = RunConfig()
+    params = dm.init_model(cfg, 0)
+    table = dm.init_class_table(4, cfg.embed_dim, 0)
+    x = np.random.default_rng(1).normal(size=(3, cfg.input_dim))
+    x[1] = 0.0
+    with pytest.raises(ValueError, match="zero norm"):
+        dm.predict(params, table, x, [0, 1, 2, 3], temperature=0.07)
 
 
 # ------------------------------------------------------------ forward fixtures

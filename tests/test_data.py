@@ -1,10 +1,15 @@
 """Synthetic class-incremental data: splits, streams, imbalance, replay."""
 
+import itertools
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import dosapp.data as dd
 from dosapp.config import RunConfig
+from dosapp.seeding import substream
 
 
 def small_cfg(**kw):
@@ -196,6 +201,105 @@ def test_dirichlet_stream_respects_composition():
     for i in stream.ids.tolist():
         realized[id_to_class[i]] = realized.get(id_to_class[i], 0) + 1
     assert realized == {c: n for c, n in comp.items() if n > 0}
+
+
+# ------------------------------------------------------------ one copy of each array
+
+def _concatenated_splits(cfg, seed):
+    """Per task: train, pool and holdout (x, y, ids), drawn class by class and then concatenated."""
+    rng = substream(seed, "data")
+    sizes = (cfg.samples_train, cfg.samples_ttl, cfg.samples_eval)
+    draws = []
+    for c in range(cfg.tasks * cfg.classes_per_task):
+        mean = rng.standard_normal(cfg.input_dim)
+        mean /= np.linalg.norm(mean)
+        draws.append(mean * cfg.cluster_separation
+                     + rng.standard_normal((sum(sizes), cfg.input_dim)) * cfg.noise_sigma)
+    out = []
+    for t in range(cfg.tasks):
+        cls = range(t * cfg.classes_per_task, (t + 1) * cfg.classes_per_task)
+        splits = []
+        for k, n in enumerate(sizes):
+            lo = sum(sizes[:k])
+            splits.append((np.concatenate([draws[c][lo:lo + n] for c in cls]),
+                           np.concatenate([np.full(n, c, dtype=np.int64) for c in cls]),
+                           np.concatenate([np.arange(c * sum(sizes) + lo, c * sum(sizes) + lo + n)
+                                           for c in cls])))
+        out.append(splits)
+    return out
+
+
+def _concatenated_stream(schedule, session, master_seed, scope, imbalance_mode, dirichlet_alpha):
+    """The stream as its parts concatenated in class order, then a permuted copy of that."""
+    tasks = schedule.tasks[: session + 1] if scope == "seen" else [schedule.tasks[session]]
+    pools = {c: pool for t in tasks for c, pool in t.ttl_pool.items()}
+    class_ids = sorted(pools)
+    counts = {c: len(pools[c][1]) for c in class_ids}
+    if imbalance_mode == "dirichlet":
+        alpha = (float(len(schedule.tasks[session].class_ids)) if dirichlet_alpha is None
+                 else dirichlet_alpha)
+        counts = dd.sample_imbalanced_ttl(class_ids, counts, alpha,
+                                          substream(master_seed, "dirichlet", f"session{session}"))
+    rng = substream(master_seed, "shuffle", f"ttl-session{session}")
+    xs, ids = [], []
+    for c in class_ids:
+        px, pi = pools[c]
+        pick = np.arange(len(pi))
+        if 0 < counts[c] < len(pi):
+            pick = np.sort(rng.choice(len(pi), size=counts[c], replace=False))
+        if counts[c]:
+            xs.append(px[pick])
+            ids.append(pi[pick])
+    x, id_arr = np.concatenate(xs), np.concatenate(ids)
+    order = rng.permutation(len(id_arr))
+    return x[order], id_arr[order], counts
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("workload", ["adapt_default", "supervised_wide", "ablate_sweep"])
+def test_splits_and_streams_match_the_concatenate_then_permute_construction(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+
+    cfg = workloads.resolve_config(workload)
+    for seed in (0, 1, 2):
+        schedule = dd.generate_tasks(cfg, seed)
+        for task, (train, pool, holdout) in zip(schedule.tasks, _concatenated_splits(cfg, seed)):
+            for got, want in ((task.train, train), (task.eval, holdout)):
+                assert all(map(_same_bytes, (got.x, got.y, got.ids), want))
+            assert _same_bytes(np.concatenate([x for x, _ in task.ttl_pool.values()]), pool[0])
+            assert _same_bytes(np.concatenate([i for _, i in task.ttl_pool.values()]), pool[2])
+            bases = {id(x.base) for x, _ in task.ttl_pool.values()}   # views of one pool array
+            assert len(bases) == 1 and next(iter(task.ttl_pool.values()))[0].base.shape == pool[0].shape
+        for session, scope, (mode, alpha) in itertools.product(
+                range(cfg.tasks), ("seen", "current"),
+                (("balanced", None), ("dirichlet", None), ("dirichlet", 0.3))):
+            stream, counts = dd.build_ttl_stream(schedule, session, seed, scope, mode, alpha)
+            x, ids, want_counts = _concatenated_stream(schedule, session, seed, scope, mode, alpha)
+            assert counts == want_counts
+            assert _same_bytes(stream.x, x) and _same_bytes(stream.ids, ids), (seed, session, scope, mode)
+
+
+@pytest.mark.parametrize("mode, alpha", [("balanced", None), ("dirichlet", None), ("dirichlet", 0.3)])
+@pytest.mark.parametrize("scope", ["seen", "current"])
+def test_build_ttl_stream_holds_one_copy_of_the_stream(scope, mode, alpha):
+    cfg = RunConfig()
+    schedule = dd.generate_tasks(cfg, 0)
+    last = cfg.tasks - 1
+    dd.build_ttl_stream(schedule, last, 0, scope, mode, alpha)  # first-call costs stay out
+    tracemalloc.start()
+    try:
+        stream, _ = dd.build_ttl_stream(schedule, last, 0, scope, mode, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # slack: the permutation and its inverse (two more id-sized arrays, and
+    # one while the inverse is made), one class's picked rows, and 16 KB
+    slack = 3 * stream.ids.nbytes + cfg.samples_ttl * cfg.input_dim * 8 + (16 << 10)
+    assert peak <= stream.x.nbytes + stream.ids.nbytes + slack
 
 
 # ------------------------------------------------------------ replay buffer

@@ -230,6 +230,25 @@ def test_a_checkpoint_that_is_not_one_encoder_is_rejected(tiny, tmp_path, case):
         dm.load_checkpoint(path)
 
 
+BAD_CLASS_TABLES = {
+    "narrower_than_the_embedding": lambda v: v[:, :-1],
+    "square_and_too_narrow": lambda v: v[:3, :3],
+    "wider_than_the_embedding": lambda v: np.hstack([v, v[:, :1]]),
+    "zero_row": lambda v: np.vstack([v[:2], np.zeros((1, v.shape[1])), v[3:]]),
+    "one_d": lambda v: v.ravel(),
+}  # a nan or inf entry fails in the record reader, which names the file too
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CLASS_TABLES))
+def test_a_class_table_that_the_encoder_cannot_score_against_is_rejected(tiny, tmp_path, case):
+    _, params, table = tiny
+    path = tmp_path / "model.ckpt"
+    dm.save_checkpoint(path, params, table)
+    _rewritten(path, lambda records: {**records, "class_table": BAD_CLASS_TABLES[case](records["class_table"])})
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*class_table"):
+        dm.load_checkpoint(path)
+
+
 def test_a_rewritten_checkpoint_that_is_one_encoder_loads(tiny, tmp_path):
     # the rewrite itself is sound: unedited, the file loads to the same tensors
     _, params, table = tiny
