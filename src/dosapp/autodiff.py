@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import OPTIMIZER_KINDS, RunConfig
+from .config import RunConfig
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -590,8 +590,6 @@ class Optimizer:
     """
 
     def __init__(self, cfg: RunConfig):
-        if cfg.optimizer_kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer kind '{cfg.optimizer_kind}'")
         self.cfg = cfg
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}

@@ -27,7 +27,10 @@ def _load_config(args) -> tuple[RunConfig, dict]:
 def _run_and_persist(cfg: RunConfig, seed: int, out_root: Path, name: str | None = None) -> Path:
     from .harness import run_experiment  # looked up per call, so a patched attribute is the one run
     from .reporting import persist_run
-    result = run_experiment(cfg, seed)
+    try:
+        result = run_experiment(cfg, seed)
+    except FloatingPointError as err:  # the run diverged; main reports it in one line
+        raise FloatingPointError(f"{name or cfg.variant} seed={seed}: {err}") from None
     run_dir = out_root / (name or cfg.variant) / f"seed{seed}"
     persist_run(run_dir, build_manifest(cfg, seed), result)
     return run_dir
@@ -142,6 +145,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except FloatingPointError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

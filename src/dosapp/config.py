@@ -104,7 +104,7 @@ def _key(section: str, key: str, default, parse):
     return field(default=default, metadata={"key": (section, key), "parse": parse})
 
 
-# the values of [optimizer] kind, [ttl] stream_scope and [ttl] imbalance, also read by autodiff and data
+# the values of [optimizer] kind, [ttl] stream_scope and [ttl] imbalance
 OPTIMIZER_KINDS = ("adamw", "sgd")
 STREAM_SCOPES = ("seen", "current")
 IMBALANCE_MODES = ("balanced", "dirichlet")
@@ -149,6 +149,15 @@ class RunConfig:
     gamma: float = _key("ema", "gamma", 0.8, _unit_fraction)
     lam: float = _key("ema", "lambda", 0.9, _unit_fraction)
     seeds: tuple[int, ...] = _key("run", "seeds", (0,), _list_of(int))
+
+    def __post_init__(self):
+        """Hold only values a config file could: each value is what its key's parser reads from its text."""
+        for f in fields(self):
+            section, key = f.metadata["key"]
+            value = getattr(self, f.name)
+            parsed = _parsed(section, key, f.metadata["parse"], _manifest_text(key, value))
+            if type(parsed) is not type(value) or parsed != value:
+                raise ConfigError(f"bad value for [{section}] {key}: {value!r} (its text reads as {parsed!r})")
 
 
 # (section, key) -> the RunConfig field it sets
@@ -262,10 +271,10 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def _manifest_text(key: str, value) -> str:
-    """The INI text of a manifest's JSON value: null is none, the seed list is joined."""
+    """The INI text of a manifest's JSON value or a field's value: null is none, the seed list is joined."""
     if value is None:
         return "none"
-    if key == "seeds" and isinstance(value, list):
+    if key == "seeds" and isinstance(value, (list, tuple)):
         return " ".join(str(v) for v in value)
     return str(value)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import IMBALANCE_MODES, STREAM_SCOPES, RunConfig
+from .config import RunConfig
 from .seeding import substream
 
 
@@ -108,8 +108,6 @@ def sample_imbalanced_ttl(class_ids, pool_sizes, alpha: float, rng: np.random.Ge
 
     Counts are capped by each class pool; zero counts are allowed.
     """
-    if alpha <= 0.0:
-        raise ValueError("dirichlet alpha must be positive")
     class_ids = list(class_ids)
     props = rng.dirichlet([alpha] * len(class_ids))
     total = int(sum(pool_sizes[c] for c in class_ids))
@@ -130,10 +128,6 @@ def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int, 
     means classes_per_task). Returns the stream plus its per-class
     composition (generator-side bookkeeping, not visible to the learner).
     """
-    if scope not in STREAM_SCOPES:
-        raise ValueError(f"unknown ttl stream scope '{scope}'")
-    if imbalance_mode not in IMBALANCE_MODES:
-        raise ValueError(f"unknown imbalance mode '{imbalance_mode}'")
     current = schedule.tasks[session]
     task_range = schedule.tasks[: session + 1] if scope == "seen" else [current]
     pools: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -180,8 +174,6 @@ class ReplayBuffer:
     """Reservoir sample over every labeled example offered so far."""
 
     def __init__(self, capacity: int, seed: int = 0):
-        if capacity < 0:
-            raise ValueError("capacity must be nonnegative")
         self.capacity = capacity
         self.n_seen = 0
         self._x: list[np.ndarray] = []

@@ -32,11 +32,8 @@ def compute_pq(mask, low: float, delta: float) -> SmoothingVectors:
 
     Selected coordinates get p = low, the phase's low momentum; the rest get
     p = delta, the high momentum. q = 1 - p coordinatewise by construction of
-    the affine form. Both momenta must lie in (0, 1].
+    the affine form. Both momenta lie in (0, 1], as their [ema] keys do.
     """
-    for name, v in (("low", low), ("delta", delta)):
-        if not (0.0 < v <= 1.0):
-            raise ValueError(f"compute_pq: {name} momentum must lie in (0, 1], got {v}")
     p: dict[str, np.ndarray] = {}
     q: dict[str, np.ndarray] = {}
     if mask is not None:

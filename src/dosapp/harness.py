@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model as dm
 from .autodiff import Optimizer
-from .config import VARIANTS, RunConfig, VariantKnobs, check_cross_keys, config_from_dict, config_to_dict
+from .config import VARIANTS, RunConfig, VariantKnobs, check_cross_keys
 from .data import LabeledDataset, ReplayBuffer, SessionSchedule, TaskData, build_ttl_stream, generate_tasks
 from .ema import compute_pq
 from .masking import Mask, MaskHistory, ScoreMap, reselect_topk, score_parameters, select_topk, union_masks
@@ -160,8 +160,8 @@ def _row_json(row: np.ndarray) -> list:
 
 def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> RunResult:
     """Full alternating schedule for one variant and one seed; writes nothing."""
-    # every key gets its config-file checks, so a bad value fails here, naming it, before any work
-    check_cross_keys(config_from_dict(config_to_dict(cfg)))
+    # each key was checked when cfg was built; the rules that tie keys together fail here, before any work
+    check_cross_keys(cfg)
     knobs = VARIANTS[cfg.variant]
     if knobs.use_teacher and not (cfg.gamma < cfg.lam < cfg.delta):
         warnings.warn(f"momentum ordering [ema] gamma < [ema] lambda < [ema] delta violated "

@@ -123,8 +123,6 @@ class ClassEmbeddingTable:
 
 def init_class_table(total_classes: int, embed_dim: int, seed: int) -> ClassEmbeddingTable:
     """Random unit-norm class embeddings, drawn from the data substream."""
-    if total_classes < 1:
-        raise ValueError("total_classes must be positive")
     rng = substream(seed, "data", "class-table")
     v = rng.standard_normal((total_classes, embed_dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)

@@ -56,9 +56,11 @@ def write_metrics_jsonl(path, rows: list[dict]) -> None:
 
 
 def persist_run(run_dir, manifest: dict, result: RunResult) -> None:
-    """Write one finished run's artifacts; an earlier run's go first, files never written here stay."""
+    """Write one finished run's artifacts; an earlier run's go first, files never written here stay.
+    The manifest goes first and is written last, so load_run rejects a directory cut off midway."""
     run_dir = Path(run_dir)
     mask_dir = run_dir / "masks"
+    (run_dir / "manifest.json").unlink(missing_ok=True)
     (run_dir / "teacher.ckpt").unlink(missing_ok=True)
     for old in mask_dir.glob("*"):
         if re.fullmatch(r"task\d+\.(mask|scores)|ttl_final\.mask", old.name):
@@ -66,7 +68,6 @@ def persist_run(run_dir, manifest: dict, result: RunResult) -> None:
     if mask_dir.is_dir() and not any(mask_dir.iterdir()):
         mask_dir.rmdir()
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(run_dir / "manifest.json", manifest)
     write_metrics_jsonl(run_dir / "metrics.jsonl", result.metrics_rows)
     write_r_matrix_csv(run_dir / "R_postttl.csv", result.r_post_ttl)
     write_r_matrix_csv(run_dir / "R_postsup.csv", result.r_post_sup)
@@ -81,6 +82,7 @@ def persist_run(run_dir, manifest: dict, result: RunResult) -> None:
             mk.save_scores(mask_dir / f"task{scores.task_id}.scores", scores)
         if result.final_ttl_mask is not None:
             mk.save_mask(mask_dir / "ttl_final.mask", result.final_ttl_mask)
+    write_manifest(run_dir / "manifest.json", manifest)
 
 
 @dataclass
@@ -165,30 +167,15 @@ def _display_group(records: list[RunRecord]) -> dict[str, list[RunRecord]]:
 
 
 def _shared_seed_pairs(a: list[RunRecord], b: list[RunRecord]) -> list[tuple[RunRecord, RunRecord]]:
-    by_seed_b = {r.seed: r for r in b}
-    return [(r, by_seed_b[r.seed]) for r in a if r.seed in by_seed_b]
-
-
-def _canonical_method_runs(runs: list[RunRecord]) -> list[RunRecord]:
-    """Momentum-sensitivity arms reuse the method's variant name, so variant
-    comparisons keep only runs with the canonical ordering (supervised low <
-    adaptation low < high), one per seed."""
-    ordered = [r for r in runs if r.momenta[0] < r.momenta[1] < r.momenta[2]]
-    out: dict[int, RunRecord] = {}
-    for r in sorted(ordered, key=lambda r: (r.seed, r.momenta)):
-        out.setdefault(r.seed, r)
-    return list(out.values())
+    """Runs of a and b at the same seed and momenta: a momentum-grid arm reuses
+    the method's variant name, and pairs only with runs at its own momenta."""
+    by_key_b = {(r.seed, r.momenta): r for r in b}
+    return [(r, by_key_b[(r.seed, r.momenta)]) for r in a if (r.seed, r.momenta) in by_key_b]
 
 
 def evaluate_trends(records: list[RunRecord]) -> list[dict]:
     """Directional checks across variants; only evaluable ones are emitted."""
     groups = _group_by(records, lambda r: r.variant)
-    dosapp_all = list(groups.get("dosapp", []))
-    if "dosapp" in groups:
-        groups = dict(groups)
-        method_runs = _canonical_method_runs(groups["dosapp"])
-        if method_runs:
-            groups["dosapp"] = method_runs
     verdicts = []
 
     if "dosapp" in groups and "finetune_no_ttl" in groups:
@@ -226,7 +213,7 @@ def evaluate_trends(records: list[RunRecord]) -> list[dict]:
                 "detail": f"median avg_acc {a_d:.4f} vs {a_t:.4f}",
             })
 
-    by_momenta = _group_by(dosapp_all, lambda r: r.momenta)
+    by_momenta = _group_by(groups.get("dosapp", []), lambda r: r.momenta)
     single = [m for m in by_momenta if m[0] == m[2] and m[1] == m[2]]
     dual = [m for m in by_momenta if m not in single]
     if single and dual:

@@ -23,13 +23,14 @@ def train_step(student, teacher, opt: Optimizer, mask, pq, build_loss, where: st
 
     Only the tensors the step changes are differentiated. A non-finite loss
     or gradient raises FloatingPointError naming `where` before anything is
-    updated. teacher=None skips the blend. Returns the loss.
+    updated, in place of numpy's warnings. teacher=None skips the blend. Returns the loss.
     """
     student.zero_grads()
     stepped = [student.entries[p] for p in (student.entries if mask is None else mask.bits)]
-    with Graph(wrt=stepped) as tape:
-        loss = build_loss()
-    backward(loss, tape)
+    with np.errstate(all="ignore"):
+        with Graph(wrt=stepped) as tape:
+            loss = build_loss()
+        backward(loss, tape)
     if not (math.isfinite(loss.item())
             and all(t.grad is None or np.isfinite(t.grad).all() for t in stepped)):
         raise FloatingPointError(f"non-finite loss or gradient in {where}")
@@ -77,8 +78,6 @@ def ttl_session(student, teacher, mask, pq: SmoothingVectors | None, stream: Unl
     Logits cover class_set. Mutates student/teacher in place and returns one
     routing row per batch of batch_size stream samples.
     """
-    if batch_size < 1:
-        raise ValueError(f"ttl_session: batch_size must be positive, got {batch_size}")
     rows: list[dict] = []
     x_all, ids_all = stream.take()
     classes = tuple(sorted(class_set))

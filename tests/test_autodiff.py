@@ -526,8 +526,7 @@ def test_missing_grad_raises_with_path():
 
 
 def test_optimizer_config_validation():
-    # the value ranges are RunConfig's parse-time checks; the kind is checked
-    # here too, so no other value can silently run AdamW
+    # a RunConfig is checked when it is built, so no other kind can reach Optimizer and run AdamW
     with pytest.raises(ValueError, match="rmsprop"):
         ad.Optimizer(RunConfig(optimizer_kind="rmsprop", learning_rate=0.1))
 

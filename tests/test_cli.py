@@ -1,8 +1,11 @@
 """End-to-end CLI: artifacts, reproducibility, error codes, reports."""
 
 import csv
+import itertools
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -11,10 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dosapp.masking as mk
+import dosapp.model as dm
+import dosapp.reporting as rp
 from dosapp.cli import main
-from dosapp.config import RunConfig, apply_overrides, build_manifest
+from dosapp.config import ConfigError, RunConfig, apply_overrides, build_manifest
 from dosapp.harness import run_experiment
-from dosapp.reporting import persist_run
+from dosapp.reporting import load_run, persist_run
 
 
 TINY = [
@@ -135,6 +141,57 @@ def test_a_rerun_leaves_only_its_own_files_and_the_users(tmp_path):
     assert _files(d) == ["R_postsup.csv", "R_postttl.csv", "manifest.json", "metrics.jsonl",
                          "notes.txt", "student.ckpt", "summary.csv"]
     assert not (d / "masks").exists()
+
+
+class Interrupted(Exception):
+    pass
+
+
+# every function persist_run writes a file with
+WRITERS = [(rp, "write_manifest"), (rp, "write_metrics_jsonl"), (rp, "write_r_matrix_csv"),
+           (rp, "write_summary_csv"), (dm, "save_checkpoint"), (mk, "save_mask"), (mk, "save_scores")]
+
+
+def test_a_rerun_cut_off_at_any_write_leaves_one_run_or_none(tmp_path, monkeypatch):
+    # a rerun with other epochs is cut off before each of its writes in turn; load_run must
+    # then reject the directory naming the file, or read one whole run, never a mix of two
+    cfgs = {"old": apply_overrides(RunConfig(), [*TINY, "run.epochs=1"]),
+            "new": apply_overrides(RunConfig(), TINY)}
+    results = {name: run_experiment(cfg, 0) for name, cfg in cfgs.items()}
+    whole = {}
+    for name, cfg in cfgs.items():
+        persist_run(tmp_path / name, build_manifest(cfg, 0), results[name])
+        whole[name] = {f: (tmp_path / name / f).read_bytes() for f in _files(tmp_path / name)}
+    calls = []
+
+    def cut_at(n, write):
+        def cut(*args):
+            calls.append(write)
+            if len(calls) == n:
+                raise Interrupted(n)
+            return write(*args)
+        return cut
+
+    for n in itertools.count(1):
+        d = shutil.copytree(tmp_path / "old", tmp_path / f"cut{n}")
+        calls.clear()
+        with monkeypatch.context() as patch:
+            for module, name in WRITERS:
+                patch.setattr(module, name, cut_at(n, getattr(module, name)))
+            try:
+                persist_run(d, build_manifest(cfgs["new"], 0), results["new"])
+            except Interrupted:
+                pass
+        try:
+            load_run(d)
+        except (ConfigError, OSError) as err:
+            assert len(calls) == n and str(d / "manifest.json") in str(err)
+        else:
+            assert {f: (d / f).read_bytes() for f in _files(d)} in (whole["old"], whole["new"])
+        if len(calls) < n:  # the rerun was not cut off: it is whole
+            assert {f: (d / f).read_bytes() for f in _files(d)} == whole["new"]
+            break
+    assert len(calls) == 12  # 4 text files, 2 checkpoints, 5 mask and scores files, the manifest
 
 
 # ------------------------------------------------------------ error paths
@@ -378,6 +435,18 @@ def test_report_on_a_run_file_that_is_not_utf8_exits_2(tmp_path, capsys, name):
     assert "config error:" in err and str(path) in err and "UTF-8" in err
 
 
+def test_a_diverging_run_exits_3_in_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", "--seeds", "0", "--out", str(out),
+               *tiny_args("optimizer.learning_rate=1e300", "run.epochs=1")])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"run failed: dosapp seed=0: non-finite loss or gradient in "
+                        r"supervised session 0 epoch 0 batch \d+\n", captured.err)
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -504,6 +573,22 @@ def test_grid_arm_equal_to_the_ladder_counts_each_run_once(tmp_path):
         with open(out / "dosapp" / f"seed{seed}" / "summary.csv") as fh:
             ladder.append(float(next(csv.DictReader(fh))["avg_acc"]))
     assert float(rows["dosapp"]["avg_acc_mean"]) == float(np.mean(ladder))
+
+
+def test_trends_compare_the_ladder_run_not_a_grid_arm(tmp_path):
+    # the 0.3:0.4 arm is a dosapp run too; finetune_no_ttl ran at the ladder's momenta only
+    cfg = tmp_path / "ablate.ini"
+    cfg.write_text("[ablate]\nvariants = dosapp finetune_no_ttl\nmomentum_grid = 0.3:0.4\n")
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", str(cfg), "--seeds", "0", "--out", str(out), *tiny_args()]) == 0
+    forgetting = {}
+    for arm in ("dosapp", "finetune_no_ttl", "momentum-g0.3-l0.4"):
+        with open(out / arm / "seed0" / "summary.csv") as fh:
+            forgetting[arm] = float(next(csv.DictReader(fh))["forgetting"])
+    assert forgetting["dosapp"] != forgetting["momentum-g0.3-l0.4"]
+    trend = next(line for line in (out / "report" / "trends.txt").read_text().splitlines()
+                 if "adaptation_reduces_forgetting" in line)
+    assert f"forgetting {forgetting['dosapp']:.4f} vs {forgetting['finetune_no_ttl']:.4f}" in trend
 
 
 def test_report_counts_a_run_from_two_invocations_once(tmp_path):

@@ -11,9 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dosapp.config as cf
-from dosapp.autodiff import OPTIMIZER_KINDS
-from dosapp.data import IMBALANCE_MODES, STREAM_SCOPES
-from dosapp.harness import VARIANTS
+from dosapp.config import IMBALANCE_MODES, OPTIMIZER_KINDS, STREAM_SCOPES, VARIANTS
 
 
 SAMPLE_INI = """\
@@ -206,10 +204,31 @@ def test_out_of_range_values_name_the_key(override):
         cf.apply_overrides(cf.RunConfig(), [override])
 
 
-def test_every_value_the_owner_modules_allow_parses():
-    from dosapp.autodiff import OPTIMIZER_KINDS
-    from dosapp.data import IMBALANCE_MODES, STREAM_SCOPES
+# per RunConfig field, values out of its key's range or of the wrong type; a field without one fails to collect
+BAD_FIELD_VALUES = {
+    "variant": ["dosapp_v9"], "sparsity_c": [0.0, -0.1, 1.5], "score_sample_cap": [0, 2.0],
+    "buffer_capacity": [-1], "total_classes": [0], "tasks": [0], "classes_per_task": [-1],
+    "samples_train": [0], "samples_ttl": [0], "samples_eval": [0], "input_dim": [0],
+    "cluster_separation": [-1.0, float("inf")], "noise_sigma": [-1.0], "token_count": [0],
+    "token_dim": [2.5], "block_count": [0], "mlp_hidden_dim": [0], "embed_dim": [-1],
+    "use_attention": [1, "yes"], "temperature": [0.0], "optimizer_kind": ["rmsprop", "SGD"],
+    "learning_rate": [-1.0, 1, "0.1"], "beta1": [1.0], "beta2": [-0.1], "epsilon": [0.0],
+    "weight_decay": [-0.01], "epochs": [0], "batch_size": [0, True], "ttl_batch_size": [0, -4],
+    "ttl_stream_scope": ["all"], "ttl_imbalance": ["zipf"], "dirichlet_alpha": [0.0, -1.0],
+    "delta": [0.0, 1.0001], "gamma": [2.0, 0.0, 1.5, float("nan")], "lam": [0.0],
+    "seeds": [[0], (), (0.5,), "0"],
+}
 
+
+@pytest.mark.parametrize("section_key, name, value", [
+    pytest.param(f.metadata["key"], f.name, v, id=f"{f.name}={v!r}")
+    for f in fields(cf.RunConfig) for v in BAD_FIELD_VALUES[f.name]])
+def test_a_config_built_in_code_is_checked_when_built(section_key, name, value):
+    with pytest.raises(cf.ConfigError, match=re.escape("[{}] {}".format(*section_key))):
+        cf.RunConfig(**{name: value})
+
+
+def test_every_value_the_owner_modules_allow_parses():
     for attr, section_key, allowed in (("variant", "run.variant", VARIANTS),
                                        ("ttl_stream_scope", "ttl.stream_scope", STREAM_SCOPES),
                                        ("ttl_imbalance", "ttl.imbalance", IMBALANCE_MODES),

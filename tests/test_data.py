@@ -92,11 +92,6 @@ def test_clusters_are_separable_when_noise_is_small():
     assert hits / total >= 0.99
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError, match="imbalance"):
-        dd.build_ttl_stream(dd.generate_tasks(small_cfg(), 0), 0, master_seed=0, imbalance_mode="zipf")
-
-
 # ------------------------------------------------------------ imbalance
 
 def test_dirichlet_proportions_sum_to_one():
@@ -124,12 +119,6 @@ def test_large_alpha_is_near_uniform_small_alpha_is_skewed():
     assert starved >= 80  # low alpha concentrates mass on few classes
 
 
-def test_dirichlet_alpha_must_be_positive():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="alpha"):
-        dd.sample_imbalanced_ttl([0, 1], {0: 5, 1: 5}, alpha=0.0, rng=rng)
-
-
 # ------------------------------------------------------------ stream assembly
 
 def test_stream_scope_and_length():
@@ -142,8 +131,6 @@ def test_stream_scope_and_length():
     assert set(comp_cur) == {4, 5, 6, 7}
     assert set(comp_seen) == {0, 1, 2, 3, 4, 5, 6, 7}
     assert sum(comp_seen.values()) == len(seen)
-    with pytest.raises(ValueError, match="scope"):
-        dd.build_ttl_stream(sched, 0, master_seed=0, scope="all")
 
 
 def test_stream_is_shuffled_and_deterministic():
@@ -332,8 +319,6 @@ def test_zero_capacity_buffer_is_inert():
     assert len(buf) == 0 and buf.n_seen == 0
     with pytest.raises(ValueError, match="empty"):
         buf.sample(1)
-    with pytest.raises(ValueError):
-        dd.ReplayBuffer(capacity=-1)
 
 
 def test_reservoir_is_unbiased_enough():

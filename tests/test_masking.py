@@ -106,12 +106,6 @@ def test_scoring_sample_cap_and_errors():
     assert np.array_equal(capped.scores["block0.mlp.fc1.weight"],
                           solo.scores["block0.mlp.fc1.weight"])
     assert capped.sample_count == 1
-    with pytest.raises(ValueError, match="empty"):
-        mk.score_parameters(params, make_dataset(x[:0]), fc1_loss, batch_size=4)
-    with pytest.raises(ValueError):
-        mk.score_parameters(params, ds, fc1_loss, batch_size=4, sample_cap=0)
-    with pytest.raises(ValueError):
-        mk.score_parameters(params, ds, fc1_loss, batch_size=0)
 
 
 # ------------------------------------------------------------ selection
@@ -168,13 +162,6 @@ def test_zero_scores_never_selected_with_enough_positive_competitors():
     scores[positives] = [0.5, 1.0, 2.0, 0.25]
     mask = mk.select_topk(score_map({"w": scores}), 0.2)  # k = 4
     assert np.array_equal(np.sort(np.flatnonzero(mask.bits["w"])), positives)
-
-
-def test_sparsity_validation():
-    sm = score_map({"w": np.ones(4)})
-    for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            mk.select_topk(sm, bad)
 
 
 # ------------------------------------------------------------ union + reselect
