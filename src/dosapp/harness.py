@@ -19,7 +19,7 @@ from .autodiff import Optimizer
 from .config import VARIANTS, RunConfig, VariantKnobs, check_cross_keys
 from .data import LabeledDataset, ReplayBuffer, SessionSchedule, TaskData, build_ttl_stream, generate_tasks
 from .ema import compute_pq
-from .masking import Mask, MaskHistory, ScoreMap, reselect_topk, score_parameters, select_topk, union_masks
+from .masking import Mask, MaskHistory, reselect_topk, score_parameters, select_topk, union_masks
 from .model import ClassEmbeddingTable, ParameterSet
 from .seeding import substream
 from .ttl import train_step, ttl_session
@@ -55,7 +55,7 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
                            knobs: VariantKnobs, cfg: RunConfig, seed: int,
                            buffer: ReplayBuffer | None = None, audit: RunAudit | None = None,
                            metrics_rows: list[dict] | None = None,
-                           ) -> tuple[Mask | None, ScoreMap | None]:
+                           ) -> tuple[Mask | None, dict[str, np.ndarray] | None]:
     """One labeled session: (optional) score+select a mask, then train.
 
     Scoring runs before any update of this session, on this session's data
@@ -66,13 +66,13 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
     restrict = sorted(seen_classes)
 
     mask = None
-    score_map = None
+    scores = None
     if knobs.use_mask:
         def loss_fn(p, xb, yb):
             return dm.model_loss(p, table, xb, yb, restrict, cfg.temperature)
-        score_map = score_parameters(student, task.train, loss_fn, cfg.batch_size,
-                                     cfg.score_sample_cap, task.task_id)
-        mask = select_topk(score_map, cfg.sparsity_c)
+        scores = score_parameters(student, task.train, loss_fn, cfg.batch_size,
+                                  cfg.score_sample_cap, f"mask scoring session {task.task_id}")
+        mask = select_topk(scores, cfg.sparsity_c)
 
     opt = Optimizer(cfg)
     pq = None if teacher is None else compute_pq(mask if knobs.dual_momentum else None, cfg.gamma, cfg.delta)
@@ -106,7 +106,7 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
                 "type": "train_epoch", "session": task.task_id, "epoch": epoch,
                 "mean_loss": float(np.mean(losses)),
             })
-    return mask, score_map
+    return mask, scores
 
 
 def _accuracy(params: ParameterSet, table: ClassEmbeddingTable, ds: LabeledDataset,
@@ -182,11 +182,11 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
 
     for t, task in enumerate(schedule.tasks):
         seen = schedule.seen_classes(t)
-        mask, score_map = run_supervised_session(
+        mask, scores = run_supervised_session(
             student, teacher, table, task, seen, knobs, cfg, seed,
             buffer=buffer, audit=audit, metrics_rows=metrics_rows)
-        if mask is not None and score_map is not None:
-            history.append(mask, score_map)
+        if mask is not None:
+            history.append(mask, scores)
 
         eval_params = teacher if knobs.use_teacher else student
         r_sup[t] = evaluate(eval_params, table, schedule, t, cfg.temperature)

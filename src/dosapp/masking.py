@@ -3,8 +3,9 @@
 A score is the absolute value of the MEAN gradient over the scoring data
 (mean first, then absolute value, so sign-cancelling gradients score zero).
 Selection keeps the top ceil(c * N) entries per candidate tensor, ties
-broken toward the lower flat index. Per-task masks are kept with their
-scores so later sessions can take the union and re-select within it.
+broken toward the lower flat index. Per-task masks are kept in memory with
+their scores so later sessions can take the union and re-select within it;
+only the masks are ever written.
 """
 
 from __future__ import annotations
@@ -15,20 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph, backward
 from .records import read_records, write_records
+from .ttl import gradients
 
 MASK_MAGIC = "dosapp-mask"
-SCORES_MAGIC = "dosapp-scores"
-
-
-@dataclass
-class ScoreMap:
-    """Per-candidate-tensor nonnegative scores plus scoring provenance."""
-
-    scores: dict[str, np.ndarray]
-    task_id: int
-    sample_count: int
 
 
 @dataclass
@@ -42,12 +33,14 @@ class Mask:
 
 @dataclass
 class MaskHistory:
-    masks: list[Mask] = field(default_factory=list)
-    scores: list[ScoreMap] = field(default_factory=list)
+    """Each masked session's mask and the scores it was selected from, by candidate path."""
 
-    def append(self, mask: Mask, score_map: ScoreMap) -> None:
+    masks: list[Mask] = field(default_factory=list)
+    scores: list[dict[str, np.ndarray]] = field(default_factory=list)
+
+    def append(self, mask: Mask, scores: dict[str, np.ndarray]) -> None:
         self.masks.append(mask)
-        self.scores.append(score_map)
+        self.scores.append(scores)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -59,33 +52,28 @@ def topk_count(c: float, n: int) -> int:
 
 
 def score_parameters(params, dataset, loss_fn, batch_size: int, sample_cap: int | None = None,
-                     task_id: int = 0) -> ScoreMap:
+                     where: str = "mask scoring") -> dict[str, np.ndarray]:
     """One pass over the data accumulating mean gradients of candidate tensors.
 
     loss_fn(params, x, y) must build a scalar loss on the active graph.
-    No parameter or optimizer state changes; only grads are touched.
+    No parameter or optimizer state changes; only grads are touched. A
+    non-finite loss or gradient raises FloatingPointError naming `where` and the batch.
     """
     n_used = len(dataset.y) if sample_cap is None else min(sample_cap, len(dataset.y))
     cand = params.candidate_paths()
     wrt = [params.entries[p] for p in cand]
     accum = {p: np.zeros_like(params.entries[p].data) for p in cand}
-    done = 0
-    while done < n_used:
-        take = min(batch_size, n_used - done)
-        xb = dataset.x[done : done + take]
-        yb = dataset.y[done : done + take]
-        params.zero_grads()
-        with Graph(wrt=wrt) as g:
-            loss = loss_fn(params, xb, yb)
-        backward(loss, g)
+    for b, start in enumerate(range(0, n_used, batch_size)):
+        take = min(batch_size, n_used - start)
+        xb = dataset.x[start : start + take]
+        yb = dataset.y[start : start + take]
+        gradients(params, wrt, lambda: loss_fn(params, xb, yb), f"{where} batch {b}")
         for p in cand:
             grad = params.entries[p].grad
             if grad is not None:
                 accum[p] += grad * take
-        done += take
     params.zero_grads()
-    scores = {p: np.abs(a / n_used) for p, a in accum.items()}
-    return ScoreMap(scores=scores, task_id=task_id, sample_count=n_used)
+    return {p: np.abs(a / n_used) for p, a in accum.items()}
 
 
 def _topk_bits(scores: np.ndarray, pool: np.ndarray, c: float, path: str) -> np.ndarray:
@@ -118,10 +106,10 @@ def _fold(dicts, op) -> dict[str, np.ndarray]:
     return out
 
 
-def select_topk(score_map: ScoreMap, c: float, origin: str = "per_task") -> Mask:
+def select_topk(scores: dict[str, np.ndarray], c: float, origin: str = "per_task") -> Mask:
     """Keep the top ceil(c*N) scores per tensor; ties go to the lower index."""
     bits = {path: _topk_bits(arr, np.ones(arr.shape, dtype=bool), c, path)
-            for path, arr in score_map.scores.items()}
+            for path, arr in scores.items()}
     return Mask(bits=bits, sparsity=c, origin=origin)
 
 
@@ -140,7 +128,7 @@ def reselect_topk(union_bits: dict[str, np.ndarray], history: MaskHistory, c: fl
     """
     if len(history) == 0:
         raise ValueError("reselect_topk: empty history")
-    best = _fold((sm.scores for sm in history.scores), np.maximum)
+    best = _fold(history.scores, np.maximum)
     bits = {path: _topk_bits(best[path], pool, c, path) for path, pool in union_bits.items()}
     return Mask(bits=bits, sparsity=c, origin="union_reselected")
 
@@ -155,13 +143,3 @@ def save_mask(path, mask: Mask) -> None:
 def load_mask(path) -> Mask:
     attrs, bits = read_records(path, MASK_MAGIC, bool, {"origin": str, "sparsity": float})
     return Mask(bits=bits, **attrs)
-
-
-def save_scores(path, score_map: ScoreMap) -> None:
-    write_records(path, SCORES_MAGIC, {"samples": score_map.sample_count, "task": score_map.task_id},
-                  score_map.scores.items())
-
-
-def load_scores(path) -> ScoreMap:
-    attrs, scores = read_records(path, SCORES_MAGIC, np.float64, {"samples": int, "task": int})
-    return ScoreMap(scores=scores, task_id=attrs["task"], sample_count=attrs["samples"])

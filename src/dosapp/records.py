@@ -1,4 +1,4 @@
-"""Tensor records: the one file format of checkpoints, masks and scores.
+"""Tensor records: the one file format of checkpoints and masks.
 
 A header line ``<magic> v4 <json object>``, then a ``<name> shape=d0,d1``
 line and a body line per tensor: the base64 of the array's raw bytes,

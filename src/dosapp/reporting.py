@@ -63,7 +63,7 @@ def persist_run(run_dir, manifest: dict, result: RunResult) -> None:
     (run_dir / "manifest.json").unlink(missing_ok=True)
     (run_dir / "teacher.ckpt").unlink(missing_ok=True)
     for old in mask_dir.glob("*"):
-        if re.fullmatch(r"task\d+\.(mask|scores)|ttl_final\.mask", old.name):
+        if re.fullmatch(r"task\d+\.(mask|scores)|ttl_final\.mask", old.name):  # .scores: older versions
             old.unlink()
     if mask_dir.is_dir() and not any(mask_dir.iterdir()):
         mask_dir.rmdir()
@@ -77,9 +77,8 @@ def persist_run(run_dir, manifest: dict, result: RunResult) -> None:
         dm.save_checkpoint(run_dir / "teacher.ckpt", result.teacher, result.table)
     if len(result.history):
         mask_dir.mkdir(exist_ok=True)
-        for mask, scores in zip(result.history.masks, result.history.scores):
-            mk.save_mask(mask_dir / f"task{scores.task_id}.mask", mask)
-            mk.save_scores(mask_dir / f"task{scores.task_id}.scores", scores)
+        for t, mask in enumerate(result.history.masks):  # one mask per session, so t is the task id
+            mk.save_mask(mask_dir / f"task{t}.mask", mask)
         if result.final_ttl_mask is not None:
             mk.save_mask(mask_dir / "ttl_final.mask", result.final_ttl_mask)
     write_manifest(run_dir / "manifest.json", manifest)

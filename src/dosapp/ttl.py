@@ -18,22 +18,31 @@ from .data import UnlabeledStream
 from .ema import SmoothingVectors, ema_update
 
 
-def train_step(student, teacher, opt: Optimizer, mask, pq, build_loss, where: str):
-    """Zero grads, tape build_loss(), backprop, masked step, teacher blend.
+def gradients(params, wrt, build_loss, where: str):
+    """Zero params' grads, tape build_loss() over the tensors wrt, backprop; returns the loss.
 
-    Only the tensors the step changes are differentiated. A non-finite loss
-    or gradient raises FloatingPointError naming `where` before anything is
-    updated, in place of numpy's warnings. teacher=None skips the blend. Returns the loss.
+    A non-finite loss or gradient raises FloatingPointError naming `where`,
+    in place of numpy's warnings.
     """
-    student.zero_grads()
-    stepped = [student.entries[p] for p in (student.entries if mask is None else mask.bits)]
+    params.zero_grads()
     with np.errstate(all="ignore"):
-        with Graph(wrt=stepped) as tape:
+        with Graph(wrt=wrt) as tape:
             loss = build_loss()
         backward(loss, tape)
     if not (math.isfinite(loss.item())
-            and all(t.grad is None or np.isfinite(t.grad).all() for t in stepped)):
+            and all(t.grad is None or np.isfinite(t.grad).all() for t in wrt)):
         raise FloatingPointError(f"non-finite loss or gradient in {where}")
+    return loss
+
+
+def train_step(student, teacher, opt: Optimizer, mask, pq, build_loss, where: str):
+    """Gradients of the tensors the step changes, masked step, teacher blend.
+
+    A non-finite loss or gradient raises in gradients() before anything is
+    updated. teacher=None skips the blend. Returns the loss.
+    """
+    stepped = [student.entries[p] for p in (student.entries if mask is None else mask.bits)]
+    loss = gradients(student, stepped, build_loss, where)
     opt.step(student, mask)
     if teacher is not None:
         ema_update(teacher, student, pq)

@@ -18,12 +18,12 @@ import dosapp.ema as em
 import dosapp.masking as mk
 import dosapp.model as dm
 import dosapp.ttl as tt
-from conftest import ACCEPTANCE_LINES, ids_seen, in_workers, timed_summary
+from conftest import ACCEPTANCE_LINES, ids_seen, in_workers, timed_summary, timed_summary_that_warns
 from dosapp.cli import main as cli_main
 from dosapp.config import RunConfig, build_manifest, write_manifest
 from dosapp.data import build_ttl_stream, generate_tasks
 from dosapp.harness import RunAudit, compute_metrics, run_experiment
-from dosapp.masking import Mask, MaskHistory, ScoreMap
+from dosapp.masking import Mask, MaskHistory
 from gradcheck import FD_STEP, OP_CASES, REL_TOL, check_case, check_model_gradients, tiny_encoder_config
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -54,9 +54,10 @@ def ladder():
 
 @pytest.fixture(scope="module")
 def single_momentum_runs():
-    # the collapsed ordering warns by design, in the worker
+    # the collapsed ordering warns by design; each worker checks that it does
     cfg = RunConfig(gamma=0.9999, lam=0.9999, delta=0.9999)
-    return [summary for summary, _ in in_workers(timed_summary, [(cfg, s) for s in SEEDS])]
+    jobs = [(cfg, s, "momentum ordering") for s in SEEDS]
+    return [summary for summary, _ in in_workers(timed_summary_that_warns, jobs)]
 
 
 # ------------------------------------------------------------ 1: gradients
@@ -136,9 +137,8 @@ def test_criterion_02_ema_algebra():
 
 # ------------------------------------------------------------ 3: masks
 
-def random_score_map(rng, shapes, task_id):
-    return ScoreMap(scores={k: rng.uniform(0.01, 1.0, size=sh) for k, sh in shapes.items()},
-                    task_id=task_id, sample_count=8)
+def random_score_map(rng, shapes):
+    return {k: rng.uniform(0.01, 1.0, size=sh) for k, sh in shapes.items()}
 
 
 def test_criterion_03_mask_selection():
@@ -171,8 +171,8 @@ def test_criterion_03_mask_selection():
         rng = np.random.default_rng(1)
         history = MaskHistory()
         prev_union = None
-        for t in range(5):
-            sm_t = random_score_map(rng, shapes, t)
+        for _ in range(5):
+            sm_t = random_score_map(rng, shapes)
             history.append(mk.select_topk(sm_t, 0.1), sm_t)
             union = mk.union_masks(history)
             if prev_union is not None:
@@ -182,7 +182,7 @@ def test_criterion_03_mask_selection():
 
         # re-selection over a one-mask history is the identity
         one = MaskHistory()
-        sm_0 = random_score_map(np.random.default_rng(2), shapes, 0)
+        sm_0 = random_score_map(np.random.default_rng(2), shapes)
         first = mk.select_topk(sm_0, 0.1)
         one.append(first, sm_0)
         re = mk.reselect_topk(mk.union_masks(one), one, 0.1)
@@ -191,7 +191,7 @@ def test_criterion_03_mask_selection():
 
         # zero-scored entries lose to any positive competitor
         scores = {"w": np.array([0.0, 0.4, 0.0, 0.2, 0.9, 0.3])}
-        zmask = mk.select_topk(ScoreMap(scores=scores, task_id=0, sample_count=4), 0.5)
+        zmask = mk.select_topk(scores, 0.5)
         assert int(zmask.bits["w"].sum()) == 3
         assert not zmask.bits["w"][0] and not zmask.bits["w"][2]
         rec.detail = (f"popcount exact on {checked} layer/c combos, union monotone over 5 "

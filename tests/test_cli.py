@@ -60,9 +60,8 @@ def test_run_writes_the_full_artifact_set(tmp_path, capsys):
     for name in ("manifest.json", "metrics.jsonl", "R_postttl.csv", "R_postsup.csv",
                  "summary.csv", "student.ckpt", "teacher.ckpt"):
         assert (d / name).exists(), name
-    assert (d / "masks" / "task0.mask").exists()
-    assert (d / "masks" / "task1.scores").exists()
-    assert (d / "masks" / "ttl_final.mask").exists()
+    # masks only: the scores they were selected from are never written
+    assert sorted(p.name for p in (d / "masks").iterdir()) == ["task0.mask", "task1.mask", "ttl_final.mask"]
     stdout = capsys.readouterr().out
     assert "dosapp seed=0: avg_acc=" in stdout and "forgetting=" in stdout
 
@@ -143,13 +142,23 @@ def test_a_rerun_leaves_only_its_own_files_and_the_users(tmp_path):
     assert not (d / "masks").exists()
 
 
+def test_a_rerun_removes_the_scores_files_of_an_older_version(tmp_path):
+    # versions that wrote masks/task<i>.scores beside each mask leave them in the run directory
+    d = run_cli(tmp_path) / "dosapp" / "seed0"
+    before = _files(d)
+    (d / "masks" / "task0.scores").write_text("dosapp-scores v4 {}\n")
+    run_cli(tmp_path)
+    assert not (d / "masks" / "task0.scores").exists()
+    assert _files(d) == before
+
+
 class Interrupted(Exception):
     pass
 
 
 # every function persist_run writes a file with
 WRITERS = [(rp, "write_manifest"), (rp, "write_metrics_jsonl"), (rp, "write_r_matrix_csv"),
-           (rp, "write_summary_csv"), (dm, "save_checkpoint"), (mk, "save_mask"), (mk, "save_scores")]
+           (rp, "write_summary_csv"), (dm, "save_checkpoint"), (mk, "save_mask")]
 
 
 def test_a_rerun_cut_off_at_any_write_leaves_one_run_or_none(tmp_path, monkeypatch):
@@ -191,7 +200,7 @@ def test_a_rerun_cut_off_at_any_write_leaves_one_run_or_none(tmp_path, monkeypat
         if len(calls) < n:  # the rerun was not cut off: it is whole
             assert {f: (d / f).read_bytes() for f in _files(d)} == whole["new"]
             break
-    assert len(calls) == 12  # 4 text files, 2 checkpoints, 5 mask and scores files, the manifest
+    assert len(calls) == 10  # 4 text files, 2 checkpoints, 3 mask files, the manifest
 
 
 # ------------------------------------------------------------ error paths
@@ -444,6 +453,20 @@ def test_a_diverging_run_exits_3_in_one_line(tmp_path, capsys):
     assert captured.out == ""
     assert re.fullmatch(r"run failed: dosapp seed=0: non-finite loss or gradient in "
                         r"supervised session 0 epoch 0 batch \d+\n", captured.err)
+    assert not out.exists()
+
+
+def test_a_scoring_pass_that_diverges_exits_3_naming_it(tmp_path, capsys):
+    # a tiny temperature overflows session 1's mask scoring, before any of its training steps;
+    # any numpy warning on the way fails this test too
+    out = tmp_path / "out"
+    rc = main(["run", "--seeds", "0", "--out", str(out), "--override", "model.temperature=0.001",
+               "--override", "data.tasks=2", "--override", "run.epochs=1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("run failed: dosapp seed=0: non-finite loss or gradient in "
+                            "mask scoring session 1 batch 0\n")
     assert not out.exists()
 
 

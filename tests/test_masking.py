@@ -1,4 +1,4 @@
-"""Gradient scoring, top-K selection, mask union/re-selection, persistence."""
+"""Gradient scoring, top-K selection, mask union/re-selection, mask persistence."""
 
 import math
 import warnings
@@ -52,14 +52,14 @@ def test_opposite_gradients_cancel_to_zero_score():
     a = np.random.default_rng(0).normal(size=(1, 4))
     ds = make_dataset(np.vstack([a, -a]))
     scores = mk.score_parameters(params, ds, fc1_loss, batch_size=2)
-    batched = scores.scores["block0.mlp.fc1.weight"]
+    batched = scores["block0.mlp.fc1.weight"]
     solo = mk.score_parameters(params, make_dataset(a), fc1_loss, batch_size=1)
-    wrong_reading = solo.scores["block0.mlp.fc1.weight"]  # = |g| = |-g|
+    wrong_reading = solo["block0.mlp.fc1.weight"]  # = |g| = |-g|
     assert np.max(batched) <= 1e-15  # FMA in the fused matmul leaves sub-ulp dust
     assert np.max(batched) < 1e-12 * np.min(wrong_reading[wrong_reading > 0])
     # one sample per batch negates bitwise, so the mean cancels exactly
     split = mk.score_parameters(params, ds, fc1_loss, batch_size=1)
-    assert np.array_equal(split.scores["block0.mlp.fc1.weight"],
+    assert np.array_equal(split["block0.mlp.fc1.weight"],
                           np.zeros((4, cfg.mlp_hidden_dim)))
 
 
@@ -74,7 +74,7 @@ def test_single_sample_score_is_gradient_magnitude():
     ad.backward(loss, g)
     manual = np.abs(params.entries["block0.mlp.fc1.weight"].grad)
     params.zero_grads()
-    assert np.array_equal(scores.scores["block0.mlp.fc1.weight"], manual)
+    assert np.array_equal(scores["block0.mlp.fc1.weight"], manual)
 
 
 def test_scoring_touches_no_parameters_or_grads():
@@ -90,11 +90,11 @@ def test_scoring_touches_no_parameters_or_grads():
     for p, t in params.entries.items():
         assert np.array_equal(t.data, before[p]), p
         assert t.grad is None, p
-    assert set(scores.scores) == set(params.candidate_paths())
-    assert all(np.all(s >= 0.0) for s in scores.scores.values())
+    assert set(scores) == set(params.candidate_paths())
+    assert all(np.all(s >= 0.0) for s in scores.values())
     again = mk.score_parameters(params, ds, loss_fn, batch_size=3)
-    for p in scores.scores:
-        assert np.array_equal(scores.scores[p], again.scores[p])
+    for p in scores:
+        assert np.array_equal(scores[p], again[p])
 
 
 def test_scoring_sample_cap_and_errors():
@@ -103,16 +103,21 @@ def test_scoring_sample_cap_and_errors():
     ds = make_dataset(x)
     capped = mk.score_parameters(params, ds, fc1_loss, batch_size=8, sample_cap=1)
     solo = mk.score_parameters(params, make_dataset(x[:1]), fc1_loss, batch_size=8)
-    assert np.array_equal(capped.scores["block0.mlp.fc1.weight"],
-                          solo.scores["block0.mlp.fc1.weight"])
-    assert capped.sample_count == 1
+    assert np.array_equal(capped["block0.mlp.fc1.weight"], solo["block0.mlp.fc1.weight"])
+
+
+def test_a_non_finite_scoring_gradient_raises_naming_the_batch():
+    cfg, params, _ = tiny_model()
+    x = np.ones((3, 4))
+    x[2, 0] = np.inf  # in the second batch of two
+    with pytest.raises(FloatingPointError, match=r"^non-finite loss or gradient in scoring here batch 1$"):
+        mk.score_parameters(params, make_dataset(x), fc1_loss, batch_size=2, where="scoring here")
 
 
 # ------------------------------------------------------------ selection
 
-def score_map(arrays, task_id=0):
-    return mk.ScoreMap(scores={k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()},
-                       task_id=task_id, sample_count=1)
+def score_map(arrays):
+    return {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
 
 
 def test_full_selection_at_c_one():
@@ -173,7 +178,7 @@ def history_from_bits(bit_rows, score_rows=None):
         bits = np.asarray(bits, dtype=bool)
         scores = np.asarray(score_rows[t], dtype=np.float64) if score_rows else bits.astype(float)
         h.append(mk.Mask(bits={"w": bits}, sparsity=bits.mean(), origin="per_task"),
-                 score_map({"w": scores}, task_id=t))
+                 score_map({"w": scores}))
     return h
 
 
@@ -242,11 +247,10 @@ def test_reselect_at_c_one_equals_raw_union():
 _SPARSITY = st.floats(0.0, 1.0, exclude_min=True)
 
 
-def random_score_map(rng, rows, cols, task_id=0):
+def random_score_map(rng, rows, cols):
     # small integer scores, so ties are common
-    scores = {"a": rng.integers(0, 4, size=(rows, cols)).astype(float),
-              "b": rng.integers(0, 4, size=cols).astype(float)}
-    return mk.ScoreMap(scores=scores, task_id=task_id, sample_count=1)
+    return {"a": rng.integers(0, 4, size=(rows, cols)).astype(float),
+            "b": rng.integers(0, 4, size=cols).astype(float)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -256,7 +260,7 @@ def test_select_equals_reselect_over_a_full_pool(seed, rows, cols, c):
     direct = mk.select_topk(sm, c)
     h = mk.MaskHistory()
     h.append(direct, sm)
-    full = {path: np.ones(arr.shape, dtype=bool) for path, arr in sm.scores.items()}
+    full = {path: np.ones(arr.shape, dtype=bool) for path, arr in sm.items()}
     pooled = mk.reselect_topk(full, h, c)
     for path, bits in direct.bits.items():
         assert np.array_equal(pooled.bits[path], bits), path
@@ -268,8 +272,8 @@ def test_select_equals_reselect_over_a_full_pool(seed, rows, cols, c):
 def test_reselection_stays_inside_the_union(seed, rows, cols, task_cs, c):
     rng = np.random.default_rng(seed)
     h = mk.MaskHistory()
-    for task_id, task_c in enumerate(task_cs):
-        sm = random_score_map(rng, rows, cols, task_id)
+    for task_c in task_cs:
+        sm = random_score_map(rng, rows, cols)
         h.append(mk.select_topk(sm, task_c), sm)
     union = mk.union_masks(h)
     with warnings.catch_warnings():
@@ -302,17 +306,6 @@ def test_mask_round_trip(tmp_path):
     assert loaded.sparsity == mask.sparsity
     for k in mask.bits:
         assert np.array_equal(loaded.bits[k], mask.bits[k])
-
-
-def test_scores_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(9)
-    sm = mk.ScoreMap(scores={"w": rng.uniform(size=(3, 4)) * 1e-7}, task_id=3, sample_count=17)
-    path = tmp_path / "s.scores"
-    mk.save_scores(path, sm)
-    loaded = mk.load_scores(path)
-    assert loaded.task_id == 3
-    assert loaded.sample_count == 17
-    assert np.array_equal(loaded.scores["w"], sm.scores["w"])
 
 
 def test_mask_header_rejected(tmp_path):

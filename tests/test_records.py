@@ -43,16 +43,7 @@ MASK_TEXT = (
     "end sha256=6cb798087976febdbee1af96d983981eb3fd1c689cffdf6bb9150a10c9d738d6\n"
 )
 
-SCORES_TEXT = (
-    'dosapp-scores v4 {"samples": 17, "task": 3}\n'
-    "block0.mlp.fc1.weight shape=2,1\n"
-    "AAAAAAAAAABIr7ya8td6Pg==\n"
-    "w shape=3\n"
-    "AAAAAAAABEAAAAAAAADoPwAAAAAAAPA/\n"
-    "end sha256=a7630d5261e0d851720d28550e84ad8f9a68600aebe3bbde36ed362b71724385\n"
-)
-
-# Three files in the v3 format, which no loader reads any more: its checkpoint
+# Two files in the v3 format, which no loader reads any more: its checkpoint
 # header also held the encoder's config and the active classes.
 V3_TEXTS = {
     "checkpoint": (
@@ -76,17 +67,9 @@ V3_TEXTS = {
         "AAEB\n"
         "end sha256=7bea2b906f92dc9c49700dbc818ef843b651431558396e6b06f13bab632d77c2\n"
     ),
-    "scores": (
-        'dosapp-scores v3 {"samples": 17, "task": 3}\n'
-        "block0.mlp.fc1.weight shape=2,1\n"
-        "AAAAAAAAAABIr7ya8td6Pg==\n"
-        "w shape=3\n"
-        "AAAAAAAABEAAAAAAAADoPwAAAAAAAPA/\n"
-        "end sha256=b4e65aeb81d95b45bd3ce7dc12ed04abd1633425cc48ae4feca8f3f7799e1797\n"
-    ),
 }
 
-# The same three files in the v2 format, which no loader reads any more.
+# The same two files in the v2 format, which no loader reads any more.
 V2_TEXTS = {
     "checkpoint": (
         'dosapp-checkpoint v2 {"candidates": ["block0.mlp.fc1.weight"], '
@@ -109,17 +92,9 @@ V2_TEXTS = {
         "011\n"
         "end\n"
     ),
-    "scores": (
-        'dosapp-scores v2 {"samples": 17, "task": 3}\n'
-        "block0.mlp.fc1.weight shape=2,1\n"
-        "0x0.0p+0 0x1.ad7f29abcaf48p-24\n"
-        "w shape=3\n"
-        "0x1.4000000000000p+1 0x1.8000000000000p-1 0x1.0000000000000p+0\n"
-        "end\n"
-    ),
 }
 
-# The same three files in the v1 format, which no loader reads any more.
+# The same two files in the v1 format, which no loader reads any more.
 V1_TEXTS = {
     "checkpoint": (
         "dosapp-checkpoint v1\n"
@@ -140,13 +115,6 @@ V1_TEXTS = {
         "10\n"
         "w shape=3\n"
         "011\n"
-    ),
-    "scores": (
-        "dosapp-scores v1 task=3 samples=17\n"
-        "block0.mlp.fc1.weight shape=2,1\n"
-        "0x0.0p+0 0x1.ad7f29abcaf48p-24\n"
-        "w shape=3\n"
-        "0x1.4000000000000p+1 0x1.8000000000000p-1 0x1.0000000000000p+0\n"
     ),
 }
 
@@ -183,12 +151,6 @@ def golden_mask():
                    sparsity=0.1, origin="union_reselected")
 
 
-def golden_scores():
-    return mk.ScoreMap(scores={"block0.mlp.fc1.weight": np.array([[0.0], [1e-7]]),
-                               "w": np.array([2.5, 0.75, 1.0])},
-                       task_id=3, sample_count=17)
-
-
 def save_golden_checkpoint(path, params, table):
     dm.save_checkpoint(path, params, table, meta={"note": "golden"})
 
@@ -200,8 +162,6 @@ def test_files_match_the_pinned_bytes(tmp_path):
          lambda p: save_golden_checkpoint(p, *dm.load_checkpoint(p)[:2])),
         ("m.mask", MASK_TEXT, lambda p: mk.save_mask(p, golden_mask()),
          lambda p: mk.save_mask(p, mk.load_mask(p))),
-        ("s.scores", SCORES_TEXT, lambda p: mk.save_scores(p, golden_scores()),
-         lambda p: mk.save_scores(p, mk.load_scores(p))),
     )
     for name, text, save, resave in cases:
         path = tmp_path / name
@@ -249,6 +209,8 @@ DAMAGED_CHECKPOINTS = {
     "meta_not_an_object": _edited(CHECKPOINT_TEXT, '"meta": {"note": "golden"}', '"meta": [0, 2]'),
     "block_lacks_a_tensor": _edited(CHECKPOINT_TEXT, "block0.mlp.fc1.bias shape=1\nAAAAAAAA0D8=\n", ""),
     "shapes_do_not_chain": _edited(CHECKPOINT_TEXT, "fc2.weight shape=1,2", "fc2.weight shape=2,1"),
+    "bad_value": _edited(CHECKPOINT_TEXT, "mpmZmZmZuT8", "mpmZmZ*ZuT8"),
+    "overflowing_hex_value": _edited(CHECKPOINT_TEXT, "mpmZmZmZuT8AAAAAAAAAgA==", "0x1p+99999"),
     "nan_value": _edited(CHECKPOINT_TEXT, "AAAAAAAA8D8AAAAAAADwv4O2OtKXEsAB", _f8(1.0, -1.0, float("nan"))),
     "inf_value": _edited(CHECKPOINT_TEXT, "AAAAAAAA8D8AAAAAAADwv4O2OtKXEsAB", _f8(1.0, float("-inf"), 3e-300)),
     "v1_file": V1_TEXTS["checkpoint"],
@@ -272,26 +234,6 @@ DAMAGED_MASKS = {
     "v3_file": V3_TEXTS["mask"],
 }
 
-DAMAGED_SCORES = {
-    "empty": "",
-    "head_without_body": _signed(_cut_lines(SCORES_TEXT, 4)),
-    "body_cut_mid_line": SCORES_TEXT[:SCORES_TEXT.index("AAAAAAAADoPw")],
-    "no_final_newline": SCORES_TEXT[:-1],
-    "count_mismatch": _edited(SCORES_TEXT, "shape=3", "shape=2"),
-    "repeated_name": _edited(SCORES_TEXT, "w shape=3", "block0.mlp.fc1.weight shape=3"),
-    "bad_value": _edited(SCORES_TEXT, "AAAAAAAADoPw", "AAAAAAAA*oPw"),
-    "nan_value": _edited(SCORES_TEXT, "AAAAAAAAAABIr7ya8td6Pg==", _f8(float("nan"), 1e-7)),
-    "inf_value": _edited(SCORES_TEXT, "AAAAAAAAAABIr7ya8td6Pg==", _f8(0.0, float("inf"))),
-    "overflowing_hex_value": _edited(SCORES_TEXT, "AAAAAAAAAABIr7ya8td6Pg==", "0x1p+99999"),
-    "non_integer_task": _edited(SCORES_TEXT, '"task": 3', '"task": "x"'),
-    "non_integer_samples": _edited(SCORES_TEXT, '"samples": 17', '"samples": 1.5'),
-    "boolean_task": _edited(SCORES_TEXT, '"task": 3', '"task": true'),
-    "v1_file": V1_TEXTS["scores"],
-    "v2_file": V2_TEXTS["scores"],
-    "v3_file": V3_TEXTS["scores"],
-}
-
-
 def _assert_rejected(tmp_path, name, text, load):
     path = tmp_path / name
     path.write_text(text)
@@ -309,13 +251,8 @@ def test_damaged_mask_is_rejected(tmp_path, case):
     _assert_rejected(tmp_path, "m.mask", DAMAGED_MASKS[case], mk.load_mask)
 
 
-@pytest.mark.parametrize("case", sorted(DAMAGED_SCORES))
-def test_damaged_scores_are_rejected(tmp_path, case):
-    _assert_rejected(tmp_path, "s.scores", DAMAGED_SCORES[case], mk.load_scores)
-
-
-LOADERS = {"checkpoint": dm.load_checkpoint, "mask": mk.load_mask, "scores": mk.load_scores}
-TEXTS = {"checkpoint": CHECKPOINT_TEXT, "mask": MASK_TEXT, "scores": SCORES_TEXT}
+LOADERS = {"checkpoint": dm.load_checkpoint, "mask": mk.load_mask}
+TEXTS = {"checkpoint": CHECKPOINT_TEXT, "mask": MASK_TEXT}
 
 
 @pytest.mark.parametrize("kind", sorted(TEXTS))
@@ -372,6 +309,26 @@ def test_a_v3_file_is_an_unsupported_header(tmp_path, kind):
     _assert_unsupported(tmp_path, kind, V3_TEXTS[kind])
 
 
+# Header values of another JSON type than the key's; no file kind has an int key, so read_records
+# is called directly.
+BAD_HEADER_VALUES = {
+    "non_integer_task": {"samples": 17, "task": "x"},
+    "non_integer_samples": {"samples": 1.5, "task": 3},
+    "boolean_task": {"samples": 17, "task": True},  # true is no int
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADER_VALUES))
+def test_a_header_value_of_another_json_type_is_rejected(tmp_path, case):
+    keys = {"samples": int, "task": int}
+    path = tmp_path / "r"
+    write_records(path, "dosapp-test", {"samples": 17, "task": 3}, [("w", np.ones(1))])
+    assert read_records(path, "dosapp-test", float, keys)[0] == {"samples": 17, "task": 3}
+    write_records(path, "dosapp-test", BAD_HEADER_VALUES[case], [("w", np.ones(1))])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed header")):
+        read_records(path, "dosapp-test", float, keys)
+
+
 # Each would write a file that read_records rejects, or whose lines a text-mode reader splits.
 UNREADABLE_RECORDS = {
     "zero_d_array": ("w", np.array(1.5)),
@@ -389,7 +346,7 @@ def test_the_writer_refuses_a_record_the_reader_cannot_read_back(tmp_path, case)
     name, arr = UNREADABLE_RECORDS[case]
     path = tmp_path / "r"
     with pytest.raises(ValueError, match=re.escape(f"record {name!r}")):
-        write_records(path, "dosapp-scores", {}, [("ok", np.ones(1)), (name, arr)])
+        write_records(path, "dosapp-test", {}, [("ok", np.ones(1)), (name, arr)])
     assert not path.exists()
 
 
@@ -397,8 +354,8 @@ def test_empty_arrays_and_odd_names_read_back(tmp_path):
     path = tmp_path / "r"
     records = {"a shape=2": np.zeros((2, 0)), " spaced ": np.array([-0.0, 5e-324, 1.7976931348623157e308]),
                "end": np.ones(1)}
-    write_records(path, "dosapp-scores", {}, records.items())
-    attrs, back = read_records(path, "dosapp-scores", float, {})
+    write_records(path, "dosapp-test", {}, records.items())
+    attrs, back = read_records(path, "dosapp-test", float, {})
     assert attrs == {} and list(back) == list(records)
     for name, arr in records.items():
         assert back[name].shape == arr.shape and back[name].tobytes() == arr.tobytes(), name
