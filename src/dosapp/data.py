@@ -59,11 +59,10 @@ class SessionSchedule:
 
     tasks: list[TaskData]
 
-    def seen_classes(self, upto: int) -> list[int]:
-        out: list[int] = []
-        for t in self.tasks[: upto + 1]:
-            out.extend(t.class_ids)
-        return sorted(out)
+    def n_seen(self, upto: int) -> int:
+        """Classes seen by the end of session upto: they are 0..n-1, since task t holds the ids
+        t*k..(t+1)*k-1, so class c scores in logit column c."""
+        return sum(len(t.class_ids) for t in self.tasks[: upto + 1])
 
 
 def generate_tasks(cfg: RunConfig, seed: int) -> SessionSchedule:

@@ -51,7 +51,7 @@ class RunResult:
 
 
 def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
-                           table: ClassEmbeddingTable, task: TaskData, seen_classes: list[int],
+                           table: ClassEmbeddingTable, task: TaskData, n_classes: int,
                            knobs: VariantKnobs, cfg: RunConfig, seed: int,
                            buffer: ReplayBuffer | None = None, audit: RunAudit | None = None,
                            metrics_rows: list[dict] | None = None,
@@ -63,13 +63,11 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
     must beat old class vectors, not just their within-task rivals.
     Returns the per-task mask and its scores (None without masking).
     """
-    restrict = sorted(seen_classes)
-
     mask = None
     scores = None
     if knobs.use_mask:
         def loss_fn(p, xb, yb):
-            return dm.model_loss(p, table, xb, yb, restrict, cfg.temperature)
+            return dm.model_loss(p, table, xb, yb, n_classes, cfg.temperature)
         scores = score_parameters(student, task.train, loss_fn, cfg.batch_size,
                                   cfg.score_sample_cap, f"mask scoring session {task.task_id}")
         mask = select_topk(scores, cfg.sparsity_c)
@@ -94,7 +92,7 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
                 audit.record_gradient_batch("supervised", task.task_id, idb)
             loss = train_step(
                 student, teacher, opt, mask, pq,
-                lambda: dm.model_loss(student, table, xb, yb, restrict, cfg.temperature),
+                lambda: dm.model_loss(student, table, xb, yb, n_classes, cfg.temperature),
                 where=f"supervised session {task.task_id} epoch {epoch} batch {b}")
             losses.append(loss.item())
             if buffer is not None and epoch == 0:
@@ -110,12 +108,12 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
 
 
 def _accuracy(params: ParameterSet, table: ClassEmbeddingTable, ds: LabeledDataset,
-              restrict: list[int], temperature: float, batch_size: int = 256) -> float:
+              n_classes: int, temperature: float, batch_size: int = 256) -> float:
     correct = 0
     for start in range(0, len(ds), batch_size):
         xb = ds.x[start : start + batch_size]
         yb = ds.y[start : start + batch_size]
-        pred = dm.predict(params, table, xb, restrict, temperature)
+        pred = dm.predict(params, table, xb, n_classes, temperature)
         correct += int((pred == yb).sum())
     return correct / len(ds)
 
@@ -123,10 +121,10 @@ def _accuracy(params: ParameterSet, table: ClassEmbeddingTable, ds: LabeledDatas
 def evaluate(params: ParameterSet, table: ClassEmbeddingTable, schedule: SessionSchedule,
              upto: int, temperature: float) -> np.ndarray:
     """Holdout accuracy on every task seen so far, logits over all seen classes."""
-    restrict = schedule.seen_classes(upto)
+    n_classes = schedule.n_seen(upto)
     row = np.full(len(schedule.tasks), np.nan)
     for j in range(upto + 1):
-        row[j] = _accuracy(params, table, schedule.tasks[j].eval, restrict, temperature)
+        row[j] = _accuracy(params, table, schedule.tasks[j].eval, n_classes, temperature)
     return row
 
 
@@ -181,9 +179,9 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
     metrics_rows: list[dict] = []
 
     for t, task in enumerate(schedule.tasks):
-        seen = schedule.seen_classes(t)
+        n_seen = schedule.n_seen(t)
         mask, scores = run_supervised_session(
-            student, teacher, table, task, seen, knobs, cfg, seed,
+            student, teacher, table, task, n_seen, knobs, cfg, seed,
             buffer=buffer, audit=audit, metrics_rows=metrics_rows)
         if mask is not None:
             history.append(mask, scores)
@@ -208,7 +206,7 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
             pq = None if teacher is None else compute_pq(ttl_mask if knobs.dual_momentum else None,
                                                          cfg.lam, cfg.delta)
             metrics_rows.extend(ttl_session(
-                student, teacher, ttl_mask, pq, stream, table, seen, cfg.temperature,
+                student, teacher, ttl_mask, pq, stream, table, n_seen, cfg.temperature,
                 Optimizer(cfg), cfg.ttl_batch_size, audit=audit, session=t))
             r_ttl[t] = evaluate(eval_params, table, schedule, t, cfg.temperature)
         else:

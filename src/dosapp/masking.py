@@ -106,11 +106,11 @@ def _fold(dicts, op) -> dict[str, np.ndarray]:
     return out
 
 
-def select_topk(scores: dict[str, np.ndarray], c: float, origin: str = "per_task") -> Mask:
+def select_topk(scores: dict[str, np.ndarray], c: float) -> Mask:
     """Keep the top ceil(c*N) scores per tensor; ties go to the lower index."""
     bits = {path: _topk_bits(arr, np.ones(arr.shape, dtype=bool), c, path)
             for path, arr in scores.items()}
-    return Mask(bits=bits, sparsity=c, origin=origin)
+    return Mask(bits=bits, sparsity=c, origin="per_task")
 
 
 def union_masks(history: MaskHistory) -> dict[str, np.ndarray]:

@@ -155,46 +155,25 @@ def encode(params: ParameterSet, x) -> Tensor:
     return ad.normalize_rows(ad.matmul(flat, e["proj.weight"]))
 
 
-def _check_restrict(table: ClassEmbeddingTable, restrict_to) -> np.ndarray:
-    """The restricted class ids in ascending order, which is logit column order."""
-    ids = sorted(int(c) for c in restrict_to)
-    if not ids:
-        raise ValueError("logits: empty class restriction")
-    if len(set(ids)) != len(ids):
-        raise ValueError("logits: duplicate class ids in restriction")
-    if ids[0] < 0 or ids[-1] >= table.total_classes:
-        raise ValueError(f"logits: class id out of range [0, {table.total_classes})")
-    return np.asarray(ids, dtype=np.int64)
-
-
-def _logits(params: ParameterSet, table: ClassEmbeddingTable, x, ids: np.ndarray,
-            temperature: float) -> Tensor:
+def logits(params: ParameterSet, table: ClassEmbeddingTable, x, n_classes: int, temperature: float) -> Tensor:
+    """Cosine(embedding, class vector)/temperature against classes 0..n_classes-1; column c is class c."""
+    if not 1 <= n_classes <= table.total_classes:
+        raise ValueError(f"logits: n_classes {n_classes} outside [1, {table.total_classes}]")
     if temperature <= 0.0:
         raise ValueError(f"logits: temperature must be positive, got {temperature}")
     emb = encode(params, x)
-    sub = Tensor(table.vectors[ids])
-    return ad.scale(ad.cosine_similarity_rows(emb, sub), 1.0 / temperature)
+    return ad.scale(ad.cosine_similarity_rows(emb, Tensor(table.vectors[:n_classes])), 1.0 / temperature)
 
 
-def logits(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, temperature: float) -> Tensor:
-    """Cosine(embedding, class vector)/temperature, columns in ascending class id."""
-    return _logits(params, table, x, _check_restrict(table, restrict_to), temperature)
+def model_loss(params: ParameterSet, table: ClassEmbeddingTable, x, labels, n_classes: int,
+               temperature: float) -> Tensor:
+    """Cross-entropy over classes 0..n_classes-1; a label is its logit column."""
+    return ad.cross_entropy_from_logits(logits(params, table, x, n_classes, temperature), labels)
 
 
-def model_loss(params: ParameterSet, table: ClassEmbeddingTable, x, labels, restrict_to, temperature: float) -> Tensor:
-    """Cross-entropy over the restricted class set; labels are raw class ids."""
-    ids = _check_restrict(table, restrict_to)
-    labels = np.asarray(labels, dtype=np.int64)
-    outside = labels[~np.isin(labels, ids)]
-    if outside.size:
-        raise ValueError(f"model_loss: label {outside[0]} outside the restricted class set")
-    return ad.cross_entropy_from_logits(_logits(params, table, x, ids, temperature), np.searchsorted(ids, labels))
-
-
-def predict(params: ParameterSet, table: ClassEmbeddingTable, x, restrict_to, temperature: float) -> np.ndarray:
-    """Argmax class ids over the restricted set (no tape is recorded)."""
-    ids = _check_restrict(table, restrict_to)
-    return ids[np.argmax(_logits(params, table, x, ids, temperature).data, axis=1)]
+def predict(params: ParameterSet, table: ClassEmbeddingTable, x, n_classes: int, temperature: float) -> np.ndarray:
+    """Argmax class over classes 0..n_classes-1 (no tape is recorded)."""
+    return np.argmax(logits(params, table, x, n_classes, temperature).data, axis=1)
 
 
 # ---------------------------------------------------------------- persistence

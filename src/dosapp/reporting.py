@@ -124,10 +124,12 @@ def load_run(run_dir) -> RunRecord:
     curve = []
     metrics_path = run_dir / "metrics.jsonl"
     for n, line in enumerate(read_text(metrics_path).splitlines(), 1):
-        try:  # a line cut short or not JSON, a row not an object, an eval row without cells
+        try:  # a line cut short or not JSON, a row not an object, an eval row without cells or values
             row = json.loads(line)
             if row.get("type") == "eval" and row.get("checkpoint") == "post_ttl":
                 vals = [v for v in row["row"] if v is not None]
+                if not vals:
+                    raise ValueError("a post_ttl eval row with no value")
                 curve.append(float(np.mean(vals)))
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{metrics_path}: line {n}: {err!r}") from None
@@ -179,7 +181,7 @@ def evaluate_trends(records: list[RunRecord]) -> list[dict]:
 
     if "dosapp" in groups and "finetune_no_ttl" in groups:
         pairs = _shared_seed_pairs(groups["dosapp"], groups["finetune_no_ttl"])
-        if pairs:
+        if pairs and all(r.summary["forgetting"] is not None for pair in pairs for r in pair):  # None: one task
             f_d = _median([a.summary["forgetting"] for a, _ in pairs])
             f_f = _median([b.summary["forgetting"] for _, b in pairs])
             a_d = _median([a.summary["avg_acc"] for a, _ in pairs])

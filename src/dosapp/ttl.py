@@ -49,25 +49,22 @@ def train_step(student, teacher, opt: Optimizer, mask, pq, build_loss, where: st
     return loss
 
 
-def route_pseudo_label(teacher_logits, student_logits, class_ids):
+def route_pseudo_label(teacher_logits, student_logits):
     """Label each row of [n, C] logits from the model with the larger max logit.
 
     Returns (labels, from_teacher, teacher_max, student_max) arrays, one entry
-    per row. teacher_logits=None labels every row from the student.
+    per row; a label is a logit column, which is its class id.
+    teacher_logits=None labels every row from the student.
     """
-    ids = np.asarray(class_ids, dtype=np.int64)
-    if ids.size == 0:
-        raise ValueError("route_pseudo_label: empty class set")
     s = np.asarray(student_logits, dtype=np.float64)
     t = (np.full_like(s, np.nan) if teacher_logits is None
          else np.asarray(teacher_logits, dtype=np.float64))
-    if s.ndim != 2 or s.shape[1] != ids.size or t.shape != s.shape:
-        raise ValueError(f"route_pseudo_label: class-set mismatch (rows {t.shape} / {s.shape} "
-                         f"for {ids.size} classes)")
+    if s.ndim != 2 or s.shape[1] == 0 or t.shape != s.shape:
+        raise ValueError(f"route_pseudo_label: logit shape mismatch or no class ({t.shape} / {s.shape})")
     t_max, s_max = t.max(axis=1), s.max(axis=1)
     from_teacher = t_max >= s_max  # tie goes to the teacher; a NaN teacher never wins
-    cols = np.where(from_teacher, t.argmax(axis=1), s.argmax(axis=1))
-    return ids[cols], from_teacher, t_max, s_max
+    labels = np.where(from_teacher, t.argmax(axis=1), s.argmax(axis=1))
+    return labels, from_teacher, t_max, s_max
 
 
 def _entropy(labels: np.ndarray) -> float:
@@ -77,33 +74,32 @@ def _entropy(labels: np.ndarray) -> float:
 
 
 def ttl_session(student, teacher, mask, pq: SmoothingVectors | None, stream: UnlabeledStream,
-                table, class_set, temperature: float, opt: Optimizer, batch_size: int,
+                table, n_classes: int, temperature: float, opt: Optimizer, batch_size: int,
                 audit=None, session: int = 0) -> list[dict]:
     """Adapt the student on one unlabeled stream; the teacher trails by EMA.
 
     opt, fresh for the session, steps the student where mask allows (None trains
     all); pq holds the teacher's blend weights (compute_pq at the adaptation low momentum).
     teacher=None self-labels from the student and skips the EMA entirely.
-    Logits cover class_set. Mutates student/teacher in place and returns one
+    Logits cover classes 0..n_classes-1. Mutates student/teacher in place and returns one
     routing row per batch of batch_size stream samples.
     """
     rows: list[dict] = []
     x_all, ids_all = stream.take()
-    classes = tuple(sorted(class_set))
 
     for b, start in enumerate(range(0, len(ids_all), batch_size)):
         xb = x_all[start : start + batch_size]
         idb = ids_all[start : start + batch_size]
-        t_log = None if teacher is None else dm.logits(teacher, table, xb, classes, temperature).data
+        t_log = None if teacher is None else dm.logits(teacher, table, xb, n_classes, temperature).data
         if audit is not None:
             audit.record_gradient_batch("ttl", session, idb)
         routed = []
 
         def build_loss():
             # one student forward serves both routing and the loss
-            s_log = dm.logits(student, table, xb, classes, temperature)
-            routed.extend(route_pseudo_label(t_log, s_log.data, classes))
-            return cross_entropy_from_logits(s_log, np.searchsorted(classes, routed[0]))
+            s_log = dm.logits(student, table, xb, n_classes, temperature)
+            routed.extend(route_pseudo_label(t_log, s_log.data))
+            return cross_entropy_from_logits(s_log, routed[0])
 
         loss = train_step(student, teacher, opt, mask, pq, build_loss,
                           where=f"ttl session {session} batch {b}")

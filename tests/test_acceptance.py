@@ -152,7 +152,7 @@ def test_criterion_03_mask_selection():
         lc = 0.07  # temperature
 
         def loss_fn(p, xb, yb):
-            return dm.model_loss(p, table, xb, yb, [0, 1, 2, 3], lc)
+            return dm.model_loss(p, table, xb, yb, 4, lc)
 
         from dosapp.data import LabeledDataset
         ds = LabeledDataset(x, y, np.arange(32, dtype=np.int64))
@@ -206,10 +206,9 @@ def test_criterion_04_routing_oracle():
         ties = 0
         for trial in range(10_000):
             c = int(rng.integers(1, 9))
-            ids = tuple(int(v) for v in rng.choice(40, size=c, replace=False))
             t_row = rng.normal(scale=2.0, size=c)
             s_row = t_row.copy() if trial % 8 == 0 else rng.normal(scale=2.0, size=c)
-            labels, from_teacher, t_max, s_max = tt.route_pseudo_label(t_row[None], s_row[None], ids)
+            labels, from_teacher, t_max, s_max = tt.route_pseudo_label(t_row[None], s_row[None])
 
             bt = bs = -np.inf
             at = a_s = 0
@@ -218,10 +217,7 @@ def test_criterion_04_routing_oracle():
                     bt, at = t_row[j], j
                 if s_row[j] > bs:
                     bs, a_s = s_row[j], j
-            if bt >= bs:
-                want = (ids[at], "teacher")
-            else:
-                want = (ids[a_s], "student")
+            want = (at, "teacher") if bt >= bs else (a_s, "student")  # the label is a column
             if bt == bs:
                 ties += 1
                 assert from_teacher[0], trial

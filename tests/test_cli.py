@@ -433,6 +433,20 @@ def test_report_on_a_corrupt_run_file_exits_2(tmp_path, capsys, name, corrupt):
     assert "config error:" in err and str(path) in err
 
 
+def test_report_on_a_post_ttl_row_with_no_value_exits_2_naming_the_line(tmp_path, capsys):
+    run_dir = run_cli(tmp_path) / "dosapp" / "seed0"
+    path = run_dir / "metrics.jsonl"
+    rows = read_jsonl(path)
+    n = next(i for i, row in enumerate(rows, 1) if row.get("checkpoint") == "post_ttl")
+    rows[n - 1]["row"] = [None] * len(rows[n - 1]["row"])
+    path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    rc = main(["report", str(run_dir), "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: line {n}:" in err and "no value" in err
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("name", ["manifest.json", "summary.csv", "metrics.jsonl"])
 def test_report_on_a_run_file_that_is_not_utf8_exits_2(tmp_path, capsys, name):
     run_dir = run_cli(tmp_path) / "dosapp" / "seed0"
@@ -612,6 +626,17 @@ def test_trends_compare_the_ladder_run_not_a_grid_arm(tmp_path):
     trend = next(line for line in (out / "report" / "trends.txt").read_text().splitlines()
                  if "adaptation_reduces_forgetting" in line)
     assert f"forgetting {forgetting['dosapp']:.4f} vs {forgetting['finetune_no_ttl']:.4f}" in trend
+
+
+def test_a_single_task_sweep_judges_no_forgetting_trend(tmp_path, capsys):
+    # with one task forgetting is undefined, so there is nothing to compare
+    cfg = tmp_path / "ablate.ini"
+    cfg.write_text("[ablate]\nvariants = dosapp finetune_no_ttl\n")
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", str(cfg), "--seeds", "0", "--out", str(out),
+                 *tiny_args("data.tasks=1")]) == 0
+    assert "adaptation_reduces_forgetting" not in capsys.readouterr().out
+    assert "adaptation_reduces_forgetting" not in (out / "report" / "trends.txt").read_text()
 
 
 def test_report_counts_a_run_from_two_invocations_once(tmp_path):

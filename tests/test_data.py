@@ -60,8 +60,8 @@ def test_task_class_sets_are_disjoint_and_ordered():
     sched = dd.generate_tasks(small_cfg(), 0)
     assert sched.tasks[0].class_ids == (0, 1, 2, 3)
     assert sched.tasks[1].class_ids == (4, 5, 6, 7)
-    assert sched.seen_classes(0) == [0, 1, 2, 3]
-    assert sched.seen_classes(1) == [0, 1, 2, 3, 4, 5, 6, 7]
+    assert sched.n_seen(0) == 4
+    assert sched.n_seen(1) == 8
 
 
 def test_adaptation_pool_is_feature_only():

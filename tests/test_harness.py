@@ -1,5 +1,7 @@
 """Experiment harness: metrics, evaluation, variant behavior, end-to-end runs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ import dosapp.model as dm
 from conftest import ids_seen
 from dosapp.config import VARIANTS, RunConfig
 from dosapp.data import generate_tasks
+from dosapp.reporting import persist_run
 
 
 def tiny_cfg(**kw):
@@ -211,14 +214,14 @@ def test_eval_rows_present_at_both_checkpoints():
 
 
 def test_restricting_to_fewer_classes_never_hurts_accuracy():
-    # scoring against only the true task's classes is an easier problem
+    # scoring against only the first task's classes 0..3 is an easier problem
     sched = generate_tasks(tiny_cfg(), 3)
     params = dm.init_model(tiny_cfg(), 3)
     table = dm.init_class_table(8, 8, 3)
     lc = 0.07  # temperature
     ev = sched.tasks[0].eval
-    acc_narrow = float(np.mean(dm.predict(params, table, ev.x, [0, 1, 2, 3], lc) == ev.y))
-    acc_wide = float(np.mean(dm.predict(params, table, ev.x, list(range(8)), lc) == ev.y))
+    acc_narrow = float(np.mean(dm.predict(params, table, ev.x, 4, lc) == ev.y))
+    acc_wide = float(np.mean(dm.predict(params, table, ev.x, 8, lc) == ev.y))
     assert acc_narrow >= acc_wide
 
 
@@ -234,8 +237,67 @@ def test_non_finite_loss_stops_supervised_session_before_the_step():
     fresh = student.clone()
     table = dm.init_class_table(8, 8, 0)
     with pytest.raises(FloatingPointError, match=r"supervised session 0 epoch 0 batch 0"):
-        hz.run_supervised_session(student, teacher, table, task, sched.seen_classes(0),
+        hz.run_supervised_session(student, teacher, table, task, sched.n_seen(0),
                                   VARIANTS[cfg.variant], cfg, seed=0)
     for k in fresh.entries:
         assert np.array_equal(student.entries[k].data, fresh.entries[k].data), k
         assert np.array_equal(teacher.entries[k].data, fresh.entries[k].data), k
+
+
+# ------------------------------------------------------------ golden results
+
+# SHA-256 of the result files of RunConfig(variant=v, tasks=2, epochs=2, samples_ttl=16) at seed 0.
+# A change that moves results on purpose regenerates these and says so.
+GOLDEN_DIGESTS = {
+    "dosapp": {
+        "R_postsup.csv": "d36c53e54695e87571d53324fefb19dbbdc69c7744f3f86f316d6ab42ae39521",
+        "R_postttl.csv": "7ef0922714d8103451483bee2050ce9b81f498b090ae5a85d40729248992eea2",
+        "summary.csv": "532c7a6e6a5601b909e10d9378ca22fd343d0bf24b156798ae2f65431d96c767",
+        "metrics.jsonl": "d816ee5c76cac55cdd5af222f25e7f1576d9200968d47abea411aa8ddf6f4b43",
+    },
+    "dosapp_er": {
+        "R_postsup.csv": "d36c53e54695e87571d53324fefb19dbbdc69c7744f3f86f316d6ab42ae39521",
+        "R_postttl.csv": "7ef0922714d8103451483bee2050ce9b81f498b090ae5a85d40729248992eea2",
+        "summary.csv": "240b8d2e3d5fc4e93808a340f240b3b7a69dbc6626b444d72e5c9e8d99108fe0",
+        "metrics.jsonl": "e36a1d2257f46060ff60d7f4d9e395f270247235773284cf7417d3ad8df2bcda",
+    },
+    "finetune_no_ttl": {
+        "R_postsup.csv": "984207cf0f09be9a3641a6f5890b3934423d6300eeb17ebd7c46ee5d0967ca76",
+        "R_postttl.csv": "984207cf0f09be9a3641a6f5890b3934423d6300eeb17ebd7c46ee5d0967ca76",
+        "summary.csv": "7661b7230c17f123aacf5298f2451bd8d390ba8d534fc8f6afe89bc7715fa1e9",
+        "metrics.jsonl": "793ac09b54b76b19f539edc468cced4780ff1593fb29f33d93a3178db84842ed",
+    },
+    "plus_sparse": {
+        "R_postsup.csv": "8784d6ddc3648f60b9fb61a5cb9e599adee01935844b90be19b1c26b49620e22",
+        "R_postttl.csv": "8784d6ddc3648f60b9fb61a5cb9e599adee01935844b90be19b1c26b49620e22",
+        "summary.csv": "dbd67710f460e902c4a9f28329957abcc7e17731b97cf40183553c09aae3931d",
+        "metrics.jsonl": "701a45604e03fe9730533e7b569a83932820d0861108fbc753baee4edfe8b181",
+    },
+    "plus_union_single_momentum": {
+        "R_postsup.csv": "8784d6ddc3648f60b9fb61a5cb9e599adee01935844b90be19b1c26b49620e22",
+        "R_postttl.csv": "8784d6ddc3648f60b9fb61a5cb9e599adee01935844b90be19b1c26b49620e22",
+        "summary.csv": "c9bc0aeae4e87f8f8f182d09bd4d08c891ab22fffaacae6bf9655b389d87015f",
+        "metrics.jsonl": "55871c54f89fae8f4f6929ee47640e88dfd73b6d84886241dd35dc4506332c19",
+    },
+    "self_label": {
+        "R_postsup.csv": "f6caa838a1f8216b1e19cb8b393b5af684dbef56378d9408a584ec6cdb274642",
+        "R_postttl.csv": "68d674a452613a8170832109320e3fab2269f4ac510dbbc51157b85173022e99",
+        "summary.csv": "610c65007047b81a2aeca0cddf95f0e38eb81d44ead42d7b656704d4b8af7656",
+        "metrics.jsonl": "ad67e62ec8d352898e5ee2d2da48fa2cf35b78ab97d677a4ad63d72cf196bb65",
+    },
+    "teacher_student_only": {
+        "R_postsup.csv": "8784d6ddc3648f60b9fb61a5cb9e599adee01935844b90be19b1c26b49620e22",
+        "R_postttl.csv": "ecad593309d0d3e5dce0bab0314a6c0e2251bce5dc5daead2b44e6994be40de5",
+        "summary.csv": "ec78e3ba13df6ddcd69e71e4ecf835191ed4eb42c98170d51f09e87b3702e45a",
+        "metrics.jsonl": "024affc1b77729626b0c338717cc8d8ebb97396fe117f546ab23d48d2c416072",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_results_match_the_golden_digests(variant, tmp_path):
+    cfg = RunConfig(variant=variant, tasks=2, epochs=2, samples_ttl=16)
+    persist_run(tmp_path, {}, hz.run_experiment(cfg, 0))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_DIGESTS[variant]}
+    assert got == GOLDEN_DIGESTS[variant]

@@ -14,18 +14,18 @@ from dosapp.masking import Mask
 from gradcheck import tiny_encoder_config
 
 
-def oracle_route(t_row, s_row, ids):
-    """Independent recomputation: scan both rows, larger max wins, tie -> teacher."""
+def oracle_route(t_row, s_row):
+    """Independent recomputation: scan both rows, larger max wins, tie -> teacher; the label is a column."""
     best_t, best_s = -np.inf, -np.inf
     arg_t = arg_s = 0
-    for j, _ in enumerate(ids):
+    for j in range(len(s_row)):
         if t_row[j] > best_t:
             best_t, arg_t = t_row[j], j
         if s_row[j] > best_s:
             best_s, arg_s = s_row[j], j
     if best_t >= best_s:
-        return ids[arg_t], "teacher", best_t, best_s
-    return ids[arg_s], "student", best_t, best_s
+        return arg_t, "teacher", best_t, best_s
+    return arg_s, "student", best_t, best_s
 
 
 def ttl_fixture(seed=0, n=24):
@@ -39,11 +39,11 @@ def ttl_fixture(seed=0, n=24):
     return cfg, student, teacher, table, stream
 
 
-def session(student, teacher, mask, stream, table, ema_mask=None, classes=(0, 1, 2, 3),
+def session(student, teacher, mask, stream, table, ema_mask=None, n_classes=4,
             batch_size=8, **kw):
     """ttl_session at the fixture's settings; ema_mask picks the dual-momentum lane."""
     pq = em.compute_pq(ema_mask, 0.9, 0.9999)  # the default adaptation and high momenta
-    return tt.ttl_session(student, teacher, mask, pq, stream, table, classes, 0.07,
+    return tt.ttl_session(student, teacher, mask, pq, stream, table, n_classes, 0.07,
                           Optimizer(RunConfig(learning_rate=0.05)), batch_size, **kw)
 
 
@@ -65,69 +65,67 @@ def test_routing_matches_brute_force_oracle():
     rng = np.random.default_rng(42)
     for trial in range(10_000):
         c = int(rng.integers(1, 9))
-        ids = tuple(sorted(rng.choice(50, size=c, replace=False).tolist()))
         t_row = rng.normal(scale=3.0, size=c)
         s_row = rng.normal(scale=3.0, size=c)
         if trial % 10 == 0:
             s_row = t_row.copy()  # exact tie on the max
-        labels, from_teacher, t_maxes, s_maxes = tt.route_pseudo_label(t_row[None], s_row[None], ids)
-        label, source, t_max, s_max = oracle_route(t_row, s_row, ids)
+        labels, from_teacher, t_maxes, s_maxes = tt.route_pseudo_label(t_row[None], s_row[None])
+        label, source, t_max, s_max = oracle_route(t_row, s_row)
         assert (labels[0], from_teacher[0]) == (label, source == "teacher"), trial
         assert t_maxes[0] == t_max and s_maxes[0] == s_max
 
 
 def test_batch_routing_matches_oracle_row_by_row():
     rng = np.random.default_rng(11)
-    ids = (3, 8, 14, 21, 40)
-    t_log = rng.normal(scale=3.0, size=(64, len(ids)))
-    s_log = rng.normal(scale=3.0, size=(64, len(ids)))
+    t_log = rng.normal(scale=3.0, size=(64, 5))
+    s_log = rng.normal(scale=3.0, size=(64, 5))
     s_log[::4] = t_log[::4]  # exact ties on every fourth row
-    labels, from_teacher, t_maxes, s_maxes = tt.route_pseudo_label(t_log, s_log, ids)
+    labels, from_teacher, t_maxes, s_maxes = tt.route_pseudo_label(t_log, s_log)
     assert labels.shape == from_teacher.shape == t_maxes.shape == s_maxes.shape == (64,)
     for i in range(64):
-        label, source, t_max, s_max = oracle_route(t_log[i], s_log[i], ids)
+        label, source, t_max, s_max = oracle_route(t_log[i], s_log[i])
         assert (labels[i], from_teacher[i]) == (label, source == "teacher"), i
         assert t_maxes[i] == t_max and s_maxes[i] == s_max, i
 
 
 def test_routing_without_teacher_labels_from_the_student():
     s_log = np.array([[0.1, 0.9, 0.0], [2.0, -1.0, 1.0]])
-    labels, from_teacher, t_maxes, s_maxes = tt.route_pseudo_label(None, s_log, (5, 6, 7))
-    assert labels.tolist() == [6, 5]
+    labels, from_teacher, t_maxes, s_maxes = tt.route_pseudo_label(None, s_log)
+    assert labels.tolist() == [1, 0]
     assert not from_teacher.any()
     assert np.isnan(t_maxes).all() and s_maxes.tolist() == [0.9, 2.0]
 
 
 def test_exact_tie_goes_to_teacher_even_when_argmaxes_differ():
     # same max value at different positions: teacher's position wins
-    labels, from_teacher, _, _ = tt.route_pseudo_label([[1.0, 7.0, 0.0]], [[7.0, 1.0, 0.0]],
-                                                       (10, 11, 12))
-    assert from_teacher[0] and labels[0] == 11
+    labels, from_teacher, _, _ = tt.route_pseudo_label([[1.0, 7.0, 0.0]], [[7.0, 1.0, 0.0]])
+    assert from_teacher[0] and labels[0] == 1
 
 
 def test_routing_is_confidence_not_agreement():
     t_row = np.array([0.2, 0.1, 0.0])
     s_row = np.array([0.0, 0.0, 0.3])
-    labels, from_teacher, _, _ = tt.route_pseudo_label(t_row[None], s_row[None], (0, 1, 2))
+    labels, from_teacher, _, _ = tt.route_pseudo_label(t_row[None], s_row[None])
     assert not from_teacher[0] and labels[0] == 2
     # scaling the teacher up flips the route but never the teacher's own argmax
-    labels, from_teacher, _, _ = tt.route_pseudo_label(t_row[None] * 10.0, s_row[None], (0, 1, 2))
+    labels, from_teacher, _, _ = tt.route_pseudo_label(t_row[None] * 10.0, s_row[None])
     assert from_teacher[0] and labels[0] == 0
 
 
 def test_routing_validation():
-    with pytest.raises(ValueError, match="class-set mismatch"):
-        tt.route_pseudo_label([[1.0, 2.0]], [[1.0, 2.0]], (0, 1, 2))
-    with pytest.raises(ValueError, match="class-set mismatch"):
-        tt.route_pseudo_label([[1.0, 2.0, 3.0]], [[1.0, 2.0]], (0, 1, 2))
-    with pytest.raises(ValueError, match="empty class set"):
-        tt.route_pseudo_label(np.zeros((1, 0)), np.zeros((1, 0)), ())
+    with pytest.raises(ValueError, match="shape mismatch or no class"):
+        tt.route_pseudo_label([1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="shape mismatch or no class"):
+        tt.route_pseudo_label([[1.0, 2.0, 3.0]], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="shape mismatch or no class"):
+        tt.route_pseudo_label(np.zeros((1, 0)), np.zeros((1, 0)))
 
 
 def test_stream_config_validation():
-    _, student, teacher, table, stream = ttl_fixture()
-    with pytest.raises(ValueError, match="empty class"):
-        session(student, teacher, None, stream, table, classes=())
+    for bad in (0, 7):  # the table holds 6 classes
+        _, student, teacher, table, stream = ttl_fixture()
+        with pytest.raises(ValueError, match=r"n_classes .* outside \[1, 6\]"):
+            session(student, teacher, None, stream, table, n_classes=bad)
 
 
 # ------------------------------------------------------------ session mechanics
@@ -172,7 +170,7 @@ def test_report_counts_sum_to_stream_length():
 def test_self_label_mode_skips_teacher_entirely():
     _, student, _, table, stream = ttl_fixture()
     mask = full_candidate_mask(student)
-    rows = tt.ttl_session(student, None, mask, None, stream, table, (0, 1, 2, 3), 0.07,
+    rows = tt.ttl_session(student, None, mask, None, stream, table, 4, 0.07,
                           Optimizer(RunConfig(learning_rate=0.05)), 8)
     assert sum(r["size"] for r in rows) > 0
     for row in rows:
