@@ -69,9 +69,10 @@ def _checked(parse, allowed, expected: str):
 
 
 def _list_of(parse):
-    """A nonempty list of items split on commas or whitespace, each parsed."""
-    return _checked(lambda raw: tuple(parse(tok) for tok in raw.replace(",", " ").split()), bool,
-                    "a nonempty list")
+    """A nonempty list of items split on commas or whitespace, each parsed; a repeat would run twice."""
+    return _checked(lambda raw: tuple(parse(tok) for tok in raw.replace(",", " ").split()),
+                    lambda items: items and len(set(items)) == len(items),
+                    "a nonempty list with no repeated item")
 
 
 _positive_int = _checked(int, lambda n: n >= 1, "an integer >= 1")

@@ -53,22 +53,11 @@ class TaskData:
     eval: LabeledDataset
 
 
-@dataclass
-class SessionSchedule:
-    """Alternating supervised/adaptation sessions over a fixed task order."""
-
-    tasks: list[TaskData]
-
-    def n_seen(self, upto: int) -> int:
-        """Classes seen by the end of session upto: they are 0..n-1, since task t holds the ids
-        t*k..(t+1)*k-1, so class c scores in logit column c."""
-        return sum(len(t.class_ids) for t in self.tasks[: upto + 1])
-
-
-def generate_tasks(cfg: RunConfig, seed: int) -> SessionSchedule:
+def generate_tasks(cfg: RunConfig, seed: int) -> list[TaskData]:
     """Draw all class clouds and split them by cfg's [data] keys; fully determined by seed.
 
-    Classes are drawn in id order and each draw is copied straight into its
+    Classes are drawn in id order, k = cfg.classes_per_task per task, so task
+    t holds the ids t*k..(t+1)*k-1. Each draw is copied straight into its
     task's train, pool and holdout arrays; each class's pool is a view of
     its task's pool array.
     """
@@ -98,7 +87,7 @@ def generate_tasks(cfg: RunConfig, seed: int) -> SessionSchedule:
                       for j, c in enumerate(labels.tolist())},
             eval=LabeledDataset(xs[2], np.repeat(labels, sizes[2]), ids[2]),
         ))
-    return SessionSchedule(tasks=tasks)
+    return tasks
 
 
 def sample_imbalanced_ttl(class_ids, pool_sizes, alpha: float, rng: np.random.Generator
@@ -116,7 +105,7 @@ def sample_imbalanced_ttl(class_ids, pool_sizes, alpha: float, rng: np.random.Ge
     return counts
 
 
-def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int, scope: str = "seen",
+def build_ttl_stream(tasks: list[TaskData], session: int, master_seed: int, scope: str = "seen",
                      imbalance_mode: str = "balanced", dirichlet_alpha: float | None = None
                      ) -> tuple[UnlabeledStream, dict[int, int]]:
     """Assemble the adaptation stream for one session, shuffled, labels dropped.
@@ -127,8 +116,8 @@ def build_ttl_stream(schedule: SessionSchedule, session: int, master_seed: int, 
     means classes_per_task). Returns the stream plus its per-class
     composition (generator-side bookkeeping, not visible to the learner).
     """
-    current = schedule.tasks[session]
-    task_range = schedule.tasks[: session + 1] if scope == "seen" else [current]
+    current = tasks[session]
+    task_range = tasks[: session + 1] if scope == "seen" else [current]
     pools: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for t in task_range:
         pools.update(t.ttl_pool)
@@ -174,7 +163,7 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int, seed: int = 0):
         self.capacity = capacity
-        self.n_seen = 0
+        self.n_offered = 0
         self._x: list[np.ndarray] = []
         self._y: list[int] = []
         self._ids: list[int] = []
@@ -186,13 +175,13 @@ class ReplayBuffer:
     def add(self, x: np.ndarray, y: int, instance_id: int) -> None:
         if self.capacity == 0:
             return
-        self.n_seen += 1
+        self.n_offered += 1
         if len(self._y) < self.capacity:
             self._x.append(np.array(x))
             self._y.append(int(y))
             self._ids.append(int(instance_id))
             return
-        j = int(self._rng.integers(0, self.n_seen))
+        j = int(self._rng.integers(0, self.n_offered))
         if j < self.capacity:
             self._x[j] = np.array(x)
             self._y[j] = int(y)

@@ -17,10 +17,10 @@ import numpy as np
 from . import model as dm
 from .autodiff import Optimizer
 from .config import VARIANTS, RunConfig, VariantKnobs, check_cross_keys
-from .data import LabeledDataset, ReplayBuffer, SessionSchedule, TaskData, build_ttl_stream, generate_tasks
+from .data import LabeledDataset, ReplayBuffer, TaskData, build_ttl_stream, generate_tasks
 from .ema import compute_pq
 from .masking import Mask, MaskHistory, reselect_topk, score_parameters, select_topk, union_masks
-from .model import ClassEmbeddingTable, ParameterSet
+from .model import ParameterSet
 from .seeding import substream
 from .ttl import train_step, ttl_session
 
@@ -37,8 +37,6 @@ class RunAudit:
 
 @dataclass
 class RunResult:
-    variant: str
-    seed: int
     r_post_sup: np.ndarray
     r_post_ttl: np.ndarray
     metrics_rows: list[dict]
@@ -47,27 +45,26 @@ class RunResult:
     final_ttl_mask: Mask | None
     student: ParameterSet
     teacher: ParameterSet | None
-    table: ClassEmbeddingTable
+    table: np.ndarray  # [total_classes, embed_dim]; row c is class c
 
 
-def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
-                           table: ClassEmbeddingTable, task: TaskData, n_classes: int,
-                           knobs: VariantKnobs, cfg: RunConfig, seed: int,
+def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None, head: np.ndarray,
+                           task: TaskData, knobs: VariantKnobs, cfg: RunConfig, seed: int,
                            buffer: ReplayBuffer | None = None, audit: RunAudit | None = None,
                            metrics_rows: list[dict] | None = None,
                            ) -> tuple[Mask | None, dict[str, np.ndarray] | None]:
     """One labeled session: (optional) score+select a mask, then train.
 
     Scoring runs before any update of this session, on this session's data
-    only. The training loss competes every seen class, so new embeddings
-    must beat old class vectors, not just their within-task rivals.
+    only. The training loss competes every seen class (every row of head), so
+    new embeddings must beat old class vectors, not just their within-task rivals.
     Returns the per-task mask and its scores (None without masking).
     """
     mask = None
     scores = None
     if knobs.use_mask:
         def loss_fn(p, xb, yb):
-            return dm.model_loss(p, table, xb, yb, n_classes, cfg.temperature)
+            return dm.model_loss(p, head, xb, yb, cfg.temperature)
         scores = score_parameters(student, task.train, loss_fn, cfg.batch_size,
                                   cfg.score_sample_cap, f"mask scoring session {task.task_id}")
         mask = select_topk(scores, cfg.sparsity_c)
@@ -92,7 +89,7 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
                 audit.record_gradient_batch("supervised", task.task_id, idb)
             loss = train_step(
                 student, teacher, opt, mask, pq,
-                lambda: dm.model_loss(student, table, xb, yb, n_classes, cfg.temperature),
+                lambda: dm.model_loss(student, head, xb, yb, cfg.temperature),
                 where=f"supervised session {task.task_id} epoch {epoch} batch {b}")
             losses.append(loss.item())
             if buffer is not None and epoch == 0:
@@ -107,24 +104,23 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None,
     return mask, scores
 
 
-def _accuracy(params: ParameterSet, table: ClassEmbeddingTable, ds: LabeledDataset,
-              n_classes: int, temperature: float, batch_size: int = 256) -> float:
+def _accuracy(params: ParameterSet, head: np.ndarray, ds: LabeledDataset, temperature: float,
+              batch_size: int = 256) -> float:
     correct = 0
     for start in range(0, len(ds), batch_size):
         xb = ds.x[start : start + batch_size]
         yb = ds.y[start : start + batch_size]
-        pred = dm.predict(params, table, xb, n_classes, temperature)
+        pred = dm.predict(params, head, xb, temperature)
         correct += int((pred == yb).sum())
     return correct / len(ds)
 
 
-def evaluate(params: ParameterSet, table: ClassEmbeddingTable, schedule: SessionSchedule,
-             upto: int, temperature: float) -> np.ndarray:
-    """Holdout accuracy on every task seen so far, logits over all seen classes."""
-    n_classes = schedule.n_seen(upto)
-    row = np.full(len(schedule.tasks), np.nan)
+def evaluate(params: ParameterSet, head: np.ndarray, tasks: list[TaskData], upto: int,
+             temperature: float) -> np.ndarray:
+    """Holdout accuracy on every task up to upto (NaN after it), logits over head's classes."""
+    row = np.full(len(tasks), np.nan)
     for j in range(upto + 1):
-        row[j] = _accuracy(params, table, schedule.tasks[j].eval, n_classes, temperature)
+        row[j] = _accuracy(params, head, tasks[j].eval, temperature)
     return row
 
 
@@ -164,7 +160,7 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
     if knobs.use_teacher and not (cfg.gamma < cfg.lam < cfg.delta):
         warnings.warn(f"momentum ordering [ema] gamma < [ema] lambda < [ema] delta violated "
                       f"({cfg.gamma}, {cfg.lam}, {cfg.delta}); proceeding anyway")
-    schedule = generate_tasks(cfg, seed)
+    tasks = generate_tasks(cfg, seed)
     student = dm.init_model(cfg, seed)
     teacher = student.clone() if knobs.use_teacher else None
     table = dm.init_class_table(cfg.total_classes, cfg.embed_dim, seed)
@@ -178,16 +174,18 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
     r_ttl = np.full((t_count, t_count), np.nan)
     metrics_rows: list[dict] = []
 
-    for t, task in enumerate(schedule.tasks):
-        n_seen = schedule.n_seen(t)
+    for t, task in enumerate(tasks):
+        # generate_tasks draws classes in id order, k per task, so task t holds the ids t*k..(t+1)*k-1:
+        # the classes seen by session t are the table's first (t+1)*k rows, and class c is logit column c
+        head = table[:(t + 1) * cfg.classes_per_task]
         mask, scores = run_supervised_session(
-            student, teacher, table, task, n_seen, knobs, cfg, seed,
+            student, teacher, head, task, knobs, cfg, seed,
             buffer=buffer, audit=audit, metrics_rows=metrics_rows)
         if mask is not None:
             history.append(mask, scores)
 
         eval_params = teacher if knobs.use_teacher else student
-        r_sup[t] = evaluate(eval_params, table, schedule, t, cfg.temperature)
+        r_sup[t] = evaluate(eval_params, head, tasks, t, cfg.temperature)
         metrics_rows.append({"type": "eval", "session": t, "checkpoint": "post_supervised",
                              "row": _row_json(r_sup[t])})
 
@@ -199,16 +197,16 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
                 else:
                     ttl_mask = history.masks[-1]
             final_ttl_mask = ttl_mask
-            stream, composition = build_ttl_stream(schedule, t, seed, cfg.ttl_stream_scope,
+            stream, composition = build_ttl_stream(tasks, t, seed, cfg.ttl_stream_scope,
                                                    cfg.ttl_imbalance, cfg.dirichlet_alpha)
             metrics_rows.append({"type": "ttl_stream", "session": t,
                                  "composition": {str(c): int(n) for c, n in sorted(composition.items())}})
             pq = None if teacher is None else compute_pq(ttl_mask if knobs.dual_momentum else None,
                                                          cfg.lam, cfg.delta)
             metrics_rows.extend(ttl_session(
-                student, teacher, ttl_mask, pq, stream, table, n_seen, cfg.temperature,
+                student, teacher, ttl_mask, pq, stream, head, cfg.temperature,
                 Optimizer(cfg), cfg.ttl_batch_size, audit=audit, session=t))
-            r_ttl[t] = evaluate(eval_params, table, schedule, t, cfg.temperature)
+            r_ttl[t] = evaluate(eval_params, head, tasks, t, cfg.temperature)
         else:
             r_ttl[t] = r_sup[t]
         metrics_rows.append({"type": "eval", "session": t, "checkpoint": "post_ttl",
@@ -221,7 +219,7 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
     summary.update({"variant": cfg.variant, "seed": int(seed)})
     metrics_rows.append({"type": "summary", **summary})
     return RunResult(
-        variant=cfg.variant, seed=int(seed), r_post_sup=r_sup, r_post_ttl=r_ttl,
+        r_post_sup=r_sup, r_post_ttl=r_ttl,
         metrics_rows=metrics_rows, summary=summary, history=history,
         final_ttl_mask=final_ttl_mask, student=student, teacher=teacher, table=table,
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -105,28 +104,13 @@ def encoder_shape(params: ParameterSet) -> tuple[int, int, int, bool]:
     return d, flat // d, blocks, attention
 
 
-@dataclass
-class ClassEmbeddingTable:
-    """Fixed unit-norm class embedding per class id; frozen during training."""
-
-    vectors: np.ndarray  # [total_classes, embed_dim]
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise ValueError(f"class table must be 2-d, got {self.vectors.shape}")
-
-    @property
-    def total_classes(self) -> int:
-        return self.vectors.shape[0]
-
-
-def init_class_table(total_classes: int, embed_dim: int, seed: int) -> ClassEmbeddingTable:
-    """Random unit-norm class embeddings, drawn from the data substream."""
+def init_class_table(total_classes: int, embed_dim: int, seed: int) -> np.ndarray:
+    """Fixed unit-norm class embeddings [total_classes, embed_dim], row c for class c, drawn from the
+    data substream; frozen during training."""
     rng = substream(seed, "data", "class-table")
     v = rng.standard_normal((total_classes, embed_dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return ClassEmbeddingTable(v)
+    return v
 
 
 def encode(params: ParameterSet, x) -> Tensor:
@@ -155,44 +139,38 @@ def encode(params: ParameterSet, x) -> Tensor:
     return ad.normalize_rows(ad.matmul(flat, e["proj.weight"]))
 
 
-def logits(params: ParameterSet, table: ClassEmbeddingTable, x, n_classes: int, temperature: float) -> Tensor:
-    """Cosine(embedding, class vector)/temperature against classes 0..n_classes-1; column c is class c."""
-    if not 1 <= n_classes <= table.total_classes:
-        raise ValueError(f"logits: n_classes {n_classes} outside [1, {table.total_classes}]")
-    if temperature <= 0.0:
-        raise ValueError(f"logits: temperature must be positive, got {temperature}")
-    emb = encode(params, x)
-    return ad.scale(ad.cosine_similarity_rows(emb, Tensor(table.vectors[:n_classes])), 1.0 / temperature)
+def logits(params: ParameterSet, head: np.ndarray, x, temperature: float) -> Tensor:
+    """Cosine(embedding, head row)/temperature: column c scores head row c, which is class c."""
+    return ad.scale(ad.cosine_similarity_rows(encode(params, x), Tensor(head)), 1.0 / temperature)
 
 
-def model_loss(params: ParameterSet, table: ClassEmbeddingTable, x, labels, n_classes: int,
-               temperature: float) -> Tensor:
-    """Cross-entropy over classes 0..n_classes-1; a label is its logit column."""
-    return ad.cross_entropy_from_logits(logits(params, table, x, n_classes, temperature), labels)
+def model_loss(params: ParameterSet, head: np.ndarray, x, labels, temperature: float) -> Tensor:
+    """Cross-entropy over head's classes; a label is its logit column."""
+    return ad.cross_entropy_from_logits(logits(params, head, x, temperature), labels)
 
 
-def predict(params: ParameterSet, table: ClassEmbeddingTable, x, n_classes: int, temperature: float) -> np.ndarray:
-    """Argmax class over classes 0..n_classes-1 (no tape is recorded)."""
-    return np.argmax(logits(params, table, x, n_classes, temperature).data, axis=1)
+def predict(params: ParameterSet, head: np.ndarray, x, temperature: float) -> np.ndarray:
+    """Argmax class over head's classes (no tape is recorded)."""
+    return np.argmax(logits(params, head, x, temperature).data, axis=1)
 
 
 # ---------------------------------------------------------------- persistence
 
-def save_checkpoint(path, params: ParameterSet, table: ClassEmbeddingTable | None = None,
+def save_checkpoint(path, params: ParameterSet, table: np.ndarray | None = None,
                     meta: dict | None = None) -> None:
     """Write parameters (and optionally the class table) bit-exactly as a tensor-record file."""
     records = [(p, t.data) for p, t in params.entries.items()]
     if table is not None:
-        records.append(("class_table", table.vectors))
+        records.append(("class_table", table))
     header = {"candidates": params.candidate_paths(), "meta": meta or {}}
     write_records(path, CHECKPOINT_MAGIC, header, records)
 
 
-def load_checkpoint(path) -> tuple[ParameterSet, ClassEmbeddingTable | None, dict]:
+def load_checkpoint(path) -> tuple[ParameterSet, np.ndarray | None, dict]:
     """Inverse of save_checkpoint; rejects unknown versions, cut or corrupt files, records
     that do not form one encoder, and a class table it cannot score against."""
     header, records = read_records(path, CHECKPOINT_MAGIC, np.float64, {"candidates": list, "meta": dict})
-    vectors = records.pop("class_table", None)
+    table = records.pop("class_table", None)
     params = ParameterSet()
     for name, value in records.items():
         params.add(name, value)
@@ -201,10 +179,9 @@ def load_checkpoint(path) -> tuple[ParameterSet, ClassEmbeddingTable | None, dic
         if header["candidates"] != params.candidate_paths():
             raise ValueError(f"candidates {header['candidates']} are not {params.candidate_paths()}")
         embed = params.entries["proj.weight"].shape[1]
-        if vectors is not None and (vectors.ndim != 2 or vectors.shape[1] != embed or not vectors.any(axis=1).all()):
-            raise ValueError(f"class_table of shape {vectors.shape} is not nonzero rows as wide as "
+        if table is not None and (table.ndim != 2 or table.shape[1] != embed or not table.any(axis=1).all()):
+            raise ValueError(f"class_table of shape {table.shape} is not nonzero rows as wide as "
                              f"proj.weight's {embed} columns")   # nan and inf failed in read_records
-        table = None if vectors is None else ClassEmbeddingTable(vectors)
     except ValueError as err:
         raise ValueError(f"{path}: malformed checkpoint ({err})") from None
     return params, table, header["meta"]

@@ -73,15 +73,15 @@ def _entropy(labels: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def ttl_session(student, teacher, mask, pq: SmoothingVectors | None, stream: UnlabeledStream,
-                table, n_classes: int, temperature: float, opt: Optimizer, batch_size: int,
-                audit=None, session: int = 0) -> list[dict]:
+def ttl_session(student, teacher, mask, pq: SmoothingVectors | None, stream: UnlabeledStream, head,
+                temperature: float, opt: Optimizer, batch_size: int, audit=None,
+                session: int = 0) -> list[dict]:
     """Adapt the student on one unlabeled stream; the teacher trails by EMA.
 
     opt, fresh for the session, steps the student where mask allows (None trains
     all); pq holds the teacher's blend weights (compute_pq at the adaptation low momentum).
     teacher=None self-labels from the student and skips the EMA entirely.
-    Logits cover classes 0..n_classes-1. Mutates student/teacher in place and returns one
+    Logits score the classes whose rows head holds. Mutates student/teacher in place and returns one
     routing row per batch of batch_size stream samples.
     """
     rows: list[dict] = []
@@ -90,14 +90,14 @@ def ttl_session(student, teacher, mask, pq: SmoothingVectors | None, stream: Unl
     for b, start in enumerate(range(0, len(ids_all), batch_size)):
         xb = x_all[start : start + batch_size]
         idb = ids_all[start : start + batch_size]
-        t_log = None if teacher is None else dm.logits(teacher, table, xb, n_classes, temperature).data
+        t_log = None if teacher is None else dm.logits(teacher, head, xb, temperature).data
         if audit is not None:
             audit.record_gradient_batch("ttl", session, idb)
         routed = []
 
         def build_loss():
             # one student forward serves both routing and the loss
-            s_log = dm.logits(student, table, xb, n_classes, temperature)
+            s_log = dm.logits(student, head, xb, temperature)
             routed.extend(route_pseudo_label(t_log, s_log.data))
             return cross_entropy_from_logits(s_log, routed[0])
 

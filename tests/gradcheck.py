@@ -294,11 +294,10 @@ def check_model_gradients(seed=0, use_attention=True):
     rng = np.random.default_rng([seed, 77])
     x = rng.normal(size=(3, cfg.input_dim))
     labels = np.array([0, 2, 3])
-    n_classes = 4
     temperature = 0.07
 
     def build():
-        return dm.model_loss(params, table, x, labels, n_classes, temperature)
+        return dm.model_loss(params, table, x, labels, temperature)
 
     params.zero_grads()
     with ad.Graph() as g:

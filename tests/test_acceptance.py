@@ -152,7 +152,7 @@ def test_criterion_03_mask_selection():
         lc = 0.07  # temperature
 
         def loss_fn(p, xb, yb):
-            return dm.model_loss(p, table, xb, yb, 4, lc)
+            return dm.model_loss(p, table, xb, yb, lc)
 
         from dosapp.data import LabeledDataset
         ds = LabeledDataset(x, y, np.arange(32, dtype=np.int64))
@@ -288,12 +288,12 @@ def test_criterion_09_stream_and_label_discipline():
         audit = RunAudit()
         run_experiment(cfg, seed, audit=audit)
 
-        schedule = generate_tasks(cfg, seed)
+        tasks = generate_tasks(cfg, seed)
 
         # every adaptation-stream instance hits exactly one gradient step
         checked = 0
         for t in range(cfg.tasks):
-            stream, _ = build_ttl_stream(schedule, t, seed, cfg.ttl_stream_scope)
+            stream, _ = build_ttl_stream(tasks, t, seed, cfg.ttl_stream_scope)
             assert not hasattr(stream, "y")  # the stream type cannot carry labels
             got = sorted(ids_seen(audit, phase="ttl", session=t))
             assert got == sorted(stream.ids.tolist()), f"session {t}"
@@ -301,20 +301,20 @@ def test_criterion_09_stream_and_label_discipline():
 
         # holdout instances never reach any gradient step, in either phase
         eval_ids = set()
-        for task in schedule.tasks:
+        for task in tasks:
             eval_ids.update(task.eval.ids.tolist())
         stepped = set(ids_seen(audit))
         assert not (eval_ids & stepped)
 
         # supervised steps draw only on labeled training splits
         train_ids = set()
-        for task in schedule.tasks:
+        for task in tasks:
             train_ids.update(task.train.ids.tolist())
         assert set(ids_seen(audit, phase="supervised")) <= train_ids
 
         # adaptation steps draw only on the label-sealed pools
         pool_ids = set()
-        for task in schedule.tasks:
+        for task in tasks:
             for _, ids in task.ttl_pool.values():
                 pool_ids.update(ids.tolist())
         assert set(ids_seen(audit, phase="ttl")) <= pool_ids

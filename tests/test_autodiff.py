@@ -57,7 +57,7 @@ def _model_grads(params, table, wrt, input_dim):
     x = rng.normal(size=(6, input_dim))
     params.zero_grads()
     with ad.Graph(wrt=wrt) as g:
-        loss = dm.model_loss(params, table, x, [0, 1, 2, 3, 1, 0], 4, temperature=0.07)
+        loss = dm.model_loss(params, table, x, [0, 1, 2, 3, 1, 0], temperature=0.07)
     taped = len(g.nodes)   # read before backward, which consumes the tape
     ad.backward(loss, g)
     return taped, {p: None if t.grad is None else t.grad.copy() for p, t in params.entries.items()}
@@ -221,7 +221,7 @@ def test_predict_on_an_all_zero_input_row_raises_instead_of_guessing():
     x = np.random.default_rng(1).normal(size=(3, cfg.input_dim))
     x[1] = 0.0
     with pytest.raises(ValueError, match="zero norm"):
-        dm.predict(params, table, x, 4, temperature=0.07)
+        dm.predict(params, table, x, temperature=0.07)
 
 
 # ------------------------------------------------------------ forward fixtures

@@ -330,6 +330,25 @@ def test_bad_ablate_value_exits_2_before_any_run(tmp_path, capsys, ablate, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, ini, seeds, key", [
+    ("run", "", "0,0", "[run] seeds"),
+    ("run", "", "1 0 01", "[run] seeds"),
+    ("ablate", "[ablate]\nvariants = dosapp, dosapp\n", "0", "[ablate] variants"),
+    ("ablate", "[ablate]\nmomentum_grid = 0.8:0.9 0.80:0.90\n", "0", "[ablate] momentum_grid"),
+], ids=["seeds", "seeds_as_written_apart", "variants", "momentum_grid"])
+def test_a_repeated_list_item_exits_2_naming_the_key_before_any_run(tmp_path, capsys, command, ini,
+                                                                      seeds, key):
+    # a repeat would run and write the same run directory twice
+    cfg = tmp_path / "repeat.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--seeds", seeds, "--out", str(out), *tiny_args()])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err and "repeat" in err
+    assert not out.exists()
+
+
 # complete and well-formed but for one value, so only config_from_manifest rejects it
 BAD_GAMMA_MANIFEST = json.dumps(build_manifest(RunConfig(), seed=0)).replace('"gamma": 0.8', '"gamma": 7') + "\n"
 

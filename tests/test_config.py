@@ -273,7 +273,7 @@ _POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
 _NONNEGATIVE = st.floats(0.0, 1e6)
 _SPECIAL = {
     "variant": st.sampled_from(sorted(VARIANTS)),
-    "seeds": st.lists(st.integers(0, 2**31), min_size=1).map(tuple),
+    "seeds": st.lists(st.integers(0, 2**31), min_size=1, unique=True).map(tuple),
     "score_sample_cap": st.none() | st.integers(1, 10**6),
     "buffer_capacity": st.integers(0, 10**6),
     "total_classes": st.integers(0, 10**6),  # the surplus over tasks x classes_per_task

@@ -31,20 +31,20 @@ def test_generation_is_deterministic_and_seed_sensitive():
     a = dd.generate_tasks(small_cfg(), 0)
     b = dd.generate_tasks(small_cfg(), 0)
     c = dd.generate_tasks(small_cfg(), 1)
-    for ta, tb in zip(a.tasks, b.tasks):
+    for ta, tb in zip(a, b):
         assert np.array_equal(ta.train.x, tb.train.x)
         assert np.array_equal(ta.eval.y, tb.eval.y)
         for cls in ta.ttl_pool:
             assert np.array_equal(ta.ttl_pool[cls][0], tb.ttl_pool[cls][0])
-    assert not np.array_equal(a.tasks[0].train.x, c.tasks[0].train.x)
+    assert not np.array_equal(a[0].train.x, c[0].train.x)
 
 
 def test_split_sizes_and_disjoint_instance_ids():
     cfg = small_cfg()
-    sched = dd.generate_tasks(cfg, 0)
-    assert len(sched.tasks) == cfg.tasks
+    tasks = dd.generate_tasks(cfg, 0)
+    assert len(tasks) == cfg.tasks
     seen = set()
-    for task in sched.tasks:
+    for task in tasks:
         assert len(task.train) == cfg.classes_per_task * cfg.samples_train
         assert len(task.eval) == cfg.classes_per_task * cfg.samples_eval
         assert set(task.ttl_pool) == set(task.class_ids)
@@ -57,16 +57,14 @@ def test_split_sizes_and_disjoint_instance_ids():
 
 
 def test_task_class_sets_are_disjoint_and_ordered():
-    sched = dd.generate_tasks(small_cfg(), 0)
-    assert sched.tasks[0].class_ids == (0, 1, 2, 3)
-    assert sched.tasks[1].class_ids == (4, 5, 6, 7)
-    assert sched.n_seen(0) == 4
-    assert sched.n_seen(1) == 8
+    # task t holds the ids t*k..(t+1)*k-1, so the classes seen by session t are the first (t+1)*k
+    tasks = dd.generate_tasks(small_cfg(), 0)
+    assert [task.class_ids for task in tasks] == [(0, 1, 2, 3), (4, 5, 6, 7)]
 
 
 def test_adaptation_pool_is_feature_only():
-    sched = dd.generate_tasks(small_cfg(), 0)
-    for task in sched.tasks:
+    tasks = dd.generate_tasks(small_cfg(), 0)
+    for task in tasks:
         for x, ids in task.ttl_pool.values():
             assert x.ndim == 2 and ids.ndim == 1
             assert ids.dtype == np.int64
@@ -76,15 +74,15 @@ def test_clusters_are_separable_when_noise_is_small():
     # wide separation, tiny noise: nearest train centroid should nail eval
     cfg = small_cfg(cluster_separation=10.0, noise_sigma=0.01,
                     samples_train=16, samples_eval=8)
-    sched = dd.generate_tasks(cfg, 0)
+    tasks = dd.generate_tasks(cfg, 0)
     hits = total = 0
     centroids, labels = [], []
-    for task in sched.tasks:
+    for task in tasks:
         for c in task.class_ids:
             centroids.append(task.train.x[task.train.y == c].mean(axis=0))
             labels.append(c)
     centroids = np.stack(centroids)
-    for task in sched.tasks:
+    for task in tasks:
         d = np.linalg.norm(task.eval.x[:, None, :] - centroids[None], axis=2)
         pred = np.array(labels)[np.argmin(d, axis=1)]
         hits += int((pred == task.eval.y).sum())
@@ -123,9 +121,9 @@ def test_large_alpha_is_near_uniform_small_alpha_is_skewed():
 
 def test_stream_scope_and_length():
     cfg = small_cfg()
-    sched = dd.generate_tasks(cfg, 0)
-    cur, comp_cur = dd.build_ttl_stream(sched, 1, master_seed=0, scope="current")
-    seen, comp_seen = dd.build_ttl_stream(sched, 1, master_seed=0, scope="seen")
+    tasks = dd.generate_tasks(cfg, 0)
+    cur, comp_cur = dd.build_ttl_stream(tasks, 1, master_seed=0, scope="current")
+    seen, comp_seen = dd.build_ttl_stream(tasks, 1, master_seed=0, scope="seen")
     assert len(cur) == cfg.classes_per_task * cfg.samples_ttl
     assert len(seen) == 2 * cfg.classes_per_task * cfg.samples_ttl
     assert set(comp_cur) == {4, 5, 6, 7}
@@ -134,20 +132,20 @@ def test_stream_scope_and_length():
 
 
 def test_stream_is_shuffled_and_deterministic():
-    sched = dd.generate_tasks(small_cfg(), 0)
-    s1, _ = dd.build_ttl_stream(sched, 1, master_seed=7)
-    s2, _ = dd.build_ttl_stream(sched, 1, master_seed=7)
-    s3, _ = dd.build_ttl_stream(sched, 1, master_seed=8)
+    tasks = dd.generate_tasks(small_cfg(), 0)
+    s1, _ = dd.build_ttl_stream(tasks, 1, master_seed=7)
+    s2, _ = dd.build_ttl_stream(tasks, 1, master_seed=7)
+    s3, _ = dd.build_ttl_stream(tasks, 1, master_seed=8)
     assert np.array_equal(s1.ids, s2.ids) and np.array_equal(s1.x, s2.x)
     assert not np.array_equal(s1.ids, s3.ids)
     assert not np.array_equal(s1.ids, np.sort(s1.ids))  # actually shuffled
 
 
 def test_stream_ids_come_from_the_right_pools():
-    sched = dd.generate_tasks(small_cfg(), 0)
-    stream, _ = dd.build_ttl_stream(sched, 1, master_seed=0, scope="seen")
+    tasks = dd.generate_tasks(small_cfg(), 0)
+    stream, _ = dd.build_ttl_stream(tasks, 1, master_seed=0, scope="seen")
     pool_ids = set()
-    for task in sched.tasks[:2]:
+    for task in tasks[:2]:
         for _, ids in task.ttl_pool.values():
             pool_ids.update(ids.tolist())
     got = stream.ids.tolist()
@@ -157,10 +155,10 @@ def test_stream_ids_come_from_the_right_pools():
 
 def test_dirichlet_alpha_none_means_classes_per_task():
     cfg = small_cfg()
-    sched = dd.generate_tasks(cfg, 0)
+    tasks = dd.generate_tasks(cfg, 0)
 
     def stream(alpha):
-        return dd.build_ttl_stream(sched, 1, master_seed=3, imbalance_mode="dirichlet",
+        return dd.build_ttl_stream(tasks, 1, master_seed=3, imbalance_mode="dirichlet",
                                    dirichlet_alpha=alpha)
 
     default, comp = stream(None)
@@ -173,14 +171,14 @@ def test_dirichlet_alpha_none_means_classes_per_task():
 
 def test_dirichlet_stream_respects_composition():
     cfg = small_cfg()
-    sched = dd.generate_tasks(cfg, 0)
-    stream, comp = dd.build_ttl_stream(sched, 1, master_seed=3, scope="seen",
+    tasks = dd.generate_tasks(cfg, 0)
+    stream, comp = dd.build_ttl_stream(tasks, 1, master_seed=3, scope="seen",
                                        imbalance_mode="dirichlet", dirichlet_alpha=0.3)
     assert sum(comp.values()) == len(stream)
     assert all(v <= cfg.samples_ttl for v in comp.values())
     # label the stream from the generator's own pools to verify the counts
     id_to_class = {}
-    for task in sched.tasks:
+    for task in tasks:
         for c, (_, ids) in task.ttl_pool.items():
             for i in ids.tolist():
                 id_to_class[i] = c
@@ -216,14 +214,14 @@ def _concatenated_splits(cfg, seed):
     return out
 
 
-def _concatenated_stream(schedule, session, master_seed, scope, imbalance_mode, dirichlet_alpha):
+def _concatenated_stream(tasks, session, master_seed, scope, imbalance_mode, dirichlet_alpha):
     """The stream as its parts concatenated in class order, then a permuted copy of that."""
-    tasks = schedule.tasks[: session + 1] if scope == "seen" else [schedule.tasks[session]]
-    pools = {c: pool for t in tasks for c, pool in t.ttl_pool.items()}
+    used = tasks[: session + 1] if scope == "seen" else [tasks[session]]
+    pools = {c: pool for t in used for c, pool in t.ttl_pool.items()}
     class_ids = sorted(pools)
     counts = {c: len(pools[c][1]) for c in class_ids}
     if imbalance_mode == "dirichlet":
-        alpha = (float(len(schedule.tasks[session].class_ids)) if dirichlet_alpha is None
+        alpha = (float(len(tasks[session].class_ids)) if dirichlet_alpha is None
                  else dirichlet_alpha)
         counts = dd.sample_imbalanced_ttl(class_ids, counts, alpha,
                                           substream(master_seed, "dirichlet", f"session{session}"))
@@ -253,8 +251,8 @@ def test_splits_and_streams_match_the_concatenate_then_permute_construction(work
 
     cfg = workloads.resolve_config(workload)
     for seed in (0, 1, 2):
-        schedule = dd.generate_tasks(cfg, seed)
-        for task, (train, pool, holdout) in zip(schedule.tasks, _concatenated_splits(cfg, seed)):
+        tasks = dd.generate_tasks(cfg, seed)
+        for task, (train, pool, holdout) in zip(tasks, _concatenated_splits(cfg, seed)):
             for got, want in ((task.train, train), (task.eval, holdout)):
                 assert all(map(_same_bytes, (got.x, got.y, got.ids), want))
             assert _same_bytes(np.concatenate([x for x, _ in task.ttl_pool.values()]), pool[0])
@@ -264,8 +262,8 @@ def test_splits_and_streams_match_the_concatenate_then_permute_construction(work
         for session, scope, (mode, alpha) in itertools.product(
                 range(cfg.tasks), ("seen", "current"),
                 (("balanced", None), ("dirichlet", None), ("dirichlet", 0.3))):
-            stream, counts = dd.build_ttl_stream(schedule, session, seed, scope, mode, alpha)
-            x, ids, want_counts = _concatenated_stream(schedule, session, seed, scope, mode, alpha)
+            stream, counts = dd.build_ttl_stream(tasks, session, seed, scope, mode, alpha)
+            x, ids, want_counts = _concatenated_stream(tasks, session, seed, scope, mode, alpha)
             assert counts == want_counts
             assert _same_bytes(stream.x, x) and _same_bytes(stream.ids, ids), (seed, session, scope, mode)
 
@@ -274,12 +272,12 @@ def test_splits_and_streams_match_the_concatenate_then_permute_construction(work
 @pytest.mark.parametrize("scope", ["seen", "current"])
 def test_build_ttl_stream_holds_one_copy_of_the_stream(scope, mode, alpha):
     cfg = RunConfig()
-    schedule = dd.generate_tasks(cfg, 0)
+    tasks = dd.generate_tasks(cfg, 0)
     last = cfg.tasks - 1
-    dd.build_ttl_stream(schedule, last, 0, scope, mode, alpha)  # first-call costs stay out
+    dd.build_ttl_stream(tasks, last, 0, scope, mode, alpha)  # first-call costs stay out
     tracemalloc.start()
     try:
-        stream, _ = dd.build_ttl_stream(schedule, last, 0, scope, mode, alpha)
+        stream, _ = dd.build_ttl_stream(tasks, last, 0, scope, mode, alpha)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -305,7 +303,7 @@ def test_buffer_never_exceeds_capacity_and_samples_without_replacement():
     for i in range(200):
         buf.add(np.full(2, float(i)), y=0, instance_id=i)
         assert len(buf) <= 5
-    assert len(buf) == 5 and buf.n_seen == 200
+    assert len(buf) == 5 and buf.n_offered == 200
     x, y, ids = buf.sample(3)
     assert len(set(ids.tolist())) == 3
     x2, _, ids2 = buf.sample(50)  # capped at what's stored
@@ -316,7 +314,7 @@ def test_zero_capacity_buffer_is_inert():
     buf = dd.ReplayBuffer(capacity=0, seed=0)
     for i in range(20):
         buf.add(np.zeros(2), y=0, instance_id=i)
-    assert len(buf) == 0 and buf.n_seen == 0
+    assert len(buf) == 0 and buf.n_offered == 0
     with pytest.raises(ValueError, match="empty"):
         buf.sample(1)
 

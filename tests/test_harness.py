@@ -1,6 +1,7 @@
 """Experiment harness: metrics, evaluation, variant behavior, end-to-end runs."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,22 +94,22 @@ def test_metrics_reject_non_square():
 
 def test_cloned_teacher_evaluates_identically():
     cfg = tiny_cfg()
-    sched = generate_tasks(cfg, 0)
+    tasks = generate_tasks(cfg, 0)
     student = dm.init_model(cfg, 0)
     teacher = student.clone()
     table = dm.init_class_table(8, 8, 0)
     lc = cfg.temperature
-    rs = hz.evaluate(student, table, sched, 1, lc)
-    rt = hz.evaluate(teacher, table, sched, 1, lc)
+    rs = hz.evaluate(student, table, tasks, 1, lc)
+    rt = hz.evaluate(teacher, table, tasks, 1, lc)
     assert np.array_equal(rs, rt)
     assert not np.any(np.isnan(rs))
 
 
 def test_evaluate_leaves_future_tasks_nan():
-    sched = generate_tasks(tiny_cfg(), 0)
+    tasks = generate_tasks(tiny_cfg(), 0)
     student = dm.init_model(tiny_cfg(), 0)
     table = dm.init_class_table(8, 8, 0)
-    row = hz.evaluate(student, table, sched, 0, 0.07)
+    row = hz.evaluate(student, table[:4], tasks, 0, 0.07)
     assert not np.isnan(row[0]) and np.isnan(row[1])
 
 
@@ -215,13 +216,13 @@ def test_eval_rows_present_at_both_checkpoints():
 
 def test_restricting_to_fewer_classes_never_hurts_accuracy():
     # scoring against only the first task's classes 0..3 is an easier problem
-    sched = generate_tasks(tiny_cfg(), 3)
+    tasks = generate_tasks(tiny_cfg(), 3)
     params = dm.init_model(tiny_cfg(), 3)
     table = dm.init_class_table(8, 8, 3)
     lc = 0.07  # temperature
-    ev = sched.tasks[0].eval
-    acc_narrow = float(np.mean(dm.predict(params, table, ev.x, 4, lc) == ev.y))
-    acc_wide = float(np.mean(dm.predict(params, table, ev.x, 8, lc) == ev.y))
+    ev = tasks[0].eval
+    acc_narrow = float(np.mean(dm.predict(params, table[:4], ev.x, lc) == ev.y))
+    acc_wide = float(np.mean(dm.predict(params, table, ev.x, lc) == ev.y))
     assert acc_narrow >= acc_wide
 
 
@@ -229,16 +230,14 @@ def test_non_finite_loss_stops_supervised_session_before_the_step():
     # one batch per epoch, so a NaN feature poisons the very first step;
     # student and teacher must keep their initial values
     cfg = tiny_cfg(variant="teacher_student_only", batch_size=64)
-    sched = generate_tasks(cfg, 0)
-    task = sched.tasks[0]
+    task = generate_tasks(cfg, 0)[0]
     task.train.x[5, 2] = np.nan
     student = dm.init_model(cfg, 0)
     teacher = student.clone()
     fresh = student.clone()
     table = dm.init_class_table(8, 8, 0)
     with pytest.raises(FloatingPointError, match=r"supervised session 0 epoch 0 batch 0"):
-        hz.run_supervised_session(student, teacher, table, task, sched.n_seen(0),
-                                  VARIANTS[cfg.variant], cfg, seed=0)
+        hz.run_supervised_session(student, teacher, table[:4], task, VARIANTS[cfg.variant], cfg, seed=0)
     for k in fresh.entries:
         assert np.array_equal(student.entries[k].data, fresh.entries[k].data), k
         assert np.array_equal(teacher.entries[k].data, fresh.entries[k].data), k
@@ -301,3 +300,22 @@ def test_results_match_the_golden_digests(variant, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_DIGESTS[variant]}
     assert got == GOLDEN_DIGESTS[variant]
+
+
+# ------------------------------------------------------------ traced counts
+
+def test_a_traced_run_reports_the_counts_the_benchmark_reads(monkeypatch):
+    # The tracer wraps ttl_session(student, ...) and encode(params, x) by argument position and
+    # finds the others by name, so a renamed function or a reordered argument list must change
+    # these counts here rather than only in a traced benchmark pass.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import tracer
+
+    with tracer.Tracer() as active:
+        result = hz.run_experiment(RunConfig(tasks=2, epochs=2, samples_ttl=16), 0)
+    m = active.metrics()
+    assert m["ttl.batches"] == sum(row["type"] == "ttl_batch" for row in result.metrics_rows) == 3
+    assert m["ttl.student_forwards_per_batch"] == 1.0
+    assert (m["model.encode_calls"], m["model.untaped_encode_calls"]) == (24, 9)
+    assert (m["autodiff.backward_calls"], m["autodiff.tape_nodes"]) == (15, 375)
+    assert m["harness.gradient_samples"] == 704

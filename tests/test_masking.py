@@ -84,7 +84,7 @@ def test_scoring_touches_no_parameters_or_grads():
     ds = LabeledDataset(x=x, y=np.array([0, 1, 2, 3, 0, 1, 2]), ids=np.arange(7))
 
     def loss_fn(p, xb, yb):
-        return dm.model_loss(p, table, xb, yb, 4, LOGIT)
+        return dm.model_loss(p, table[:4], xb, yb, LOGIT)
 
     scores = mk.score_parameters(params, ds, loss_fn, batch_size=3)
     for p, t in params.entries.items():

@@ -68,7 +68,7 @@ def test_teacher_student_share_paths_and_shapes(tiny):
 
 def test_class_table_rows_unit_norm():
     table = dm.init_class_table(20, 32, seed=4)
-    norms = np.linalg.norm(table.vectors, axis=1)
+    norms = np.linalg.norm(table, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
 
@@ -92,46 +92,35 @@ def test_encode_is_batch_order_equivariant(tiny):
 
 
 def test_logits_restriction_is_column_subset(tiny):
-    # n classes score against the first n columns of the full table (to rounding: BLAS may
-    # take another kernel for a narrower product)
+    # a head of the table's first n rows scores the first n columns of the full table (to rounding:
+    # BLAS may take another kernel for a narrower product)
     cfg, params, table = tiny
     x = np.random.default_rng(3).normal(size=(4, cfg.input_dim))
-    full = dm.logits(params, table, x, 6, LOGIT).data
+    full = dm.logits(params, table, x, LOGIT).data
     for n in range(1, 6):
-        assert np.allclose(dm.logits(params, table, x, n, LOGIT).data, full[:, :n], rtol=0, atol=1e-12), n
+        assert np.allclose(dm.logits(params, table[:n], x, LOGIT).data, full[:, :n], rtol=0, atol=1e-12), n
 
 
 def test_logit_temperature_scales_but_argmax_invariant(tiny):
     cfg, params, table = tiny
     x = np.random.default_rng(4).normal(size=(4, cfg.input_dim))
-    cold = dm.logits(params, table, x, 6, 0.07).data
-    warm = dm.logits(params, table, x, 6, 1.0).data
+    cold = dm.logits(params, table, x, 0.07).data
+    warm = dm.logits(params, table, x, 1.0).data
     assert np.allclose(cold, warm / 0.07, atol=1e-9)
     assert np.array_equal(np.argmax(cold, axis=1), np.argmax(warm, axis=1))
     # cosine similarities live in [-1, 1] before temperature scaling
     assert np.all(np.abs(warm) <= 1.0 + 1e-12)
-    for bad in (0.0, -0.07):
-        with pytest.raises(ValueError, match="temperature"):
-            dm.logits(params, table, x, 6, bad)
-
-
-def test_restriction_validation(tiny):
-    cfg, params, table = tiny
-    x = np.zeros((1, cfg.input_dim))
-    for bad in (0, 7):  # the table holds 6 classes
-        with pytest.raises(ValueError, match=r"n_classes .* outside \[1, 6\]"):
-            dm.logits(params, table, x, bad, LOGIT)
 
 
 def test_model_loss_rejects_a_label_of_an_unscored_class(tiny):
     cfg, params, table = tiny
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, cfg.input_dim))
-    loss = dm.model_loss(params, table, x, np.array([1, 5, 3]), 6, LOGIT)
+    loss = dm.model_loss(params, table, x, np.array([1, 5, 3]), LOGIT)
     assert loss.data.shape == ()
     assert np.isfinite(loss.item())
     with pytest.raises(ValueError, match=r"label out of range \[0, 4\)"):
-        dm.model_loss(params, table, x, np.array([1, 4, 3]), 4, LOGIT)
+        dm.model_loss(params, table[:4], x, np.array([1, 4, 3]), LOGIT)
 
 
 def test_model_loss_gradients_stay_finite(tiny):
@@ -139,7 +128,7 @@ def test_model_loss_gradients_stay_finite(tiny):
     x = np.random.default_rng(6).normal(size=(4, cfg.input_dim))
     params.zero_grads()
     with ad.Graph() as g:
-        loss = dm.model_loss(params, table, x, np.array([0, 1, 2, 3]), 4, LOGIT)
+        loss = dm.model_loss(params, table[:4], x, np.array([0, 1, 2, 3]), LOGIT)
     ad.backward(loss, g)
     for path, t in params.entries.items():
         assert t.grad is not None, path
@@ -149,9 +138,9 @@ def test_model_loss_gradients_stay_finite(tiny):
 def test_predict_returns_the_argmax_class_below_n_classes(tiny):
     cfg, params, table = tiny
     x = np.random.default_rng(7).normal(size=(5, cfg.input_dim))
-    pred = dm.predict(params, table, x, 3, LOGIT)
+    pred = dm.predict(params, table[:3], x, LOGIT)
     assert set(np.unique(pred)) <= {0, 1, 2}
-    assert np.array_equal(pred, np.argmax(dm.logits(params, table, x, 3, LOGIT).data, axis=1))
+    assert np.array_equal(pred, np.argmax(dm.logits(params, table[:3], x, LOGIT).data, axis=1))
 
 
 def test_checkpoint_round_trip_bit_exact(tiny, tmp_path):
@@ -163,7 +152,7 @@ def test_checkpoint_round_trip_bit_exact(tiny, tmp_path):
     for p in params.entries:
         assert np.array_equal(loaded.entries[p].data, params.entries[p].data), p
     assert set(loaded.candidate_paths()) == set(params.candidate_paths())
-    assert np.array_equal(loaded_table.vectors, table.vectors)
+    assert np.array_equal(loaded_table, table)
     assert meta["note"] == "fixture"
 
 

@@ -39,11 +39,11 @@ def ttl_fixture(seed=0, n=24):
     return cfg, student, teacher, table, stream
 
 
-def session(student, teacher, mask, stream, table, ema_mask=None, n_classes=4,
-            batch_size=8, **kw):
-    """ttl_session at the fixture's settings; ema_mask picks the dual-momentum lane."""
+def session(student, teacher, mask, stream, table, ema_mask=None, batch_size=8, **kw):
+    """ttl_session over the table's first 4 classes at the fixture's settings; ema_mask picks the
+    dual-momentum lane."""
     pq = em.compute_pq(ema_mask, 0.9, 0.9999)  # the default adaptation and high momenta
-    return tt.ttl_session(student, teacher, mask, pq, stream, table, n_classes, 0.07,
+    return tt.ttl_session(student, teacher, mask, pq, stream, table[:4], 0.07,
                           Optimizer(RunConfig(learning_rate=0.05)), batch_size, **kw)
 
 
@@ -121,13 +121,6 @@ def test_routing_validation():
         tt.route_pseudo_label(np.zeros((1, 0)), np.zeros((1, 0)))
 
 
-def test_stream_config_validation():
-    for bad in (0, 7):  # the table holds 6 classes
-        _, student, teacher, table, stream = ttl_fixture()
-        with pytest.raises(ValueError, match=r"n_classes .* outside \[1, 6\]"):
-            session(student, teacher, None, stream, table, n_classes=bad)
-
-
 # ------------------------------------------------------------ session mechanics
 
 def test_stream_is_consumed_exactly_once():
@@ -170,7 +163,7 @@ def test_report_counts_sum_to_stream_length():
 def test_self_label_mode_skips_teacher_entirely():
     _, student, _, table, stream = ttl_fixture()
     mask = full_candidate_mask(student)
-    rows = tt.ttl_session(student, None, mask, None, stream, table, 4, 0.07,
+    rows = tt.ttl_session(student, None, mask, None, stream, table[:4], 0.07,
                           Optimizer(RunConfig(learning_rate=0.05)), 8)
     assert sum(r["size"] for r in rows) > 0
     for row in rows:
