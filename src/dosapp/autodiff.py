@@ -494,11 +494,14 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 
 
 def normalize_rows(a) -> Tensor:
-    """Scale each row (last axis) to unit L2 norm; a row of zero norm is a ValueError."""
+    """Scale each row (last axis) to unit L2 norm; a row of zeros is a ValueError."""
     a = _as_tensor(a)
     n = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
     if not n.all():                       # a NaN norm passes, to fail as a non-finite loss
-        raise ValueError(f"normalize_rows: row {np.flatnonzero(n == 0.0)[0]} has zero norm")
+        m = np.abs(a.data).max(axis=-1, keepdims=True)  # a tiny row's squares underflow: scale it by m
+        if not m.all():
+            raise ValueError(f"normalize_rows: row {np.flatnonzero(m == 0.0)[0]} has zero norm")
+        n = np.where(n == 0.0, m * np.sqrt(((a.data / m) ** 2).sum(axis=-1, keepdims=True)), n)
     y = a.data / n
     out = Tensor(y)
 
@@ -596,10 +599,7 @@ class Optimizer:
         self._t: dict[str, int] = {}
 
     def step(self, params, mask=None) -> None:
-        if mask is None:
-            targets = [(path, None) for path in params.entries]
-        else:
-            targets = [(path, bits) for path, bits in mask.bits.items()]
+        targets = [(path, None) for path in params.entries] if mask is None else mask.items()
         for path, bits in targets:
             p = params.entries[path]
             if p.grad is None:
@@ -609,8 +609,7 @@ class Optimizer:
             if bits is None:
                 p.data -= upd
             else:
-                sel = bits
-                p.data[sel] = p.data[sel] - upd[sel]
+                p.data[bits] = p.data[bits] - upd[bits]
 
     def _update(self, path: str, g: np.ndarray, theta: np.ndarray) -> np.ndarray:
         cfg = self.cfg

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 from .config import (ConfigError, RunConfig, apply_overrides, build_manifest, check_cross_keys,
@@ -137,17 +138,19 @@ def main(argv=None) -> int:
     p_rep.set_defaults(fn=cmd_report)
 
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
-    except FloatingPointError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():  # a warning is one line on stderr, like an error, until main returns
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.fn(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            return 1
+        except FloatingPointError as exc:
+            print(f"run failed: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

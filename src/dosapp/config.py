@@ -9,6 +9,7 @@ to reproduce the run bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -79,6 +80,10 @@ _positive_int = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _nonnegative_int = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _positive_float = _checked(float, lambda v: v > 0.0 and math.isfinite(v), "a finite number > 0")
 _nonnegative_float = _checked(float, lambda v: v >= 0.0 and math.isfinite(v), "a finite number >= 0")
+# a logit is a cosine over the temperature, so logits and their squares stay finite above this
+MIN_TEMPERATURE = 1.0 / math.sqrt(sys.float_info.max)
+_temperature = _checked(float, lambda v: MIN_TEMPERATURE <= v < math.inf,
+                        f"a finite number >= {MIN_TEMPERATURE:.4g}")
 _unit_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 _beta = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
@@ -132,7 +137,7 @@ class RunConfig:
     mlp_hidden_dim: int = _key("model", "mlp_hidden_dim", 64, _positive_int)
     embed_dim: int = _key("model", "embed_dim", 32, _positive_int)
     use_attention: bool = _key("model", "use_attention", True, _parse_bool)
-    temperature: float = _key("model", "temperature", 0.07, _positive_float)
+    temperature: float = _key("model", "temperature", 0.07, _temperature)
     optimizer_kind: str = _key("optimizer", "kind", "adamw", _one_of(OPTIMIZER_KINDS))
     learning_rate: float = _key("optimizer", "learning_rate", 0.08, _positive_float)
     beta1: float = _key("optimizer", "beta1", 0.9, _beta)
@@ -254,6 +259,9 @@ def check_cross_keys(cfg: RunConfig) -> RunConfig:
     if cfg.token_count * cfg.token_dim != cfg.input_dim:
         broken.append(f"[model] token_count x [model] token_dim = {cfg.token_count} x {cfg.token_dim} "
                       f"differs from [data] input_dim = {cfg.input_dim}")
+    if max(cfg.cluster_separation, cfg.noise_sigma) < sys.float_info.min:
+        broken.append(f"[data] cluster_separation and [data] noise_sigma are both below the smallest "
+                      f"normal float {sys.float_info.min}, so the input rows are zero or too small to embed")
     if broken:
         raise ConfigError("; ".join(broken))
     return cfg

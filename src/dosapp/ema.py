@@ -37,7 +37,7 @@ def compute_pq(mask, low: float, delta: float) -> SmoothingVectors:
     p: dict[str, np.ndarray] = {}
     q: dict[str, np.ndarray] = {}
     if mask is not None:
-        for path, bits in mask.bits.items():
+        for path, bits in mask.items():
             m = bits.astype(np.float64)
             p[path] = (low - delta) * m + delta
             q[path] = (delta - low) * m + (1.0 - delta)

@@ -104,13 +104,13 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None, 
     return mask, scores
 
 
-def _accuracy(params: ParameterSet, head: np.ndarray, ds: LabeledDataset, temperature: float,
+def _accuracy(params: ParameterSet, head: np.ndarray, ds: LabeledDataset, temperature: float, where: str,
               batch_size: int = 256) -> float:
     correct = 0
     for start in range(0, len(ds), batch_size):
         xb = ds.x[start : start + batch_size]
         yb = ds.y[start : start + batch_size]
-        pred = dm.predict(params, head, xb, temperature)
+        pred = dm.predict(params, head, xb, temperature, where)
         correct += int((pred == yb).sum())
     return correct / len(ds)
 
@@ -120,7 +120,7 @@ def evaluate(params: ParameterSet, head: np.ndarray, tasks: list[TaskData], upto
     """Holdout accuracy on every task up to upto (NaN after it), logits over head's classes."""
     row = np.full(len(tasks), np.nan)
     for j in range(upto + 1):
-        row[j] = _accuracy(params, head, tasks[j].eval, temperature)
+        row[j] = _accuracy(params, head, tasks[j].eval, temperature, f"evaluation session {upto} task {j}")
     return row
 
 

@@ -3,9 +3,10 @@
 A score is the absolute value of the MEAN gradient over the scoring data
 (mean first, then absolute value, so sign-cancelling gradients score zero).
 Selection keeps the top ceil(c * N) entries per candidate tensor, ties
-broken toward the lower flat index. Per-task masks are kept in memory with
-their scores so later sessions can take the union and re-select within it;
-only the masks are ever written.
+broken toward the lower flat index. A mask is a plain dict from candidate
+path to bool bits. Per-task masks are kept in memory with their scores so
+later sessions can take the union and re-select within it; only the masks
+are ever written, as tensor-record files that hold just their bits.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from .ttl import gradients
 MASK_MAGIC = "dosapp-mask"
 
 
-@dataclass
-class Mask:
-    """Binary selection per candidate tensor."""
-
-    bits: dict[str, np.ndarray]
-    sparsity: float
-    origin: str  # "per_task" | "union_reselected"
+Mask = dict[str, np.ndarray]  # candidate path -> bool bits of the same shape
 
 
 @dataclass
@@ -108,19 +103,17 @@ def _fold(dicts, op) -> dict[str, np.ndarray]:
 
 def select_topk(scores: dict[str, np.ndarray], c: float) -> Mask:
     """Keep the top ceil(c*N) scores per tensor; ties go to the lower index."""
-    bits = {path: _topk_bits(arr, np.ones(arr.shape, dtype=bool), c, path)
-            for path, arr in scores.items()}
-    return Mask(bits=bits, sparsity=c, origin="per_task")
+    return {path: _topk_bits(arr, np.ones(arr.shape, dtype=bool), c, path) for path, arr in scores.items()}
 
 
-def union_masks(history: MaskHistory) -> dict[str, np.ndarray]:
+def union_masks(history: MaskHistory) -> Mask:
     """Elementwise OR of every stored per-task mask; raw, no sparsity target."""
     if len(history) == 0:
         raise ValueError("union_masks: empty history")
-    return _fold((mask.bits for mask in history.masks), np.bitwise_or)
+    return _fold(history.masks, np.bitwise_or)
 
 
-def reselect_topk(union_bits: dict[str, np.ndarray], history: MaskHistory, c: float) -> Mask:
+def reselect_topk(union: Mask, history: MaskHistory, c: float) -> Mask:
     """Re-select within the union: per-entry score is the max over tasks.
 
     Keeps ceil(c*N) per tensor out of the union pool; if the pool is smaller
@@ -129,17 +122,14 @@ def reselect_topk(union_bits: dict[str, np.ndarray], history: MaskHistory, c: fl
     if len(history) == 0:
         raise ValueError("reselect_topk: empty history")
     best = _fold(history.scores, np.maximum)
-    bits = {path: _topk_bits(best[path], pool, c, path) for path, pool in union_bits.items()}
-    return Mask(bits=bits, sparsity=c, origin="union_reselected")
+    return {path: _topk_bits(best[path], pool, c, path) for path, pool in union.items()}
 
 
 # ---------------------------------------------------------------- persistence
 
 def save_mask(path, mask: Mask) -> None:
-    write_records(path, MASK_MAGIC, {"origin": mask.origin, "sparsity": float(mask.sparsity)},
-                  mask.bits.items())
+    write_records(path, MASK_MAGIC, mask.items())
 
 
 def load_mask(path) -> Mask:
-    attrs, bits = read_records(path, MASK_MAGIC, bool, {"origin": str, "sparsity": float})
-    return Mask(bits=bits, **attrs)
+    return read_records(path, MASK_MAGIC, bool)

@@ -5,6 +5,7 @@ token sequence) to a unit-norm embedding, which is scored against a fixed
 table of unit-norm class embeddings by temperature-scaled cosine similarity.
 Only the first MLP layer weight of each block is a candidate for sparse
 masked updates; everything else stays frozen under masked training.
+A checkpoint holds only tensors; its candidates and encoder shape follow from them.
 """
 
 from __future__ import annotations
@@ -149,39 +150,46 @@ def model_loss(params: ParameterSet, head: np.ndarray, x, labels, temperature: f
     return ad.cross_entropy_from_logits(logits(params, head, x, temperature), labels)
 
 
-def predict(params: ParameterSet, head: np.ndarray, x, temperature: float) -> np.ndarray:
+def untaped_logits(params: ParameterSet, head: np.ndarray, x, temperature: float, where: str) -> np.ndarray:
+    """logits(...).data of a forward no gradient is taken of; a non-finite logit raises
+    FloatingPointError naming `where`, in place of numpy's warnings."""
+    with np.errstate(all="ignore"):
+        out = logits(params, head, x, temperature).data
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"non-finite logits in {where}")
+    return out
+
+
+def predict(params: ParameterSet, head: np.ndarray, x, temperature: float,
+            where: str = "prediction") -> np.ndarray:
     """Argmax class over head's classes (no tape is recorded)."""
-    return np.argmax(logits(params, head, x, temperature).data, axis=1)
+    return np.argmax(untaped_logits(params, head, x, temperature, where), axis=1)
 
 
 # ---------------------------------------------------------------- persistence
 
-def save_checkpoint(path, params: ParameterSet, table: np.ndarray | None = None,
-                    meta: dict | None = None) -> None:
+def save_checkpoint(path, params: ParameterSet, table: np.ndarray | None = None) -> None:
     """Write parameters (and optionally the class table) bit-exactly as a tensor-record file."""
     records = [(p, t.data) for p, t in params.entries.items()]
     if table is not None:
         records.append(("class_table", table))
-    header = {"candidates": params.candidate_paths(), "meta": meta or {}}
-    write_records(path, CHECKPOINT_MAGIC, header, records)
+    write_records(path, CHECKPOINT_MAGIC, records)
 
 
-def load_checkpoint(path) -> tuple[ParameterSet, np.ndarray | None, dict]:
+def load_checkpoint(path) -> tuple[ParameterSet, np.ndarray | None]:
     """Inverse of save_checkpoint; rejects unknown versions, cut or corrupt files, records
     that do not form one encoder, and a class table it cannot score against."""
-    header, records = read_records(path, CHECKPOINT_MAGIC, np.float64, {"candidates": list, "meta": dict})
+    records = read_records(path, CHECKPOINT_MAGIC, np.float64)
     table = records.pop("class_table", None)
     params = ParameterSet()
     for name, value in records.items():
         params.add(name, value)
     try:
         encoder_shape(params)
-        if header["candidates"] != params.candidate_paths():
-            raise ValueError(f"candidates {header['candidates']} are not {params.candidate_paths()}")
         embed = params.entries["proj.weight"].shape[1]
         if table is not None and (table.ndim != 2 or table.shape[1] != embed or not table.any(axis=1).all()):
             raise ValueError(f"class_table of shape {table.shape} is not nonzero rows as wide as "
                              f"proj.weight's {embed} columns")   # nan and inf failed in read_records
     except ValueError as err:
         raise ValueError(f"{path}: malformed checkpoint ({err})") from None
-    return params, table, header["meta"]
+    return params, table

@@ -1,6 +1,6 @@
 """Tensor records: the one file format of checkpoints and masks.
 
-A header line ``<magic> v4 <json object>``, then a ``<name> shape=d0,d1``
+A header line ``<magic> v5`` and nothing else, then a ``<name> shape=d0,d1``
 line and a body line per tensor: the base64 of the array's raw bytes,
 little-endian float64 (bit-exact) or one byte of 0/1 per bool. The last
 line is ``end sha256=<hex>``, the digest of every byte before it, so a file
@@ -11,22 +11,21 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import math
 
 import numpy as np
 
-VERSION = "v4"
+VERSION = "v5"
 
 
 def _wire(dtype) -> np.dtype:
     return np.dtype(np.uint8 if dtype in (bool, np.bool_) else "<f8")
 
 
-def write_records(path, magic: str, attrs: dict, records) -> None:
+def write_records(path, magic: str, records) -> None:
     """Write the header line, a name and a body line per (name, array), and the end line;
     a record read_records could not read back raises a ValueError before the file opens."""
-    lines = [f"{magic} {VERSION} {json.dumps(attrs, sort_keys=True)}".encode()]
+    lines = [f"{magic} {VERSION}".encode()]
     names = set()
     for name, arr in records:
         if not name or name in names or "\n" in name or "\r" in name or arr.ndim == 0:
@@ -42,18 +41,16 @@ def write_records(path, magic: str, attrs: dict, records) -> None:
         fh.write(body + f"end sha256={hashlib.sha256(body).hexdigest()}\n".encode())
 
 
-def read_records(path, magic: str, dtype, keys: dict) -> tuple[dict, dict[str, np.ndarray]]:
-    """Inverse of write_records: (header attributes, {name: array} in file order).
+def read_records(path, magic: str, dtype) -> dict[str, np.ndarray]:
+    """Inverse of write_records: {name: array} in file order.
 
-    ``keys`` maps each header attribute to its JSON type (``int``, ``float``,
-    ``str``, ``list`` or ``dict``), and the header must hold exactly those.
-    A wrong magic or version, or a cut or corrupt file, raises a ValueError
-    naming the file and, where there is one, the record.
+    A wrong magic or version, a header with more text, or a cut or corrupt
+    file raises a ValueError naming the file and, where there is one, the record.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     want = f"{magic} {VERSION}"
-    if not data.startswith(want.encode() + b" "):
+    if not data.startswith(want.encode() + b"\n"):
         found = data.split(b"\n", 1)[0].decode(errors="replace") if data else "<empty file>"
         raise ValueError(f"unsupported header {found!r} in {path} (want {want!r})")
     if not data.endswith(b"\n"):
@@ -67,15 +64,6 @@ def read_records(path, magic: str, dtype, keys: dict) -> tuple[dict, dict[str, n
         lines = body.decode().split("\n")
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text ({err})") from None
-    try:
-        attrs = json.loads(lines[0][len(want):])
-        if not isinstance(attrs, dict) or sorted(attrs) != sorted(keys):
-            raise ValueError(f"want a JSON object with keys {sorted(keys)}")
-        for key, kind in keys.items():
-            if type(attrs[key]) is not kind:  # not isinstance: true is no int
-                raise ValueError(f"{key} is not a {kind.__name__}")
-    except ValueError as err:
-        raise ValueError(f"{path}: malformed header {lines[0]!r} ({err})") from None
     if len(lines) % 2 == 0:
         raise ValueError(f"{path}: record {lines[-1]!r} has no body line")
     wire = _wire(dtype)
@@ -97,4 +85,4 @@ def read_records(path, magic: str, dtype, keys: dict) -> tuple[dict, dict[str, n
             records[name] = arr.astype(dtype).reshape(shape)
         except ValueError as err:  # binascii.Error is one too
             raise ValueError(f"{path}: malformed record {head_line!r} ({err})") from None
-    return attrs, records
+    return records

@@ -39,13 +39,15 @@ def train_step(student, teacher, opt: Optimizer, mask, pq, build_loss, where: st
     """Gradients of the tensors the step changes, masked step, teacher blend.
 
     A non-finite loss or gradient raises in gradients() before anything is
-    updated. teacher=None skips the blend. Returns the loss.
+    updated; a step that overflows leaves non-finite weights, which the next
+    forward reports. teacher=None skips the blend. Returns the loss.
     """
-    stepped = [student.entries[p] for p in (student.entries if mask is None else mask.bits)]
+    stepped = [student.entries[p] for p in (student.entries if mask is None else mask)]
     loss = gradients(student, stepped, build_loss, where)
-    opt.step(student, mask)
-    if teacher is not None:
-        ema_update(teacher, student, pq)
+    with np.errstate(all="ignore"):
+        opt.step(student, mask)
+        if teacher is not None:
+            ema_update(teacher, student, pq)
     return loss
 
 
@@ -90,7 +92,8 @@ def ttl_session(student, teacher, mask, pq: SmoothingVectors | None, stream: Unl
     for b, start in enumerate(range(0, len(ids_all), batch_size)):
         xb = x_all[start : start + batch_size]
         idb = ids_all[start : start + batch_size]
-        t_log = None if teacher is None else dm.logits(teacher, head, xb, temperature).data
+        where = f"ttl session {session} batch {b}"
+        t_log = None if teacher is None else dm.untaped_logits(teacher, head, xb, temperature, where)
         if audit is not None:
             audit.record_gradient_batch("ttl", session, idb)
         routed = []
@@ -101,8 +104,7 @@ def ttl_session(student, teacher, mask, pq: SmoothingVectors | None, stream: Unl
             routed.extend(route_pseudo_label(t_log, s_log.data))
             return cross_entropy_from_logits(s_log, routed[0])
 
-        loss = train_step(student, teacher, opt, mask, pq, build_loss,
-                          where=f"ttl session {session} batch {b}")
+        loss = train_step(student, teacher, opt, mask, pq, build_loss, where)
         pseudo, from_teacher, t_max, s_max = routed
         n_teacher = int(from_teacher.sum())
         rows.append({

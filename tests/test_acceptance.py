@@ -23,7 +23,7 @@ from dosapp.cli import main as cli_main
 from dosapp.config import RunConfig, build_manifest, write_manifest
 from dosapp.data import build_ttl_stream, generate_tasks
 from dosapp.harness import RunAudit, compute_metrics, run_experiment
-from dosapp.masking import Mask, MaskHistory
+from dosapp.masking import MaskHistory
 from gradcheck import FD_STEP, OP_CASES, REL_TOL, check_case, check_model_gradients, tiny_encoder_config
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -88,7 +88,7 @@ def test_criterion_02_ema_algebra():
             gamma, lam, delta = sorted(rng.uniform(0.01, 1.0, size=3))
             low = gamma if rng.uniform() < 0.5 else lam  # the supervised or the ttl phase
             bits = rng.integers(0, 2, size=23).astype(bool)
-            sv = em.compute_pq(Mask(bits={"w": bits}, sparsity=0.5, origin="per_task"), low, delta)
+            sv = em.compute_pq({"w": bits}, low, delta)
             worst_pq = max(worst_pq, float(np.max(np.abs(sv.p["w"] + sv.q["w"] - 1.0))))
             worst_pq = max(worst_pq, abs(sv.p_default + sv.q_default - 1.0))
         assert worst_pq <= 1e-15
@@ -100,8 +100,7 @@ def test_criterion_02_ema_algebra():
         delta = 0.97
         bits = np.random.default_rng(1).uniform(
             size=student.entries["block0.mlp.fc1.weight"].shape) < 0.3
-        sv = em.compute_pq(Mask(bits={"block0.mlp.fc1.weight": bits},
-                                sparsity=0.3, origin="per_task"), delta, delta)
+        sv = em.compute_pq({"block0.mlp.fc1.weight": bits}, delta, delta)
         oracle = {k: t.data.copy() for k, t in teacher.entries.items()}
         walk = np.random.default_rng(2)
         worst_ema = 0.0
@@ -160,7 +159,7 @@ def test_criterion_03_mask_selection():
         checked = 0
         for c in (0.1, 0.5, 1.0):
             mask = mk.select_topk(sm, c)
-            for path, bits in mask.bits.items():
+            for path, bits in mask.items():
                 n = bits.size
                 expected = int(ceil(Fraction(str(c)) * n))
                 assert int(bits.sum()) == expected, (c, path)
@@ -186,14 +185,14 @@ def test_criterion_03_mask_selection():
         first = mk.select_topk(sm_0, 0.1)
         one.append(first, sm_0)
         re = mk.reselect_topk(mk.union_masks(one), one, 0.1)
-        for k in first.bits:
-            assert np.array_equal(re.bits[k], first.bits[k]), k
+        for k in first:
+            assert np.array_equal(re[k], first[k]), k
 
         # zero-scored entries lose to any positive competitor
         scores = {"w": np.array([0.0, 0.4, 0.0, 0.2, 0.9, 0.3])}
         zmask = mk.select_topk(scores, 0.5)
-        assert int(zmask.bits["w"].sum()) == 3
-        assert not zmask.bits["w"][0] and not zmask.bits["w"][2]
+        assert int(zmask["w"].sum()) == 3
+        assert not zmask["w"][0] and not zmask["w"][2]
         rec.detail = (f"popcount exact on {checked} layer/c combos, union monotone over 5 "
                       f"tasks, reselect identity on singleton history, zeros excluded")
 

@@ -1,6 +1,8 @@
 """End-to-end CLI: artifacts, reproducibility, error codes, reports."""
 
+import contextlib
 import csv
+import io
 import itertools
 import json
 import os
@@ -9,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +252,7 @@ def test_bad_override_exits_2(tmp_path, capsys):
     (["--override", "optimizer.learning_rate=inf"], "[optimizer] learning_rate"),
     (["--override", "model.temperature=inf"], "[model] temperature"),
     (["--override", "data.noise_sigma=inf"], "[data] noise_sigma"),
+    (["--override", "model.temperature=1e-200"], "[model] temperature"),
 ])
 def test_bad_value_exits_2_before_any_run(tmp_path, capsys, args, key):
     out = tmp_path / "out"
@@ -256,6 +260,17 @@ def test_bad_value_exits_2_before_any_run(tmp_path, capsys, args, key):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
+    assert not out.exists()
+
+
+def test_inputs_that_are_all_zero_exit_2_naming_both_keys(tmp_path, capsys):
+    # with no cluster separation and no noise every input row is zero, and so is its embedding
+    out = tmp_path / "out"
+    rc = main(["run", "--out", str(out), *tiny_args("data.cluster_separation=0", "data.noise_sigma=0",
+                                                     "data.tasks=1", "run.epochs=1")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "[data] cluster_separation" in err and "[data] noise_sigma" in err
     assert not out.exists()
 
 
@@ -551,6 +566,18 @@ def test_the_front_end_loads_no_numpy_and_no_run_stack(monkeypatch):
                  **{name: ["configparser"] if ini else [] for name, (ini, _) in specs.items()}}}
 
 
+def test_a_warning_prints_as_one_line(tmp_path):
+    # in a process of its own, so Python's default warning filter and display are the ones in use
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    done = subprocess.run([sys.executable, "-m", "dosapp.cli", "run", "--out", str(tmp_path / "out"),
+                           *tiny_args("ema.gamma=0.95", "run.epochs=1")],
+                          capture_output=True, text=True, cwd=Path(__file__).parents[1],
+                          env=dict(env, PYTHONPATH=str(Path(__file__).parents[1] / "src")))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == ["warning: momentum ordering [ema] gamma < [ema] lambda < [ema] delta "
+                                        "violated (0.95, 0.9, 0.9999); proceeding anyway"]
+
+
 # ------------------------------------------------------------ ablate + report
 
 @pytest.fixture(scope="module")
@@ -563,10 +590,16 @@ def ablation_dir(tmp_path_factory):
         "momentum_grid = 0.9999:0.9999 0.8:0.6\n"
     )
     out = root / "out"
-    with pytest.warns(UserWarning):  # the 0.8:0.6 arm violates the momentum ordering
+    # both grid arms break the strict momentum ordering, once per seed; main prints each warning,
+    # which the test session's filter would otherwise raise
+    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always", UserWarning)
         rc = main(["ablate", "--config", str(cfg), "--seeds", "0,1",
                    "--out", str(out), *tiny_args()])
     assert rc == 0
+    assert err.getvalue().splitlines() == [
+        f"warning: momentum ordering [ema] gamma < [ema] lambda < [ema] delta violated ({arm}, 0.9999); "
+        "proceeding anyway" for arm in ("0.9999, 0.9999",) * 2 + ("0.8, 0.6",) * 2]
     return out
 
 

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import re
+import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import dosapp.config as cf
 from dosapp.config import IMBALANCE_MODES, OPTIMIZER_KINDS, STREAM_SCOPES, VARIANTS
+from dosapp.harness import run_experiment
 
 
 SAMPLE_INI = """\
@@ -255,6 +258,9 @@ def test_every_value_the_owner_modules_allow_parses():
     (["data.classes_per_task=5", "data.input_dim=60"],
      ["[data] tasks", "[data] classes_per_task", "[data] total_classes",
       "[model] token_count", "[model] token_dim", "[data] input_dim"]),
+    (["data.cluster_separation=0", "data.noise_sigma=0"], ["[data] cluster_separation", "[data] noise_sigma"]),
+    (["data.cluster_separation=2e-308", "data.noise_sigma=5e-324"],
+     ["[data] cluster_separation", "[data] noise_sigma"]),
 ])
 def test_cross_key_rules_raise_one_error_naming_every_key(overrides, keys):
     with pytest.raises(cf.ConfigError) as err:
@@ -271,41 +277,50 @@ def test_config_dict_round_trip():
 _FRACTION = st.floats(0.0, 1.0, exclude_min=True)
 _POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
 _NONNEGATIVE = st.floats(0.0, 1e6)
-_SPECIAL = {
-    "variant": st.sampled_from(sorted(VARIANTS)),
-    "seeds": st.lists(st.integers(0, 2**31), min_size=1, unique=True).map(tuple),
-    "score_sample_cap": st.none() | st.integers(1, 10**6),
-    "buffer_capacity": st.integers(0, 10**6),
-    "total_classes": st.integers(0, 10**6),  # the surplus over tasks x classes_per_task
-    "dirichlet_alpha": st.none() | _POSITIVE,
-    "temperature": _POSITIVE, "learning_rate": _POSITIVE, "epsilon": _POSITIVE,
-    "beta1": st.floats(0.0, 1.0, exclude_max=True), "beta2": st.floats(0.0, 1.0, exclude_max=True),
-    "cluster_separation": _NONNEGATIVE, "noise_sigma": _NONNEGATIVE, "weight_decay": _NONNEGATIVE,
-    "sparsity_c": _FRACTION, "delta": _FRACTION, "gamma": _FRACTION, "lam": _FRACTION,
-    "optimizer_kind": st.sampled_from(OPTIMIZER_KINDS),
-    "ttl_stream_scope": st.sampled_from(STREAM_SCOPES),
-    "ttl_imbalance": st.sampled_from(IMBALANCE_MODES),
-}
 
 
-def _field_strategy(f):
-    if f.name in _SPECIAL:
-        return _SPECIAL[f.name]
-    if isinstance(f.default, bool):
-        return st.booleans()
-    assert isinstance(f.default, int), f"no strategy for {f.name}"
-    return st.integers(1, 10**6)
+def _field_strategies(n: int) -> dict:
+    """A strategy per RunConfig field but input_dim; every count and size is drawn at most n."""
+    special = {
+        "variant": st.sampled_from(sorted(VARIANTS)),
+        "seeds": st.lists(st.integers(0, 2**31), min_size=1, unique=True).map(tuple),
+        "score_sample_cap": st.none() | st.integers(1, n),
+        "buffer_capacity": st.integers(0, n),
+        "total_classes": st.integers(0, n),  # the surplus over tasks x classes_per_task
+        "dirichlet_alpha": st.none() | _POSITIVE,
+        "temperature": st.floats(cf.MIN_TEMPERATURE, 1e6), "learning_rate": _POSITIVE, "epsilon": _POSITIVE,
+        "beta1": st.floats(0.0, 1.0, exclude_max=True), "beta2": st.floats(0.0, 1.0, exclude_max=True),
+        "cluster_separation": _NONNEGATIVE, "noise_sigma": _NONNEGATIVE, "weight_decay": _NONNEGATIVE,
+        "sparsity_c": _FRACTION, "delta": _FRACTION, "gamma": _FRACTION, "lam": _FRACTION,
+        "optimizer_kind": st.sampled_from(OPTIMIZER_KINDS),
+        "ttl_stream_scope": st.sampled_from(STREAM_SCOPES),
+        "ttl_imbalance": st.sampled_from(IMBALANCE_MODES),
+    }
+
+    def one(f):
+        if f.name in special:
+            return special[f.name]
+        if isinstance(f.default, bool):
+            return st.booleans()
+        assert isinstance(f.default, int), f"no strategy for {f.name}"
+        return st.integers(1, n)
+
+    return {f.name: one(f) for f in fields(cf.RunConfig) if f.name != "input_dim"}
 
 
 def _cross_keys(kw):
-    """Meet the cross-key rules: input_dim is derived, total_classes drawn as a surplus."""
+    """Meet the cross-key rules: input_dim is derived, total_classes drawn as a surplus, and noise_sigma
+    is 1 where it and cluster_separation are both drawn below the smallest normal float."""
+    tiny = max(kw["noise_sigma"], kw["cluster_separation"]) < sys.float_info.min
     return {**kw, "total_classes": kw["tasks"] * kw["classes_per_task"] + kw["total_classes"],
-            "input_dim": kw["token_count"] * kw["token_dim"]}
+            "input_dim": kw["token_count"] * kw["token_dim"], "noise_sigma": 1.0 if tiny else kw["noise_sigma"]}
 
 
-VALID_CONFIGS = st.fixed_dictionaries({f.name: _field_strategy(f) for f in fields(cf.RunConfig)
-                                       if f.name != "input_dim"}
-                                      ).map(lambda kw: cf.RunConfig(**_cross_keys(kw)))
+def _valid_configs(n: int):
+    return st.fixed_dictionaries(_field_strategies(n)).map(lambda kw: cf.RunConfig(**_cross_keys(kw)))
+
+
+VALID_CONFIGS = _valid_configs(10**6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -323,6 +338,18 @@ def test_overrides_of_a_configs_own_values_give_it_back(cfg):
            for section, kv in cf.config_to_dict(cfg).items() for key, value in kv.items()]
     assert cf.apply_overrides(cf.RunConfig(), own) == cfg
     assert cf.apply_overrides(cfg, own) == cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_configs(3))
+def test_every_config_the_checks_accept_runs_to_its_end(cfg):
+    # a run may diverge, which the CLI reports as exit 3; any other exception is a defect
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the momentum-ordering and small-pool notices
+        try:
+            run_experiment(cfg, cfg.seeds[0])
+        except FloatingPointError:
+            pass
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -10,13 +10,11 @@ import dosapp.harness as hz
 import dosapp.model as dm
 from dosapp.config import RunConfig
 from dosapp.harness import run_experiment
-from dosapp.masking import Mask
 from gradcheck import tiny_encoder_config
 
 
 def make_mask(paths_bits):
-    return Mask(bits={k: np.asarray(v, dtype=bool) for k, v in paths_bits.items()},
-                sparsity=0.5, origin="per_task")
+    return {k: np.asarray(v, dtype=bool) for k, v in paths_bits.items()}
 
 
 def tiny_pair(seed=0):
@@ -224,6 +222,6 @@ def test_clone_is_independent_and_idempotent(tmp_path):
 
     path = tmp_path / "teacher.ckpt"
     dm.save_checkpoint(path, teacher)
-    loaded, _, _ = dm.load_checkpoint(path)
+    loaded, _ = dm.load_checkpoint(path)
     for k in teacher.entries:
         assert np.array_equal(loaded.entries[k].data, teacher.entries[k].data)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dosapp.harness as hz
+import dosapp.masking as mk
 import dosapp.model as dm
 from conftest import ids_seen
 from dosapp.config import VARIANTS, RunConfig
@@ -130,12 +131,31 @@ def test_self_label_variant_has_no_teacher_but_adapts():
     assert ttl_rows and all(r["student_fraction"] == 1.0 for r in ttl_rows)
 
 
+def _same_mask(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[p], b[p]) for p in a)
+
+
 def test_mask_origins_differ_between_sparse_and_union_variants():
+    # plus_sparse adapts under the last session's own mask; dosapp re-selects within the union of all
     sparse = hz.run_experiment(tiny_cfg(variant="plus_sparse"), seed=0)
     full = hz.run_experiment(tiny_cfg(variant="dosapp"), seed=0)
-    assert sparse.final_ttl_mask.origin == "per_task"
-    assert full.final_ttl_mask.origin == "union_reselected"
     assert len(sparse.history) == 2 and len(full.history) == 2
+    assert _same_mask(sparse.final_ttl_mask, sparse.history.masks[-1])
+    h = full.history
+    assert _same_mask(full.final_ttl_mask, mk.reselect_topk(mk.union_masks(h), h, tiny_cfg().sparsity_c))
+    assert not _same_mask(full.final_ttl_mask, h.masks[-1])
+
+
+def test_weights_that_overflow_after_a_run_s_last_step_stop_it_at_evaluation():
+    # AdamW's decoupled decay at learning_rate x weight_decay >> 1 multiplies the weights by about -2e4 a
+    # step; after session 1's last step they are too large to embed, and evaluation used to score NaN logits
+    cfg = RunConfig(variant="self_label", total_classes=2, tasks=2, classes_per_task=1, samples_train=1,
+                    samples_ttl=1, samples_eval=1, input_dim=2, cluster_separation=0.0, token_count=1,
+                    token_dim=2, block_count=1, mlp_hidden_dim=1, embed_dim=1, use_attention=False,
+                    temperature=1.0, learning_rate=2.0, beta1=0.0, beta2=0.0, epsilon=1.0,
+                    weight_decay=10111.0, epochs=3, batch_size=1, ttl_batch_size=1)
+    with pytest.raises(FloatingPointError, match="non-finite logits in evaluation session 1 task 0"):
+        hz.run_experiment(cfg, seed=0)
 
 
 def test_teacher_student_only_trains_unmasked():
@@ -300,6 +320,25 @@ def test_results_match_the_golden_digests(variant, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_DIGESTS[variant]}
     assert got == GOLDEN_DIGESTS[variant]
+
+
+def test_a_persisted_run_s_tensor_files_load_back_bit_for_bit(tmp_path):
+    result = hz.run_experiment(RunConfig(tasks=2, epochs=2, samples_ttl=16), 0)
+    persist_run(tmp_path, {}, result)
+    for name, params in (("student.ckpt", result.student), ("teacher.ckpt", result.teacher)):
+        loaded, table = dm.load_checkpoint(tmp_path / name)
+        assert list(loaded.entries) == list(params.entries), name
+        for path, t in params.entries.items():
+            assert loaded.entries[path].data.tobytes() == t.data.tobytes(), (name, path)
+        assert table.tobytes() == result.table.tobytes(), name
+    masks = {f"task{t}.mask": mask for t, mask in enumerate(result.history.masks)}
+    masks["ttl_final.mask"] = result.final_ttl_mask
+    assert sorted(p.name for p in (tmp_path / "masks").iterdir()) == sorted(masks) and len(masks) == 3
+    for name, mask in masks.items():
+        loaded = mk.load_mask(tmp_path / "masks" / name)
+        assert list(loaded) == list(mask), name
+        for path, bits in mask.items():
+            assert loaded[path].dtype == bits.dtype == bool and np.array_equal(loaded[path], bits), (name, path)
 
 
 # ------------------------------------------------------------ traced counts

@@ -123,20 +123,19 @@ def score_map(arrays):
 def test_full_selection_at_c_one():
     sm = score_map({"w": np.random.default_rng(0).uniform(size=(3, 5))})
     mask = mk.select_topk(sm, 1.0)
-    assert mask.bits["w"].sum() == 15
-    assert mask.origin == "per_task"
+    assert mask["w"].sum() == 15
 
 
 def test_single_argmax_at_c_tenth():
     scores = np.zeros(10)
     scores[6] = 3.0
     mask = mk.select_topk(score_map({"w": scores}), 0.1)
-    assert np.array_equal(np.flatnonzero(mask.bits["w"]), [6])
+    assert np.array_equal(np.flatnonzero(mask["w"]), [6])
 
 
 def test_tie_break_by_ascending_flat_index():
     mask = mk.select_topk(score_map({"w": np.array([5.0, 5.0, 3.0, 1.0])}), 0.5)
-    assert np.array_equal(np.flatnonzero(mask.bits["w"]), [0, 1])
+    assert np.array_equal(np.flatnonzero(mask["w"]), [0, 1])
 
 
 def test_popcount_exact_per_layer():
@@ -146,7 +145,7 @@ def test_popcount_exact_per_layer():
         mask = mk.select_topk(sm, c)
         for path, n in (("a", 24), ("b", 37)):
             expected = max(1, math.ceil(Fraction(str(c)) * n))
-            assert mask.bits[path].sum() == expected, (c, path)
+            assert mask[path].sum() == expected, (c, path)
 
 
 @settings(max_examples=50, deadline=None)
@@ -155,7 +154,7 @@ def test_selected_scores_dominate_unselected(seed, n, c):
     rng = np.random.default_rng(seed)
     scores = rng.uniform(size=n)
     mask = mk.select_topk(score_map({"w": scores}), c)
-    sel = mask.bits["w"]
+    sel = mask["w"]
     if sel.all():
         return
     assert scores[sel].min() >= scores[~sel].max() - 1e-15
@@ -166,7 +165,7 @@ def test_zero_scores_never_selected_with_enough_positive_competitors():
     positives = [3, 7, 11, 15]
     scores[positives] = [0.5, 1.0, 2.0, 0.25]
     mask = mk.select_topk(score_map({"w": scores}), 0.2)  # k = 4
-    assert np.array_equal(np.sort(np.flatnonzero(mask.bits["w"])), positives)
+    assert np.array_equal(np.sort(np.flatnonzero(mask["w"])), positives)
 
 
 # ------------------------------------------------------------ union + reselect
@@ -177,8 +176,7 @@ def history_from_bits(bit_rows, score_rows=None):
     for t, bits in enumerate(bit_rows):
         bits = np.asarray(bits, dtype=bool)
         scores = np.asarray(score_rows[t], dtype=np.float64) if score_rows else bits.astype(float)
-        h.append(mk.Mask(bits={"w": bits}, sparsity=bits.mean(), origin="per_task"),
-                 score_map({"w": scores}))
+        h.append({"w": bits}, score_map({"w": scores}))
     return h
 
 
@@ -211,8 +209,7 @@ def test_reselect_identity_for_single_task_history():
     h = mk.MaskHistory()
     h.append(mask, sm)
     res = mk.reselect_topk(mk.union_masks(h), h, 0.2)
-    assert np.array_equal(res.bits["w"], mask.bits["w"])
-    assert res.origin == "union_reselected"
+    assert np.array_equal(res["w"], mask["w"])
 
 
 def test_reselect_prefers_higher_scoring_task():
@@ -224,14 +221,14 @@ def test_reselect_prefers_higher_scoring_task():
     s2 = np.where(t2, 5.0, 0.0)
     h = history_from_bits([t1, t2], [s1, s2])
     res = mk.reselect_topk(mk.union_masks(h), h, 0.25)  # k = 3 from pool of 6
-    assert np.array_equal(np.flatnonzero(res.bits["w"]), [6, 7, 8])
+    assert np.array_equal(np.flatnonzero(res["w"]), [6, 7, 8])
 
 
 def test_reselect_uses_per_position_max_over_tasks():
     bits = np.ones(4, dtype=bool)
     h = history_from_bits([bits, bits], [[4.0, 1.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0]])
     res = mk.reselect_topk(mk.union_masks(h), h, 0.5)  # k=2; maxes: 4,1,3,1
-    assert np.array_equal(np.flatnonzero(res.bits["w"]), [0, 2])
+    assert np.array_equal(np.flatnonzero(res["w"]), [0, 2])
 
 
 def test_reselect_at_c_one_equals_raw_union():
@@ -241,7 +238,7 @@ def test_reselect_at_c_one_equals_raw_union():
     union = mk.union_masks(h)
     with pytest.warns(UserWarning):  # k = layer size exceeds the union pool
         res = mk.reselect_topk(union, h, 1.0)
-    assert np.array_equal(res.bits["w"], union["w"])
+    assert np.array_equal(res["w"], union["w"])
 
 
 _SPARSITY = st.floats(0.0, 1.0, exclude_min=True)
@@ -262,8 +259,8 @@ def test_select_equals_reselect_over_a_full_pool(seed, rows, cols, c):
     h.append(direct, sm)
     full = {path: np.ones(arr.shape, dtype=bool) for path, arr in sm.items()}
     pooled = mk.reselect_topk(full, h, c)
-    for path, bits in direct.bits.items():
-        assert np.array_equal(pooled.bits[path], bits), path
+    for path, bits in direct.items():
+        assert np.array_equal(pooled[path], bits), path
 
 
 @settings(max_examples=150, deadline=None)
@@ -280,7 +277,7 @@ def test_reselection_stays_inside_the_union(seed, rows, cols, task_cs, c):
         warnings.simplefilter("ignore", UserWarning)  # a small pool is kept whole
         res = mk.reselect_topk(union, h, c)
     for path, pool in union.items():
-        assert not (res.bits[path] & ~pool).any(), path
+        assert not (res[path] & ~pool).any(), path
 
 
 def test_reselect_small_pool_keeps_pool_and_warns():
@@ -290,28 +287,25 @@ def test_reselect_small_pool_keeps_pool_and_warns():
     union = mk.union_masks(h)
     with pytest.warns(UserWarning, match="pool"):
         res = mk.reselect_topk(union, h, 0.5)  # wants 12, pool has 3
-    assert np.array_equal(res.bits["w"], t1)
+    assert np.array_equal(res["w"], t1)
 
 
 # ------------------------------------------------------------ persistence
 
 def test_mask_round_trip(tmp_path):
     rng = np.random.default_rng(8)
-    mask = mk.Mask(bits={"a": rng.uniform(size=9) < 0.4, "b": rng.uniform(size=(2, 3)) < 0.5},
-                   sparsity=0.4, origin="union_reselected")
+    mask = {"a": rng.uniform(size=9) < 0.4, "b": rng.uniform(size=(2, 3)) < 0.5}
     path = tmp_path / "m.mask"
     mk.save_mask(path, mask)
     loaded = mk.load_mask(path)
-    assert loaded.origin == mask.origin
-    assert loaded.sparsity == mask.sparsity
-    for k in mask.bits:
-        assert np.array_equal(loaded.bits[k], mask.bits[k])
+    assert list(loaded) == list(mask)
+    for k in mask:
+        assert loaded[k].dtype == bool and np.array_equal(loaded[k], mask[k])
 
 
 def test_mask_header_rejected(tmp_path):
-    mask = mk.Mask(bits={"w": np.array([True])}, sparsity=1.0, origin="per_task")
     path = tmp_path / "m.mask"
-    mk.save_mask(path, mask)
-    path.write_text(path.read_text().replace("dosapp-mask v4", "dosapp-mask v9", 1))
+    mk.save_mask(path, {"w": np.array([True])})
+    path.write_text(path.read_text().replace("dosapp-mask v5", "dosapp-mask v9", 1))
     with pytest.raises(ValueError):
         mk.load_mask(path)

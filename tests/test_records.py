@@ -14,7 +14,7 @@ from dosapp.config import RunConfig
 from dosapp.records import read_records, write_records
 
 CHECKPOINT_TEXT = (
-    'dosapp-checkpoint v4 {"candidates": ["block0.mlp.fc1.weight"], "meta": {"note": "golden"}}\n'
+    "dosapp-checkpoint v5\n"
     "block0.ln2.gain shape=2\n"
     "AAAAAAAA8D8AAAAAAAAAQA==\n"
     "block0.ln2.bias shape=2\n"
@@ -31,19 +31,52 @@ CHECKPOINT_TEXT = (
     "mpmZmZmZuT8AAAAAAAAAgA==\n"
     "class_table shape=3,1\n"
     "AAAAAAAA8D8AAAAAAADwv4O2OtKXEsAB\n"
-    "end sha256=ff68e88fbb1313183dde829095517598f3f6239902f0c755e9a4a1d8e90c8b10\n"
+    "end sha256=f0b5d14a3e0164687984693aed504697bb928421d90cd054e6f6540a32f66509\n"
 )
 
 MASK_TEXT = (
-    'dosapp-mask v4 {"origin": "union_reselected", "sparsity": 0.1}\n'
+    "dosapp-mask v5\n"
     "block0.mlp.fc1.weight shape=2,1\n"
     "AQA=\n"
     "w shape=3\n"
     "AAEB\n"
-    "end sha256=6cb798087976febdbee1af96d983981eb3fd1c689cffdf6bb9150a10c9d738d6\n"
+    "end sha256=fe7a2a3bfcc89f52bfa5890d007cfb42c93fbfb5e8676137eb177026c2970b9d\n"
 )
 
-# Two files in the v3 format, which no loader reads any more: its checkpoint
+# The same two files in the v4 format, which no loader reads any more: its header
+# also held a JSON object of attributes that the tensors or the run's manifest restate.
+V4_TEXTS = {
+    "checkpoint": (
+        'dosapp-checkpoint v4 {"candidates": ["block0.mlp.fc1.weight"], "meta": {"note": "golden"}}\n'
+        "block0.ln2.gain shape=2\n"
+        "AAAAAAAA8D8AAAAAAAAAQA==\n"
+        "block0.ln2.bias shape=2\n"
+        "AAAAAAAAAAAAAAAAAADgvw==\n"
+        "block0.mlp.fc1.weight shape=2,1\n"
+        "AAAAAAAA4D8AAAAAAAD0vw==\n"
+        "block0.mlp.fc1.bias shape=1\n"
+        "AAAAAAAA0D8=\n"
+        "block0.mlp.fc2.weight shape=1,2\n"
+        "AAAAAAAAAMAAAAAAAADAPw==\n"
+        "block0.mlp.fc2.bias shape=2\n"
+        "/Knx0k1iUD8AAAAAAAAAgA==\n"
+        "proj.weight shape=2,1\n"
+        "mpmZmZmZuT8AAAAAAAAAgA==\n"
+        "class_table shape=3,1\n"
+        "AAAAAAAA8D8AAAAAAADwv4O2OtKXEsAB\n"
+        "end sha256=ff68e88fbb1313183dde829095517598f3f6239902f0c755e9a4a1d8e90c8b10\n"
+    ),
+    "mask": (
+        'dosapp-mask v4 {"origin": "union_reselected", "sparsity": 0.1}\n'
+        "block0.mlp.fc1.weight shape=2,1\n"
+        "AQA=\n"
+        "w shape=3\n"
+        "AAEB\n"
+        "end sha256=6cb798087976febdbee1af96d983981eb3fd1c689cffdf6bb9150a10c9d738d6\n"
+    ),
+}
+
+# The same two files in the v3 format, which no loader reads any more: its checkpoint
 # header also held the encoder's config and the active classes.
 V3_TEXTS = {
     "checkpoint": (
@@ -146,20 +179,14 @@ def test_the_golden_checkpoint_holds_a_real_encoder():
 
 
 def golden_mask():
-    return mk.Mask(bits={"block0.mlp.fc1.weight": np.array([[True], [False]]),
-                         "w": np.array([False, True, True])},
-                   sparsity=0.1, origin="union_reselected")
-
-
-def save_golden_checkpoint(path, params, table):
-    dm.save_checkpoint(path, params, table, meta={"note": "golden"})
+    return {"block0.mlp.fc1.weight": np.array([[True], [False]]), "w": np.array([False, True, True])}
 
 
 def test_files_match_the_pinned_bytes(tmp_path):
     params, table = golden_model()
     cases = (
-        ("c.ckpt", CHECKPOINT_TEXT, lambda p: save_golden_checkpoint(p, params, table),
-         lambda p: save_golden_checkpoint(p, *dm.load_checkpoint(p)[:2])),
+        ("c.ckpt", CHECKPOINT_TEXT, lambda p: dm.save_checkpoint(p, params, table),
+         lambda p: dm.save_checkpoint(p, *dm.load_checkpoint(p))),
         ("m.mask", MASK_TEXT, lambda p: mk.save_mask(p, golden_mask()),
          lambda p: mk.save_mask(p, mk.load_mask(p))),
     )
@@ -186,6 +213,15 @@ def _edited(text, old, new):
     return _signed(body.replace(old, new))
 
 
+def _after_version(text, attrs):
+    """text signed again with attrs after the version on its header line."""
+    return _edited(text, " v5\n", f" v5 {attrs}\n")
+
+
+CHECKPOINT_V4_ATTRS = '{"candidates": ["block0.mlp.fc1.weight"], "meta": {"note": "golden"}}'
+MASK_V4_ATTRS = '{"origin": "union_reselected", "sparsity": 0.1}'
+
+
 def _f8(*values):
     return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()
 
@@ -199,14 +235,19 @@ DAMAGED_CHECKPOINTS = {
     "body_cut_mid_line": CHECKPOINT_TEXT[:CHECKPOINT_TEXT.index("AAAAAAAD0vw")],
     "no_final_newline": CHECKPOINT_TEXT[:-1],
     "changed_weight": CHECKPOINT_TEXT.replace("mpmZmZmZuT8", "mpmZmZmZuT9"),
-    "changed_digest": CHECKPOINT_TEXT.replace("sha256=ff", "sha256=0f"),
+    "changed_digest": CHECKPOINT_TEXT.replace("sha256=f0", "sha256=00"),
     "count_mismatch": _edited(CHECKPOINT_TEXT, "shape=3,1", "shape=4,1"),
     "repeated_name": _edited(CHECKPOINT_TEXT, "proj.weight shape", "block0.mlp.fc1.weight shape"),
-    "bad_candidate_flag": _edited(CHECKPOINT_TEXT, '["block0.mlp.fc1', '["block0.mlp.fc9'),
-    "candidates_not_a_list": _edited(CHECKPOINT_TEXT, '["block0.mlp.fc1.weight"]', '"block0.mlp.fc1.weight"'),
-    "config_unknown_key": _edited(CHECKPOINT_TEXT, '"meta": {', '"config": {"block_count": 1}, "meta": {'),
-    "meta_not_json": _edited(CHECKPOINT_TEXT, '"note": "golden"', '"note": golden'),
-    "meta_not_an_object": _edited(CHECKPOINT_TEXT, '"meta": {"note": "golden"}', '"meta": [0, 2]'),
+    "text_after_the_version": _after_version(CHECKPOINT_TEXT, CHECKPOINT_V4_ATTRS),
+    # The v4 header attributes, damaged as a v4 reader saw them, are text after the version now.
+    "bad_candidate_flag": _after_version(CHECKPOINT_TEXT, CHECKPOINT_V4_ATTRS.replace('["block0.mlp.fc1', '["block0.mlp.fc9')),
+    "candidates_not_a_list": _after_version(
+        CHECKPOINT_TEXT, CHECKPOINT_V4_ATTRS.replace('["block0.mlp.fc1.weight"]', '"block0.mlp.fc1.weight"')),
+    "config_unknown_key": _after_version(
+        CHECKPOINT_TEXT, CHECKPOINT_V4_ATTRS.replace('"meta": {', '"config": {"block_count": 1}, "meta": {')),
+    "meta_not_json": _after_version(CHECKPOINT_TEXT, CHECKPOINT_V4_ATTRS.replace('"note": "golden"', '"note": golden')),
+    "meta_not_an_object": _after_version(
+        CHECKPOINT_TEXT, CHECKPOINT_V4_ATTRS.replace('"meta": {"note": "golden"}', '"meta": [0, 2]')),
     "block_lacks_a_tensor": _edited(CHECKPOINT_TEXT, "block0.mlp.fc1.bias shape=1\nAAAAAAAA0D8=\n", ""),
     "shapes_do_not_chain": _edited(CHECKPOINT_TEXT, "fc2.weight shape=1,2", "fc2.weight shape=2,1"),
     "bad_value": _edited(CHECKPOINT_TEXT, "mpmZmZmZuT8", "mpmZmZ*ZuT8"),
@@ -216,6 +257,7 @@ DAMAGED_CHECKPOINTS = {
     "v1_file": V1_TEXTS["checkpoint"],
     "v2_file": V2_TEXTS["checkpoint"],
     "v3_file": V3_TEXTS["checkpoint"],
+    "v4_file": V4_TEXTS["checkpoint"],
 }
 
 DAMAGED_MASKS = {
@@ -227,11 +269,13 @@ DAMAGED_MASKS = {
     "count_mismatch": _edited(MASK_TEXT, "shape=3", "shape=4"),
     "repeated_name": _edited(MASK_TEXT, "w shape=3", "block0.mlp.fc1.weight shape=3"),
     "bad_bit": _edited(MASK_TEXT, "AAEB", "AAIB"),
-    "bad_header_attribute": _edited(MASK_TEXT, '"origin"', '"source"'),
-    "bad_sparsity": _edited(MASK_TEXT, '"sparsity": 0.1', '"sparsity": "zz"'),
+    "text_after_the_version": _after_version(MASK_TEXT, MASK_V4_ATTRS),
+    "bad_header_attribute": _after_version(MASK_TEXT, MASK_V4_ATTRS.replace('"origin"', '"source"')),
+    "bad_sparsity": _after_version(MASK_TEXT, MASK_V4_ATTRS.replace('"sparsity": 0.1', '"sparsity": "zz"')),
     "v1_file": V1_TEXTS["mask"],
     "v2_file": V2_TEXTS["mask"],
     "v3_file": V3_TEXTS["mask"],
+    "v4_file": V4_TEXTS["mask"],
 }
 
 def _assert_rejected(tmp_path, name, text, load):
@@ -290,7 +334,7 @@ def _assert_unsupported(tmp_path, kind, text):
     path = tmp_path / kind
     path.write_text(text)
     with pytest.raises(ValueError, match=rf"unsupported header .* in {re.escape(str(path))} "
-                                         rf"\(want 'dosapp-{kind} v4'\)"):
+                                         rf"\(want 'dosapp-{kind} v5'\)"):
         LOADERS[kind](path)
 
 
@@ -309,24 +353,29 @@ def test_a_v3_file_is_an_unsupported_header(tmp_path, kind):
     _assert_unsupported(tmp_path, kind, V3_TEXTS[kind])
 
 
-# Header values of another JSON type than the key's; no file kind has an int key, so read_records
-# is called directly.
-BAD_HEADER_VALUES = {
-    "non_integer_task": {"samples": 17, "task": "x"},
-    "non_integer_samples": {"samples": 1.5, "task": 3},
-    "boolean_task": {"samples": 17, "task": True},  # true is no int
+@pytest.mark.parametrize("kind", sorted(V4_TEXTS))
+def test_a_v4_file_is_an_unsupported_header(tmp_path, kind):
+    _assert_unsupported(tmp_path, kind, V4_TEXTS[kind])
+
+
+# The header is the magic and the version alone; any more text on its line is rejected, so the
+# reader is called directly with each file signed as written.
+TEXT_AFTER_THE_VERSION = {
+    "json_object": ' {"samples": 17, "task": 3}',
+    "trailing_space": " ",
+    "second_version": " v5",
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_HEADER_VALUES))
-def test_a_header_value_of_another_json_type_is_rejected(tmp_path, case):
-    keys = {"samples": int, "task": int}
+@pytest.mark.parametrize("case", sorted(TEXT_AFTER_THE_VERSION))
+def test_text_after_the_version_is_rejected(tmp_path, case):
     path = tmp_path / "r"
-    write_records(path, "dosapp-test", {"samples": 17, "task": 3}, [("w", np.ones(1))])
-    assert read_records(path, "dosapp-test", float, keys)[0] == {"samples": 17, "task": 3}
-    write_records(path, "dosapp-test", BAD_HEADER_VALUES[case], [("w", np.ones(1))])
-    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed header")):
-        read_records(path, "dosapp-test", float, keys)
+    write_records(path, "dosapp-test", [("w", np.ones(1))])
+    assert read_records(path, "dosapp-test", float).keys() == {"w"}
+    text = _edited(path.read_text(), "dosapp-test v5\n", f"dosapp-test v5{TEXT_AFTER_THE_VERSION[case]}\n")
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"unsupported header .* in {re.escape(str(path))}"):
+        read_records(path, "dosapp-test", float)
 
 
 # Each would write a file that read_records rejects, or whose lines a text-mode reader splits.
@@ -346,7 +395,7 @@ def test_the_writer_refuses_a_record_the_reader_cannot_read_back(tmp_path, case)
     name, arr = UNREADABLE_RECORDS[case]
     path = tmp_path / "r"
     with pytest.raises(ValueError, match=re.escape(f"record {name!r}")):
-        write_records(path, "dosapp-test", {}, [("ok", np.ones(1)), (name, arr)])
+        write_records(path, "dosapp-test", [("ok", np.ones(1)), (name, arr)])
     assert not path.exists()
 
 
@@ -354,8 +403,8 @@ def test_empty_arrays_and_odd_names_read_back(tmp_path):
     path = tmp_path / "r"
     records = {"a shape=2": np.zeros((2, 0)), " spaced ": np.array([-0.0, 5e-324, 1.7976931348623157e308]),
                "end": np.ones(1)}
-    write_records(path, "dosapp-test", {}, records.items())
-    attrs, back = read_records(path, "dosapp-test", float, {})
-    assert attrs == {} and list(back) == list(records)
+    write_records(path, "dosapp-test", records.items())
+    back = read_records(path, "dosapp-test", float)
+    assert list(back) == list(records)
     for name, arr in records.items():
         assert back[name].shape == arr.shape and back[name].tobytes() == arr.tobytes(), name

@@ -10,7 +10,6 @@ from dosapp.autodiff import Optimizer
 from dosapp.config import RunConfig
 from dosapp.data import UnlabeledStream
 from conftest import ids_seen
-from dosapp.masking import Mask
 from gradcheck import tiny_encoder_config
 
 
@@ -48,15 +47,11 @@ def session(student, teacher, mask, stream, table, ema_mask=None, batch_size=8, 
 
 
 def full_candidate_mask(params):
-    return Mask(bits={p: np.ones(params.entries[p].shape, dtype=bool)
-                      for p in params.candidate_paths()},
-                sparsity=1.0, origin="per_task")
+    return {p: np.ones(params.entries[p].shape, dtype=bool) for p in params.candidate_paths()}
 
 
 def zero_candidate_mask(params):
-    return Mask(bits={p: np.zeros(params.entries[p].shape, dtype=bool)
-                      for p in params.candidate_paths()},
-                sparsity=0.0, origin="per_task")
+    return {p: np.zeros(params.entries[p].shape, dtype=bool) for p in params.candidate_paths()}
 
 
 # ------------------------------------------------------------ routing
@@ -176,16 +171,15 @@ def test_adaptation_moves_only_masked_coordinates():
     _, student, teacher, table, stream = ttl_fixture()
     paths = student.candidate_paths()
     rng = np.random.default_rng(5)
-    bits = {p: rng.uniform(size=student.entries[p].shape) < 0.4 for p in paths}
-    mask = Mask(bits=bits, sparsity=0.4, origin="union_reselected")
+    mask = {p: rng.uniform(size=student.entries[p].shape) < 0.4 for p in paths}
     before = {k: t.data.copy() for k, t in student.entries.items()}
     session(student, teacher, mask, stream, table, ema_mask=mask)
     moved_somewhere = False
     for k, t in student.entries.items():
-        if k in bits:
-            frozen = ~bits[k]
+        if k in mask:
+            frozen = ~mask[k]
             assert np.array_equal(t.data[frozen], before[k][frozen]), k
-            moved_somewhere |= bool(np.any(t.data[bits[k]] != before[k][bits[k]]))
+            moved_somewhere |= bool(np.any(t.data[mask[k]] != before[k][mask[k]]))
         else:
             assert np.array_equal(t.data, before[k]), k  # non-candidates never stepped
     assert moved_somewhere
