@@ -585,7 +585,7 @@ def backward(loss: Tensor, graph: Graph) -> None:
 # ---------------------------------------------------------------- optimizers
 
 class Optimizer:
-    """SGD / AdamW over a ParameterSet, set by a RunConfig's [optimizer] keys.
+    """SGD / AdamW over a dict of parameter tensors by path, set by a RunConfig's [optimizer] keys.
 
     With a mask, only mask=1 coordinates of the mask's tensors change and
     moment state exists only for those tensors; everything else is untouched
@@ -599,9 +599,9 @@ class Optimizer:
         self._t: dict[str, int] = {}
 
     def step(self, params, mask=None) -> None:
-        targets = [(path, None) for path in params.entries] if mask is None else mask.items()
+        targets = [(path, None) for path in params] if mask is None else mask.items()
         for path, bits in targets:
-            p = params.entries[path]
+            p = params[path]
             if p.grad is None:
                 raise ValueError(f"optimizer step: no gradient for '{path}'")
             g = p.grad if bits is None else p.grad * bits

@@ -46,10 +46,10 @@ def compute_pq(mask, low: float, delta: float) -> SmoothingVectors:
 
 def ema_update(teacher, student, sv: SmoothingVectors) -> None:
     """teacher <- p * teacher + q * student, elementwise over every tensor."""
-    if teacher.entries.keys() != student.entries.keys():
+    if teacher.keys() != student.keys():
         raise ValueError("ema_update: teacher and student have different parameter paths")
-    for path, t in teacher.entries.items():
-        s = student.entries[path]
+    for path, t in teacher.items():
+        s = student[path]
         if t.data.shape != s.data.shape:
             raise ValueError(f"ema_update: shape mismatch at '{path}'")
         pv = sv.p.get(path)

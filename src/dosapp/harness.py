@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as dm
-from .autodiff import Optimizer
+from .autodiff import Optimizer, Tensor
 from .config import VARIANTS, RunConfig, VariantKnobs, check_cross_keys
 from .data import LabeledDataset, ReplayBuffer, TaskData, build_ttl_stream, generate_tasks
 from .ema import compute_pq
-from .masking import Mask, MaskHistory, reselect_topk, score_parameters, select_topk, union_masks
-from .model import ParameterSet
+from .masking import Mask, reselect_topk, score_parameters, select_topk, union_masks
 from .seeding import substream
 from .ttl import train_step, ttl_session
 
@@ -41,27 +40,28 @@ class RunResult:
     r_post_ttl: np.ndarray
     metrics_rows: list[dict]
     summary: dict
-    history: MaskHistory
+    masks: list[Mask]  # one per masked session, in session order
+    mask_scores: list[dict[str, np.ndarray]]  # the scores masks[i] was selected from
     final_ttl_mask: Mask | None
-    student: ParameterSet
-    teacher: ParameterSet | None
+    student: dm.Params
+    teacher: dm.Params | None
     table: np.ndarray  # [total_classes, embed_dim]; row c is class c
 
 
-def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None, head: np.ndarray,
+def run_supervised_session(student: dm.Params, teacher: dm.Params | None, head: np.ndarray,
                            task: TaskData, knobs: VariantKnobs, cfg: RunConfig, seed: int,
                            buffer: ReplayBuffer | None = None, audit: RunAudit | None = None,
-                           metrics_rows: list[dict] | None = None,
-                           ) -> tuple[Mask | None, dict[str, np.ndarray] | None]:
+                           ) -> tuple[Mask | None, dict[str, np.ndarray] | None, list[dict]]:
     """One labeled session: (optional) score+select a mask, then train.
 
     Scoring runs before any update of this session, on this session's data
     only. The training loss competes every seen class (every row of head), so
     new embeddings must beat old class vectors, not just their within-task rivals.
-    Returns the per-task mask and its scores (None without masking).
+    Returns the per-task mask and its scores (None without masking), and its train_epoch rows.
     """
     mask = None
     scores = None
+    rows: list[dict] = []
     if knobs.use_mask:
         def loss_fn(p, xb, yb):
             return dm.model_loss(p, head, xb, yb, cfg.temperature)
@@ -96,15 +96,12 @@ def run_supervised_session(student: ParameterSet, teacher: ParameterSet | None, 
                 # reservoir sees each labeled example once, on its first epoch
                 for row, y, iid in zip(train.x[pick], train.y[pick], train.ids[pick]):
                     buffer.add(row, y, iid)
-        if metrics_rows is not None:
-            metrics_rows.append({
-                "type": "train_epoch", "session": task.task_id, "epoch": epoch,
-                "mean_loss": float(np.mean(losses)),
-            })
-    return mask, scores
+        rows.append({"type": "train_epoch", "session": task.task_id, "epoch": epoch,
+                     "mean_loss": float(np.mean(losses))})
+    return mask, scores, rows
 
 
-def _accuracy(params: ParameterSet, head: np.ndarray, ds: LabeledDataset, temperature: float, where: str,
+def _accuracy(params: dm.Params, head: np.ndarray, ds: LabeledDataset, temperature: float, where: str,
               batch_size: int = 256) -> float:
     correct = 0
     for start in range(0, len(ds), batch_size):
@@ -115,7 +112,7 @@ def _accuracy(params: ParameterSet, head: np.ndarray, ds: LabeledDataset, temper
     return correct / len(ds)
 
 
-def evaluate(params: ParameterSet, head: np.ndarray, tasks: list[TaskData], upto: int,
+def evaluate(params: dm.Params, head: np.ndarray, tasks: list[TaskData], upto: int,
              temperature: float) -> np.ndarray:
     """Holdout accuracy on every task up to upto (NaN after it), logits over head's classes."""
     row = np.full(len(tasks), np.nan)
@@ -157,17 +154,18 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
     # each key was checked when cfg was built; the rules that tie keys together fail here, before any work
     check_cross_keys(cfg)
     knobs = VARIANTS[cfg.variant]
-    if knobs.use_teacher and not (cfg.gamma < cfg.lam < cfg.delta):
+    if knobs.use_teacher and not (cfg.gamma < cfg.lam < cfg.delta or cfg.gamma == cfg.lam == cfg.delta):
         warnings.warn(f"momentum ordering [ema] gamma < [ema] lambda < [ema] delta violated "
                       f"({cfg.gamma}, {cfg.lam}, {cfg.delta}); proceeding anyway")
     tasks = generate_tasks(cfg, seed)
     student = dm.init_model(cfg, seed)
-    teacher = student.clone() if knobs.use_teacher else None
+    teacher = {p: Tensor(t.data.copy()) for p, t in student.items()} if knobs.use_teacher else None
     table = dm.init_class_table(cfg.total_classes, cfg.embed_dim, seed)
     capacity = cfg.buffer_capacity if cfg.buffer_capacity > 0 else knobs.default_buffer
     buffer = ReplayBuffer(capacity, seed) if capacity > 0 else None
 
-    history = MaskHistory()
+    masks: list[Mask] = []
+    mask_scores: list[dict[str, np.ndarray]] = []
     final_ttl_mask: Mask | None = None
     t_count = cfg.tasks
     r_sup = np.full((t_count, t_count), np.nan)
@@ -178,11 +176,12 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
         # generate_tasks draws classes in id order, k per task, so task t holds the ids t*k..(t+1)*k-1:
         # the classes seen by session t are the table's first (t+1)*k rows, and class c is logit column c
         head = table[:(t + 1) * cfg.classes_per_task]
-        mask, scores = run_supervised_session(
-            student, teacher, head, task, knobs, cfg, seed,
-            buffer=buffer, audit=audit, metrics_rows=metrics_rows)
+        mask, scores, rows = run_supervised_session(student, teacher, head, task, knobs, cfg, seed,
+                                                    buffer=buffer, audit=audit)
+        metrics_rows.extend(rows)
         if mask is not None:
-            history.append(mask, scores)
+            masks.append(mask)
+            mask_scores.append(scores)
 
         eval_params = teacher if knobs.use_teacher else student
         r_sup[t] = evaluate(eval_params, head, tasks, t, cfg.temperature)
@@ -193,9 +192,9 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
             ttl_mask = None
             if knobs.use_mask:
                 if knobs.use_union:
-                    ttl_mask = reselect_topk(union_masks(history), history, cfg.sparsity_c)
+                    ttl_mask = reselect_topk(union_masks(masks), mask_scores, cfg.sparsity_c)
                 else:
-                    ttl_mask = history.masks[-1]
+                    ttl_mask = masks[-1]
             final_ttl_mask = ttl_mask
             stream, composition = build_ttl_stream(tasks, t, seed, cfg.ttl_stream_scope,
                                                    cfg.ttl_imbalance, cfg.dirichlet_alpha)
@@ -220,6 +219,6 @@ def run_experiment(cfg: RunConfig, seed: int, audit: RunAudit | None = None) -> 
     metrics_rows.append({"type": "summary", **summary})
     return RunResult(
         r_post_sup=r_sup, r_post_ttl=r_ttl,
-        metrics_rows=metrics_rows, summary=summary, history=history,
+        metrics_rows=metrics_rows, summary=summary, masks=masks, mask_scores=mask_scores,
         final_ttl_mask=final_ttl_mask, student=student, teacher=teacher, table=table,
     )

@@ -4,19 +4,19 @@ A score is the absolute value of the MEAN gradient over the scoring data
 (mean first, then absolute value, so sign-cancelling gradients score zero).
 Selection keeps the top ceil(c * N) entries per candidate tensor, ties
 broken toward the lower flat index. A mask is a plain dict from candidate
-path to bool bits. Per-task masks are kept in memory with their scores so
-later sessions can take the union and re-select within it; only the masks
-are ever written, as tensor-record files that hold just their bits.
+path to bool bits. A run keeps its per-task masks and their scores as two
+lists in memory, so later sessions can take the union and re-select within
+it; only the masks are ever written, as tensor-record files of their bits.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import candidate_paths
 from .records import read_records, write_records
 from .ttl import gradients
 
@@ -24,21 +24,6 @@ MASK_MAGIC = "dosapp-mask"
 
 
 Mask = dict[str, np.ndarray]  # candidate path -> bool bits of the same shape
-
-
-@dataclass
-class MaskHistory:
-    """Each masked session's mask and the scores it was selected from, by candidate path."""
-
-    masks: list[Mask] = field(default_factory=list)
-    scores: list[dict[str, np.ndarray]] = field(default_factory=list)
-
-    def append(self, mask: Mask, scores: dict[str, np.ndarray]) -> None:
-        self.masks.append(mask)
-        self.scores.append(scores)
-
-    def __len__(self) -> int:
-        return len(self.masks)
 
 
 def topk_count(c: float, n: int) -> int:
@@ -55,19 +40,20 @@ def score_parameters(params, dataset, loss_fn, batch_size: int, sample_cap: int 
     non-finite loss or gradient raises FloatingPointError naming `where` and the batch.
     """
     n_used = len(dataset.y) if sample_cap is None else min(sample_cap, len(dataset.y))
-    cand = params.candidate_paths()
-    wrt = [params.entries[p] for p in cand]
-    accum = {p: np.zeros_like(params.entries[p].data) for p in cand}
+    cand = candidate_paths(params)
+    wrt = [params[p] for p in cand]
+    accum = {p: np.zeros_like(params[p].data) for p in cand}
     for b, start in enumerate(range(0, n_used, batch_size)):
         take = min(batch_size, n_used - start)
         xb = dataset.x[start : start + take]
         yb = dataset.y[start : start + take]
         gradients(params, wrt, lambda: loss_fn(params, xb, yb), f"{where} batch {b}")
         for p in cand:
-            grad = params.entries[p].grad
+            grad = params[p].grad
             if grad is not None:
                 accum[p] += grad * take
-    params.zero_grads()
+    for t in params.values():
+        t.grad = None
     return {p: np.abs(a / n_used) for p, a in accum.items()}
 
 
@@ -106,22 +92,22 @@ def select_topk(scores: dict[str, np.ndarray], c: float) -> Mask:
     return {path: _topk_bits(arr, np.ones(arr.shape, dtype=bool), c, path) for path, arr in scores.items()}
 
 
-def union_masks(history: MaskHistory) -> Mask:
-    """Elementwise OR of every stored per-task mask; raw, no sparsity target."""
-    if len(history) == 0:
-        raise ValueError("union_masks: empty history")
-    return _fold(history.masks, np.bitwise_or)
+def union_masks(masks: list[Mask]) -> Mask:
+    """Elementwise OR of every per-task mask; raw, no sparsity target."""
+    if not masks:
+        raise ValueError("union_masks: no mask")
+    return _fold(masks, np.bitwise_or)
 
 
-def reselect_topk(union: Mask, history: MaskHistory, c: float) -> Mask:
-    """Re-select within the union: per-entry score is the max over tasks.
+def reselect_topk(union: Mask, scores: list[dict[str, np.ndarray]], c: float) -> Mask:
+    """Re-select within the union: per-entry score is the max over the tasks' scores.
 
     Keeps ceil(c*N) per tensor out of the union pool; if the pool is smaller
     than that, the whole pool is kept and a warning is emitted.
     """
-    if len(history) == 0:
-        raise ValueError("reselect_topk: empty history")
-    best = _fold(history.scores, np.maximum)
+    if not scores:
+        raise ValueError("reselect_topk: no scores")
+    best = _fold(scores, np.maximum)
     return {path: _topk_bits(best[path], pool, c, path) for path, pool in union.items()}
 
 

@@ -3,9 +3,10 @@
 A small transformer-style encoder maps an input vector (viewed as a short
 token sequence) to a unit-norm embedding, which is scored against a fixed
 table of unit-norm class embeddings by temperature-scaled cosine similarity.
-Only the first MLP layer weight of each block is a candidate for sparse
-masked updates; everything else stays frozen under masked training.
-A checkpoint holds only tensors; its candidates and encoder shape follow from them.
+Parameters are a plain dict from path to Tensor in init (or file) order. Only
+the first MLP layer weight of each block is a candidate for sparse masked
+updates; everything else stays frozen under masked training. A checkpoint
+holds only tensors; its candidates and encoder shape follow from them.
 """
 
 from __future__ import annotations
@@ -25,34 +26,12 @@ from .seeding import substream
 CHECKPOINT_MAGIC = "dosapp-checkpoint"
 
 
-class ParameterSet:
-    """Named float64 parameter tensors.
+Params = dict[str, Tensor]  # parameter path -> tensor, in init (or file) order
 
-    Candidate tensors (the per-block first MLP weights, by name) are the only
-    ones a sparse mask may select from. Iteration order is construction order
-    and is stable, which keeps every downstream loop deterministic.
-    """
 
-    def __init__(self):
-        self.entries: dict[str, Tensor] = {}
-
-    def add(self, path: str, value: np.ndarray) -> None:
-        if path in self.entries:
-            raise ValueError(f"duplicate parameter path '{path}'")
-        self.entries[path] = Tensor(value)
-
-    def candidate_paths(self) -> list[str]:
-        return [p for p in self.entries if p.endswith(".mlp.fc1.weight")]
-
-    def zero_grads(self) -> None:
-        for t in self.entries.values():
-            t.grad = None
-
-    def clone(self) -> "ParameterSet":
-        out = ParameterSet()
-        for path, t in self.entries.items():
-            out.add(path, t.data.copy())
-        return out
+def candidate_paths(params: Params) -> list[str]:
+    """The tensors a sparse mask may select from: each block's first MLP weight, in order."""
+    return [p for p in params if p.endswith(".mlp.fc1.weight")]
 
 
 @functools.lru_cache(maxsize=16)  # encode checks its encoder on every call
@@ -69,26 +48,26 @@ def _layout(token_dim: int, hidden: int, blocks: int, attention: bool, flat: int
     return MappingProxyType(out)
 
 
-def init_model(cfg: RunConfig, seed: int) -> ParameterSet:
+def init_model(cfg: RunConfig, seed: int) -> Params:
     """Deterministic init: weights uniform in +-1/sqrt(fan-in), identity norms."""
     rng = substream(seed, "init")
-    params = ParameterSet()
+    params: Params = {}
     for path, shape in _layout(cfg.token_dim, cfg.mlp_hidden_dim, cfg.block_count, cfg.use_attention,
                                cfg.token_count * cfg.token_dim, cfg.embed_dim).items():
         bound = 1.0 / math.sqrt(shape[0])
         value = (np.ones(shape) if path.endswith(".gain") else np.zeros(shape) if path.endswith(".bias")
                  else rng.uniform(-bound, bound, size=shape))
-        params.add(path, value)
+        params[path] = Tensor(value)
     return params
 
 
-def encoder_shape(params: ParameterSet) -> tuple[int, int, int, bool]:
+def encoder_shape(params: Params) -> tuple[int, int, int, bool]:
     """(token_dim, token_count, block_count, use_attention) of the encoder params holds.
 
     Read from block0.ln2.gain, block0.mlp.fc1.weight, proj.weight and the
     block names; a ValueError if the tensors do not form that one encoder.
     """
-    shapes = {path: t.data.shape for path, t in params.entries.items()}
+    shapes = {path: t.data.shape for path, t in params.items()}
     d, h = shapes.get("block0.ln2.gain", (1,))[0], shapes.get("block0.mlp.fc1.weight", (1,))[-1]
     flat, embed = (shapes.get("proj.weight", (1,))[i] for i in (0, -1))  # a wrong rank fails below
     if min(d, h, flat, embed) < 1 or flat % d:
@@ -114,43 +93,43 @@ def init_class_table(total_classes: int, embed_dim: int, seed: int) -> np.ndarra
     return v
 
 
-def encode(params: ParameterSet, x) -> Tensor:
+def encode(params: Params, x) -> Tensor:
     """Embed a batch [batch, input_dim] into unit-norm rows [batch, embed_dim]."""
     d, token_count, blocks, attention = encoder_shape(params)
     x = ad._as_tensor(x)
     if x.data.ndim != 2 or x.data.shape[1] != token_count * d:
         raise ValueError(f"encode: want [batch, {token_count * d}], got {x.data.shape}")
     b = x.data.shape[0]
-    e = params.entries
     tokens = ad.reshape(x, (b, token_count, d))
     for i in range(blocks):
         if attention:
-            hn = ad.layer_norm(tokens, e[f"block{i}.ln1.gain"], e[f"block{i}.ln1.bias"])
-            q = ad.matmul(hn, e[f"block{i}.attn.q.weight"])
-            k = ad.matmul(hn, e[f"block{i}.attn.k.weight"])
-            v = ad.matmul(hn, e[f"block{i}.attn.v.weight"])
+            hn = ad.layer_norm(tokens, params[f"block{i}.ln1.gain"], params[f"block{i}.ln1.bias"])
+            q = ad.matmul(hn, params[f"block{i}.attn.q.weight"])
+            k = ad.matmul(hn, params[f"block{i}.attn.k.weight"])
+            v = ad.matmul(hn, params[f"block{i}.attn.v.weight"])
             scores = ad.scale(ad.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(d))
             mixed = ad.matmul(ad.softmax(scores), v)
-            tokens = ad.add(tokens, ad.matmul(mixed, e[f"block{i}.attn.out.weight"]))
-        hn2 = ad.layer_norm(tokens, e[f"block{i}.ln2.gain"], e[f"block{i}.ln2.bias"])
-        hidden = ad.gelu(ad.linear(hn2, e[f"block{i}.mlp.fc1.weight"], e[f"block{i}.mlp.fc1.bias"]))
-        out = ad.linear(hidden, e[f"block{i}.mlp.fc2.weight"], e[f"block{i}.mlp.fc2.bias"])
+            tokens = ad.add(tokens, ad.matmul(mixed, params[f"block{i}.attn.out.weight"]))
+        hn2 = ad.layer_norm(tokens, params[f"block{i}.ln2.gain"], params[f"block{i}.ln2.bias"])
+        hidden = ad.gelu(ad.linear(hn2, params[f"block{i}.mlp.fc1.weight"],
+                                   params[f"block{i}.mlp.fc1.bias"]))
+        out = ad.linear(hidden, params[f"block{i}.mlp.fc2.weight"], params[f"block{i}.mlp.fc2.bias"])
         tokens = ad.add(tokens, out)
     flat = ad.reshape(tokens, (b, token_count * d))
-    return ad.normalize_rows(ad.matmul(flat, e["proj.weight"]))
+    return ad.normalize_rows(ad.matmul(flat, params["proj.weight"]))
 
 
-def logits(params: ParameterSet, head: np.ndarray, x, temperature: float) -> Tensor:
+def logits(params: Params, head: np.ndarray, x, temperature: float) -> Tensor:
     """Cosine(embedding, head row)/temperature: column c scores head row c, which is class c."""
     return ad.scale(ad.cosine_similarity_rows(encode(params, x), Tensor(head)), 1.0 / temperature)
 
 
-def model_loss(params: ParameterSet, head: np.ndarray, x, labels, temperature: float) -> Tensor:
+def model_loss(params: Params, head: np.ndarray, x, labels, temperature: float) -> Tensor:
     """Cross-entropy over head's classes; a label is its logit column."""
     return ad.cross_entropy_from_logits(logits(params, head, x, temperature), labels)
 
 
-def untaped_logits(params: ParameterSet, head: np.ndarray, x, temperature: float, where: str) -> np.ndarray:
+def untaped_logits(params: Params, head: np.ndarray, x, temperature: float, where: str) -> np.ndarray:
     """logits(...).data of a forward no gradient is taken of; a non-finite logit raises
     FloatingPointError naming `where`, in place of numpy's warnings."""
     with np.errstate(all="ignore"):
@@ -160,7 +139,7 @@ def untaped_logits(params: ParameterSet, head: np.ndarray, x, temperature: float
     return out
 
 
-def predict(params: ParameterSet, head: np.ndarray, x, temperature: float,
+def predict(params: Params, head: np.ndarray, x, temperature: float,
             where: str = "prediction") -> np.ndarray:
     """Argmax class over head's classes (no tape is recorded)."""
     return np.argmax(untaped_logits(params, head, x, temperature, where), axis=1)
@@ -168,25 +147,23 @@ def predict(params: ParameterSet, head: np.ndarray, x, temperature: float,
 
 # ---------------------------------------------------------------- persistence
 
-def save_checkpoint(path, params: ParameterSet, table: np.ndarray | None = None) -> None:
+def save_checkpoint(path, params: Params, table: np.ndarray | None = None) -> None:
     """Write parameters (and optionally the class table) bit-exactly as a tensor-record file."""
-    records = [(p, t.data) for p, t in params.entries.items()]
+    records = [(p, t.data) for p, t in params.items()]
     if table is not None:
         records.append(("class_table", table))
     write_records(path, CHECKPOINT_MAGIC, records)
 
 
-def load_checkpoint(path) -> tuple[ParameterSet, np.ndarray | None]:
+def load_checkpoint(path) -> tuple[Params, np.ndarray | None]:
     """Inverse of save_checkpoint; rejects unknown versions, cut or corrupt files, records
     that do not form one encoder, and a class table it cannot score against."""
     records = read_records(path, CHECKPOINT_MAGIC, np.float64)
     table = records.pop("class_table", None)
-    params = ParameterSet()
-    for name, value in records.items():
-        params.add(name, value)
+    params = {name: Tensor(value) for name, value in records.items()}
     try:
         encoder_shape(params)
-        embed = params.entries["proj.weight"].shape[1]
+        embed = params["proj.weight"].shape[1]
         if table is not None and (table.ndim != 2 or table.shape[1] != embed or not table.any(axis=1).all()):
             raise ValueError(f"class_table of shape {table.shape} is not nonzero rows as wide as "
                              f"proj.weight's {embed} columns")   # nan and inf failed in read_records

@@ -75,9 +75,9 @@ def persist_run(run_dir, manifest: dict, result: RunResult) -> None:
     dm.save_checkpoint(run_dir / "student.ckpt", result.student, result.table)
     if result.teacher is not None:
         dm.save_checkpoint(run_dir / "teacher.ckpt", result.teacher, result.table)
-    if len(result.history):
+    if result.masks:
         mask_dir.mkdir(exist_ok=True)
-        for t, mask in enumerate(result.history.masks):  # one mask per session, so t is the task id
+        for t, mask in enumerate(result.masks):  # one mask per session, so t is the task id
             mk.save_mask(mask_dir / f"task{t}.mask", mask)
         if result.final_ttl_mask is not None:
             mk.save_mask(mask_dir / "ttl_final.mask", result.final_ttl_mask)
@@ -159,12 +159,17 @@ def _group_by(records: list[RunRecord], key) -> dict:
 
 
 def _display_group(records: list[RunRecord]) -> dict[str, list[RunRecord]]:
-    """Runs by variant, but a variant run at several momentum settings gets one
-    labeled row per setting instead of a pooled (and misleading) row. The
-    label holds no comma, so it stays one CSV cell."""
+    """Runs by variant, but a variant run at several (gamma, lambda, delta) settings gets one labeled
+    row per setting instead of a pooled (and misleading) row. The label holds no comma, so it stays
+    one CSV cell."""
     momenta = {v: {r.momenta for r in runs} for v, runs in _group_by(records, lambda r: r.variant).items()}
     return _group_by(records, lambda r: r.variant if len(momenta[r.variant]) == 1
-                     else f"{r.variant}[g={r.momenta[0]!r} l={r.momenta[1]!r}]")
+                     else f"{r.variant}[g={r.momenta[0]!r} l={r.momenta[1]!r} d={r.momenta[2]!r}]")
+
+
+def _single_momentum(momenta: tuple[float, float, float]) -> bool:
+    """gamma = lambda = delta: the dual-momentum blend collapsed to one EMA momentum."""
+    return momenta[0] == momenta[1] == momenta[2]
 
 
 def _shared_seed_pairs(a: list[RunRecord], b: list[RunRecord]) -> list[tuple[RunRecord, RunRecord]]:
@@ -215,7 +220,7 @@ def evaluate_trends(records: list[RunRecord]) -> list[dict]:
             })
 
     by_momenta = _group_by(groups.get("dosapp", []), lambda r: r.momenta)
-    single = [m for m in by_momenta if m[0] == m[2] and m[1] == m[2]]
+    single = [m for m in by_momenta if _single_momentum(m)]
     dual = [m for m in by_momenta if m not in single]
     if single and dual:
         best_dual = max(dual, key=lambda m: _median([r.summary["avg_acc"] for r in by_momenta[m]]))
@@ -291,7 +296,7 @@ def write_momentum_grid_csv(path, records: list[RunRecord]) -> None:
     for momenta in sorted(by_momenta):
         runs = by_momenta[momenta]
         g, l, d = momenta
-        single = 1 if (g == d and l == d) else 0
+        single = int(_single_momentum(momenta))
         am, asd = _mean_std([r.summary["avg_acc"] for r in runs])
         fvals = [r.summary["forgetting"] for r in runs if r.summary["forgetting"] is not None]
         fm, fsd = _mean_std(fvals) if fvals else (None, None)

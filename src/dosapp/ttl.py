@@ -24,7 +24,8 @@ def gradients(params, wrt, build_loss, where: str):
     A non-finite loss or gradient raises FloatingPointError naming `where`,
     in place of numpy's warnings.
     """
-    params.zero_grads()
+    for t in params.values():
+        t.grad = None
     with np.errstate(all="ignore"):
         with Graph(wrt=wrt) as tape:
             loss = build_loss()
@@ -42,7 +43,7 @@ def train_step(student, teacher, opt: Optimizer, mask, pq, build_loss, where: st
     updated; a step that overflows leaves non-finite weights, which the next
     forward reports. teacher=None skips the blend. Returns the loss.
     """
-    stepped = [student.entries[p] for p in (student.entries if mask is None else mask)]
+    stepped = [student[p] for p in (student if mask is None else mask)]
     loss = gradients(student, stepped, build_loss, where)
     with np.errstate(all="ignore"):
         opt.step(student, mask)

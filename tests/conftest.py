@@ -1,5 +1,5 @@
-"""Pytest wiring: end-of-run summary for the acceptance criteria, a RunAudit reader, and runs in
-worker processes."""
+"""Pytest wiring: end-of-run summary for the acceptance criteria, a RunAudit reader, a parameter
+copier, and runs in worker processes."""
 
 import multiprocessing
 import os
@@ -22,6 +22,13 @@ def ids_seen(audit, phase: str | None = None, session: int | None = None) -> lis
     """The instance ids a RunAudit saw reach gradient steps, optionally of one phase and session."""
     return [i for ph, se, ids in audit.events
             if phase in (None, ph) and session in (None, se) for i in ids]
+
+
+def copy_params(params):
+    """A parameter dict holding copies of params' arrays and no grads, as run_experiment builds its
+    teacher."""
+    from dosapp.autodiff import Tensor
+    return {p: Tensor(t.data.copy()) for p, t in params.items()}
 
 
 def _warnings_are_errors() -> None:
@@ -48,10 +55,3 @@ def timed_summary(cfg, seed: int) -> tuple[dict, float]:
     summary = run_experiment(cfg, seed).summary
     return summary, time.perf_counter() - t0
 
-
-def timed_summary_that_warns(cfg, seed: int, match: str) -> tuple[dict, float]:
-    """timed_summary of a run that must warn with a UserWarning matching `match`; any other warning
-    is still an error."""
-    import pytest
-    with pytest.warns(UserWarning, match=match):
-        return timed_summary(cfg, seed)

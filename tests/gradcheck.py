@@ -299,13 +299,14 @@ def check_model_gradients(seed=0, use_attention=True):
     def build():
         return dm.model_loss(params, table, x, labels, temperature)
 
-    params.zero_grads()
+    for t in params.values():
+        t.grad = None
     with ad.Graph() as g:
         loss = build()
     ad.backward(loss, g)
-    paths = sorted(params.entries)
-    analytic = [params.entries[p].grad.copy() for p in paths]
+    paths = sorted(params)
+    analytic = [params[p].grad.copy() for p in paths]
     numeric = finite_difference(lambda: build().item(),
-                                [params.entries[p].data for p in paths])
+                                [params[p].data for p in paths])
     for path, a, n in zip(paths, analytic, numeric):
         assert_grads_close(a, n, label=path)

@@ -18,12 +18,11 @@ import dosapp.ema as em
 import dosapp.masking as mk
 import dosapp.model as dm
 import dosapp.ttl as tt
-from conftest import ACCEPTANCE_LINES, ids_seen, in_workers, timed_summary, timed_summary_that_warns
+from conftest import ACCEPTANCE_LINES, copy_params, ids_seen, in_workers, timed_summary
 from dosapp.cli import main as cli_main
 from dosapp.config import RunConfig, build_manifest, write_manifest
 from dosapp.data import build_ttl_stream, generate_tasks
 from dosapp.harness import RunAudit, compute_metrics, run_experiment
-from dosapp.masking import MaskHistory
 from gradcheck import FD_STEP, OP_CASES, REL_TOL, check_case, check_model_gradients, tiny_encoder_config
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -54,10 +53,10 @@ def ladder():
 
 @pytest.fixture(scope="module")
 def single_momentum_runs():
-    # the collapsed ordering warns by design; each worker checks that it does
+    # the collapsed momenta are the designed single-momentum arm, so no run warns (in the workers a
+    # warning is an error)
     cfg = RunConfig(gamma=0.9999, lam=0.9999, delta=0.9999)
-    jobs = [(cfg, s, "momentum ordering") for s in SEEDS]
-    return [summary for summary, _ in in_workers(timed_summary_that_warns, jobs)]
+    return [summary for summary, _ in in_workers(timed_summary, [(cfg, s) for s in SEEDS])]
 
 
 # ------------------------------------------------------------ 1: gradients
@@ -96,31 +95,31 @@ def test_criterion_02_ema_algebra():
         # (b) equal momenta collapse to a plain EMA, checked per step
         enc = tiny_encoder_config()
         student = dm.init_model(enc, 0)
-        teacher = student.clone()
+        teacher = copy_params(student)
         delta = 0.97
         bits = np.random.default_rng(1).uniform(
-            size=student.entries["block0.mlp.fc1.weight"].shape) < 0.3
+            size=student["block0.mlp.fc1.weight"].shape) < 0.3
         sv = em.compute_pq({"block0.mlp.fc1.weight": bits}, delta, delta)
-        oracle = {k: t.data.copy() for k, t in teacher.entries.items()}
+        oracle = {k: t.data.copy() for k, t in teacher.items()}
         walk = np.random.default_rng(2)
         worst_ema = 0.0
         for _ in range(100):
-            for t in student.entries.values():
+            for t in student.values():
                 t.data += walk.normal(scale=0.01, size=t.data.shape)
             em.ema_update(teacher, student, sv)
             for k in oracle:
-                oracle[k] = delta * oracle[k] + (1.0 - delta) * student.entries[k].data
+                oracle[k] = delta * oracle[k] + (1.0 - delta) * student[k].data
                 worst_ema = max(worst_ema, float(np.max(np.abs(
-                    teacher.entries[k].data - oracle[k]))))
+                    teacher[k].data - oracle[k]))))
         assert worst_ema <= 1e-12
 
         # (c) frozen-coordinate closed form at the default high momentum
         student = dm.init_model(enc, 3)
-        teacher = student.clone()
+        teacher = copy_params(student)
         path = "block1.mlp.fc2.weight"
-        v = teacher.entries[path].data.copy()
-        student.entries[path].data[...] = v + 0.5
-        s = student.entries[path].data.copy()
+        v = teacher[path].data.copy()
+        student[path].data[...] = v + 0.5
+        s = student[path].data.copy()
         delta = 0.9999
         sv = em.compute_pq(None, 0.8, delta)
         worst_closed = 0.0
@@ -128,7 +127,7 @@ def test_criterion_02_ema_algebra():
             em.ema_update(teacher, student, sv)
             expected = delta**n * v + (1.0 - delta**n) * s
             worst_closed = max(worst_closed, float(np.max(np.abs(
-                teacher.entries[path].data - expected))))
+                teacher[path].data - expected))))
         assert worst_closed <= 1e-9
         rec.detail = (f"p+q err {worst_pq:.1e} (<=1e-15), plain-EMA err {worst_ema:.1e} "
                       f"(<=1e-12/step), closed-form err {worst_closed:.1e} (<=1e-9, n<=1000)")
@@ -166,25 +165,22 @@ def test_criterion_03_mask_selection():
                 checked += 1
 
         # union growth over five task masks is monotone
-        shapes = {p: params.entries[p].shape for p in params.candidate_paths()}
+        shapes = {p: params[p].shape for p in dm.candidate_paths(params)}
         rng = np.random.default_rng(1)
-        history = MaskHistory()
+        masks = []
         prev_union = None
         for _ in range(5):
-            sm_t = random_score_map(rng, shapes)
-            history.append(mk.select_topk(sm_t, 0.1), sm_t)
-            union = mk.union_masks(history)
+            masks.append(mk.select_topk(random_score_map(rng, shapes), 0.1))
+            union = mk.union_masks(masks)
             if prev_union is not None:
                 for k in union:
                     assert not np.any(prev_union[k] & ~union[k]), k  # nothing un-selected
             prev_union = union
 
         # re-selection over a one-mask history is the identity
-        one = MaskHistory()
         sm_0 = random_score_map(np.random.default_rng(2), shapes)
         first = mk.select_topk(sm_0, 0.1)
-        one.append(first, sm_0)
-        re = mk.reselect_topk(mk.union_masks(one), one, 0.1)
+        re = mk.reselect_topk(mk.union_masks([first]), [sm_0], 0.1)
         for k in first:
             assert np.array_equal(re[k], first[k]), k
 

@@ -20,11 +20,9 @@ from dosapp.config import RunConfig
 from gradcheck import OP_CASES, check_case, check_model_gradients, tiny_encoder_config
 
 
-class Bag:
-    """Minimal stand-in for a ParameterSet: just named tensors."""
-
-    def __init__(self, **arrays):
-        self.entries = {k: ad.Tensor(np.asarray(v, dtype=np.float64)) for k, v in arrays.items()}
+def params_of(**arrays) -> dict[str, ad.Tensor]:
+    """A parameter dict of the named arrays."""
+    return {k: ad.Tensor(np.asarray(v, dtype=np.float64)) for k, v in arrays.items()}
 
 
 # ------------------------------------------------------------ gradients
@@ -54,12 +52,13 @@ def test_model_gradients_match_finite_differences(use_attention):
 def _model_grads(params, table, wrt, input_dim):
     rng = np.random.default_rng(11)
     x = rng.normal(size=(6, input_dim))
-    params.zero_grads()
+    for t in params.values():
+        t.grad = None
     with ad.Graph(wrt=wrt) as g:
         loss = dm.model_loss(params, table, x, [0, 1, 2, 3, 1, 0], temperature=0.07)
     taped = len(g.nodes)   # read before backward, which consumes the tape
     ad.backward(loss, g)
-    return taped, {p: None if t.grad is None else t.grad.copy() for p, t in params.entries.items()}
+    return taped, {p: None if t.grad is None else t.grad.copy() for p, t in params.items()}
 
 
 @pytest.mark.parametrize("wanted", ["candidates", "every_parameter", "one_late_tensor"])
@@ -67,12 +66,12 @@ def _model_grads(params, table, wrt, input_dim):
 def test_wrt_graph_gives_the_same_gradients_on_a_shorter_tape(cfg, wanted):
     params = dm.init_model(cfg, 4)
     table = dm.init_class_table(4, cfg.embed_dim, 4)
-    paths = {"candidates": params.candidate_paths(), "every_parameter": list(params.entries),
+    paths = {"candidates": dm.candidate_paths(params), "every_parameter": list(params),
              "one_late_tensor": ["block1.attn.q.weight"]}[wanted]
     full_nodes, full = _model_grads(params, table, None, cfg.input_dim)
-    nodes, grads = _model_grads(params, table, [params.entries[p] for p in paths], cfg.input_dim)
+    nodes, grads = _model_grads(params, table, [params[p] for p in paths], cfg.input_dim)
     assert nodes < full_nodes
-    for path in params.entries:
+    for path in params:
         if path in paths:
             assert np.array_equal(grads[path], full[path]), path
         else:
@@ -459,28 +458,28 @@ def test_cross_entropy_label_range_errors():
 # ------------------------------------------------------------ optimizers
 
 def test_sgd_step_definition():
-    bag = Bag(w=[1.0])
-    bag.entries["w"].grad = np.array([2.0])
+    bag = params_of(w=[1.0])
+    bag["w"].grad = np.array([2.0])
     opt = ad.Optimizer(RunConfig(optimizer_kind="sgd", learning_rate=0.1))
     opt.step(bag)
-    assert bag.entries["w"].data[0] == 1.0 - 0.1 * 2.0
-    assert bag.entries["w"].data[0] == pytest.approx(0.8, abs=1e-12)
+    assert bag["w"].data[0] == 1.0 - 0.1 * 2.0
+    assert bag["w"].data[0] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_sgd_masked_out_parameter_frozen():
-    bag = Bag(w=[1.0, 1.0])
-    bag.entries["w"].grad = np.array([2.0, 2.0])
+    bag = params_of(w=[1.0, 1.0])
+    bag["w"].grad = np.array([2.0, 2.0])
     mask = {"w": np.array([False, True])}
     opt = ad.Optimizer(RunConfig(optimizer_kind="sgd", learning_rate=0.1))
     opt.step(bag, mask)
-    assert bag.entries["w"].data[0] == 1.0
-    assert bag.entries["w"].data[1] == pytest.approx(0.8, abs=1e-12)
+    assert bag["w"].data[0] == 1.0
+    assert bag["w"].data[1] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_adamw_first_step_matches_hand_recurrence():
     lr, b1, b2, eps = 7.5e-6, 0.9, 0.999, 1e-8
-    bag = Bag(w=[1.0])
-    bag.entries["w"].grad = np.array([1.0])
+    bag = params_of(w=[1.0])
+    bag["w"].grad = np.array([1.0])
     opt = ad.Optimizer(RunConfig(optimizer_kind="adamw", learning_rate=lr,
                                  beta1=b1, beta2=b2, epsilon=eps))
     opt.step(bag)
@@ -490,7 +489,7 @@ def test_adamw_first_step_matches_hand_recurrence():
     mhat = m / (1.0 - b1)
     vhat = v / (1.0 - b2)
     expected = 1.0 - lr * (mhat / (math.sqrt(vhat) + eps))
-    got = bag.entries["w"].data[0]
+    got = bag["w"].data[0]
     assert got == pytest.approx(expected, rel=1e-15)
     assert got == pytest.approx(1.0 - lr, rel=1e-7)
 
@@ -498,32 +497,32 @@ def test_adamw_first_step_matches_hand_recurrence():
 def test_adamw_masked_freeze_is_bit_exact_with_weight_decay():
     rng = np.random.default_rng(5)
     init = rng.normal(size=8)
-    bag = Bag(w=init.copy())
+    bag = params_of(w=init.copy())
     bits = np.zeros(8, dtype=bool)
     bits[[1, 4, 6]] = True
     mask = {"w": bits}
     opt = ad.Optimizer(RunConfig(optimizer_kind="adamw", learning_rate=0.05, weight_decay=0.01))
     for _ in range(25):
-        bag.entries["w"].grad = rng.normal(size=8)
+        bag["w"].grad = rng.normal(size=8)
         opt.step(bag, mask)
     frozen = ~bits
-    assert np.array_equal(bag.entries["w"].data[frozen], init[frozen])
-    assert np.all(bag.entries["w"].data[bits] != init[bits])
+    assert np.array_equal(bag["w"].data[frozen], init[frozen])
+    assert np.all(bag["w"].data[bits] != init[bits])
 
 
 def test_optimizer_state_allocated_only_for_stepped_paths():
-    bag = Bag(a=[1.0], b=[1.0])
-    bag.entries["a"].grad = np.array([1.0])
-    bag.entries["b"].grad = np.array([1.0])
+    bag = params_of(a=[1.0], b=[1.0])
+    bag["a"].grad = np.array([1.0])
+    bag["b"].grad = np.array([1.0])
     mask = {"a": np.array([True])}
     opt = ad.Optimizer(RunConfig(optimizer_kind="adamw", learning_rate=0.1))
     opt.step(bag, mask)
     assert set(opt._m) == {"a"}
-    assert bag.entries["b"].data[0] == 1.0
+    assert bag["b"].data[0] == 1.0
 
 
 def test_missing_grad_raises_with_path():
-    bag = Bag(w=[1.0])
+    bag = params_of(w=[1.0])
     opt = ad.Optimizer(RunConfig(optimizer_kind="sgd", learning_rate=0.1))
     with pytest.raises(ValueError, match="'w'"):
         opt.step(bag)
@@ -540,13 +539,13 @@ def test_sgd_loss_decreases_on_separable_problem():
     x = np.concatenate([rng.normal(loc=(3.0, 0.0), scale=0.2, size=(4, 2)),
                         rng.normal(loc=(-3.0, 0.0), scale=0.2, size=(4, 2))])
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    bag = Bag(w=rng.normal(scale=0.1, size=(2, 2)))
+    bag = params_of(w=rng.normal(scale=0.1, size=(2, 2)))
     opt = ad.Optimizer(RunConfig(optimizer_kind="sgd", learning_rate=0.5))
     losses = []
     for _ in range(20):
-        bag.entries["w"].grad = None
+        bag["w"].grad = None
         with ad.Graph() as g:
-            loss = ad.cross_entropy_from_logits(ad.matmul(x, bag.entries["w"]), y)
+            loss = ad.cross_entropy_from_logits(ad.matmul(x, bag["w"]), y)
         ad.backward(loss, g)
         losses.append(loss.item())
         opt.step(bag)

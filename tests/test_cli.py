@@ -590,16 +590,17 @@ def ablation_dir(tmp_path_factory):
         "momentum_grid = 0.9999:0.9999 0.8:0.6\n"
     )
     out = root / "out"
-    # both grid arms break the strict momentum ordering, once per seed; main prints each warning,
-    # which the test session's filter would otherwise raise
+    # the 0.8:0.6 arm breaks the strict momentum ordering, once per seed; the 0.9999:0.9999 arm is the
+    # designed single-momentum arm and does not warn. main prints each warning, which the test
+    # session's filter would otherwise raise
     with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always", UserWarning)
         rc = main(["ablate", "--config", str(cfg), "--seeds", "0,1",
                    "--out", str(out), *tiny_args()])
     assert rc == 0
     assert err.getvalue().splitlines() == [
-        f"warning: momentum ordering [ema] gamma < [ema] lambda < [ema] delta violated ({arm}, 0.9999); "
-        "proceeding anyway" for arm in ("0.9999, 0.9999",) * 2 + ("0.8, 0.6",) * 2]
+        "warning: momentum ordering [ema] gamma < [ema] lambda < [ema] delta violated (0.8, 0.6, 0.9999); "
+        "proceeding anyway"] * 2
     return out
 
 
@@ -700,8 +701,18 @@ def test_report_counts_a_run_from_two_invocations_once(tmp_path):
         assert [row["n_runs"] for row in csv.DictReader(fh)] == ["2"]
 
 
+def test_report_gives_each_delta_its_own_row(tmp_path):
+    # runs of one variant that differ only in [ema] delta are two momentum settings, not one pooled row
+    high = run_cli(tmp_path / "high", "ema.delta=0.9999")
+    low = run_cli(tmp_path / "low", "ema.delta=0.999")
+    assert main(["report", str(high), str(low), "--out", str(tmp_path / "rep")]) == 0
+    with open(tmp_path / "rep" / "aggregate.csv") as fh:
+        rows = {row["variant"]: row["n_runs"] for row in csv.DictReader(fh)}
+    assert rows == {"dosapp[g=0.8 l=0.9 d=0.9999]": "1", "dosapp[g=0.8 l=0.9 d=0.999]": "1"}
+
+
 def test_report_rows_have_the_header_column_count(ablation_dir):
-    # momentum-labelled rows ("dosapp[g=0.8 l=0.9]") must stay one cell wide
+    # momentum-labelled rows ("dosapp[g=0.8 l=0.9 d=0.9999]") must stay one cell wide
     for name in ("aggregate.csv", "curves.csv", "forgetting.csv"):
         lines = (ablation_dir / "report" / name).read_text().splitlines()
         width = len(lines[0].split(","))

@@ -9,7 +9,7 @@ import pytest
 import dosapp.harness as hz
 import dosapp.masking as mk
 import dosapp.model as dm
-from conftest import ids_seen
+from conftest import copy_params, ids_seen
 from dosapp.config import VARIANTS, RunConfig
 from dosapp.data import generate_tasks
 from dosapp.reporting import persist_run
@@ -97,13 +97,32 @@ def test_cloned_teacher_evaluates_identically():
     cfg = tiny_cfg()
     tasks = generate_tasks(cfg, 0)
     student = dm.init_model(cfg, 0)
-    teacher = student.clone()
+    teacher = copy_params(student)
     table = dm.init_class_table(8, 8, 0)
     lc = cfg.temperature
     rs = hz.evaluate(student, table, tasks, 1, lc)
     rt = hz.evaluate(teacher, table, tasks, 1, lc)
     assert np.array_equal(rs, rt)
     assert not np.any(np.isnan(rs))
+
+
+def test_the_teacher_a_run_builds_shares_no_array_with_the_student(monkeypatch):
+    seen = []
+    session = hz.run_supervised_session
+
+    def first_look(student, teacher, *args, **kwargs):
+        if not seen:  # the pair as run_experiment built it, before any step
+            seen.append((student, teacher))
+            assert list(teacher) == list(student)
+            assert all(np.array_equal(t.data, student[p].data) for p, t in teacher.items())
+        return session(student, teacher, *args, **kwargs)
+
+    monkeypatch.setattr(hz, "run_supervised_session", first_look)
+    res = hz.run_experiment(tiny_cfg(variant="dosapp"), seed=0)
+    assert len(seen) == 1 and seen[0][0] is res.student and seen[0][1] is res.teacher
+    for path, t in res.teacher.items():
+        assert not np.shares_memory(t.data, res.student[path].data), path
+        assert t.grad is None, path
 
 
 def test_evaluate_leaves_future_tasks_nan():
@@ -119,7 +138,7 @@ def test_evaluate_leaves_future_tasks_nan():
 def test_finetune_variant_skips_adaptation_entirely():
     res = hz.run_experiment(tiny_cfg(variant="finetune_no_ttl"), seed=0)
     assert res.teacher is None and res.final_ttl_mask is None
-    assert len(res.history) == 0
+    assert res.masks == [] and res.mask_scores == []
     assert np.array_equal(res.r_post_sup, res.r_post_ttl, equal_nan=True)
     assert not any(r["type"] == "ttl_batch" for r in res.metrics_rows)
 
@@ -139,11 +158,11 @@ def test_mask_origins_differ_between_sparse_and_union_variants():
     # plus_sparse adapts under the last session's own mask; dosapp re-selects within the union of all
     sparse = hz.run_experiment(tiny_cfg(variant="plus_sparse"), seed=0)
     full = hz.run_experiment(tiny_cfg(variant="dosapp"), seed=0)
-    assert len(sparse.history) == 2 and len(full.history) == 2
-    assert _same_mask(sparse.final_ttl_mask, sparse.history.masks[-1])
-    h = full.history
-    assert _same_mask(full.final_ttl_mask, mk.reselect_topk(mk.union_masks(h), h, tiny_cfg().sparsity_c))
-    assert not _same_mask(full.final_ttl_mask, h.masks[-1])
+    assert len(sparse.masks) == len(sparse.mask_scores) == len(full.masks) == len(full.mask_scores) == 2
+    assert _same_mask(sparse.final_ttl_mask, sparse.masks[-1])
+    assert _same_mask(full.final_ttl_mask,
+                      mk.reselect_topk(mk.union_masks(full.masks), full.mask_scores, tiny_cfg().sparsity_c))
+    assert not _same_mask(full.final_ttl_mask, full.masks[-1])
 
 
 def test_weights_that_overflow_after_a_run_s_last_step_stop_it_at_evaluation():
@@ -161,21 +180,21 @@ def test_weights_that_overflow_after_a_run_s_last_step_stop_it_at_evaluation():
 def test_teacher_student_only_trains_unmasked():
     res = hz.run_experiment(tiny_cfg(variant="teacher_student_only"), seed=0)
     assert res.teacher is not None
-    assert res.final_ttl_mask is None and len(res.history) == 0
+    assert res.final_ttl_mask is None and res.masks == [] and res.mask_scores == []
 
 
 def test_non_candidate_parameters_never_move_in_masked_run():
     cfg = tiny_cfg(variant="dosapp")
     res = hz.run_experiment(cfg, seed=0)
     fresh = dm.init_model(cfg, 0)
-    candidates = set(res.student.candidate_paths())
+    candidates = set(dm.candidate_paths(res.student))
     moved = []
-    for path, entry in res.student.entries.items():
+    for path, entry in res.student.items():
         if path in candidates:
             continue
-        assert np.array_equal(entry.data, fresh.entries[path].data), path
+        assert np.array_equal(entry.data, fresh[path].data), path
     for path in candidates:  # sanity: training actually happened somewhere
-        if not np.array_equal(res.student.entries[path].data, fresh.entries[path].data):
+        if not np.array_equal(res.student[path].data, fresh[path].data):
             moved.append(path)
     assert moved
 
@@ -186,8 +205,8 @@ def test_run_is_deterministic_per_seed():
     c = hz.run_experiment(tiny_cfg(), seed=1)
     assert np.array_equal(a.r_post_ttl, b.r_post_ttl, equal_nan=True)
     assert a.summary == b.summary
-    for k in a.student.entries:
-        assert np.array_equal(a.student.entries[k].data, b.student.entries[k].data)
+    for k in a.student:
+        assert np.array_equal(a.student[k].data, b.student[k].data)
     assert not np.array_equal(a.r_post_ttl, c.r_post_ttl, equal_nan=True)
 
 
@@ -195,8 +214,8 @@ def test_zero_capacity_buffer_matches_no_buffer():
     a = hz.run_experiment(tiny_cfg(variant="dosapp", buffer_capacity=0), seed=0)
     b = hz.run_experiment(tiny_cfg(variant="dosapp"), seed=0)
     assert a.summary == b.summary
-    for k in a.student.entries:
-        assert np.array_equal(a.student.entries[k].data, b.student.entries[k].data)
+    for k in a.student:
+        assert np.array_equal(a.student[k].data, b.student[k].data)
 
 
 def test_replay_variant_sees_old_instances_again():
@@ -253,14 +272,14 @@ def test_non_finite_loss_stops_supervised_session_before_the_step():
     task = generate_tasks(cfg, 0)[0]
     task.train.x[5, 2] = np.nan
     student = dm.init_model(cfg, 0)
-    teacher = student.clone()
-    fresh = student.clone()
+    teacher = copy_params(student)
+    fresh = copy_params(student)
     table = dm.init_class_table(8, 8, 0)
     with pytest.raises(FloatingPointError, match=r"supervised session 0 epoch 0 batch 0"):
         hz.run_supervised_session(student, teacher, table[:4], task, VARIANTS[cfg.variant], cfg, seed=0)
-    for k in fresh.entries:
-        assert np.array_equal(student.entries[k].data, fresh.entries[k].data), k
-        assert np.array_equal(teacher.entries[k].data, fresh.entries[k].data), k
+    for k in fresh:
+        assert np.array_equal(student[k].data, fresh[k].data), k
+        assert np.array_equal(teacher[k].data, fresh[k].data), k
 
 
 # ------------------------------------------------------------ golden results
@@ -327,11 +346,11 @@ def test_a_persisted_run_s_tensor_files_load_back_bit_for_bit(tmp_path):
     persist_run(tmp_path, {}, result)
     for name, params in (("student.ckpt", result.student), ("teacher.ckpt", result.teacher)):
         loaded, table = dm.load_checkpoint(tmp_path / name)
-        assert list(loaded.entries) == list(params.entries), name
-        for path, t in params.entries.items():
-            assert loaded.entries[path].data.tobytes() == t.data.tobytes(), (name, path)
+        assert list(loaded) == list(params), name
+        for path, t in params.items():
+            assert loaded[path].data.tobytes() == t.data.tobytes(), (name, path)
         assert table.tobytes() == result.table.tobytes(), name
-    masks = {f"task{t}.mask": mask for t, mask in enumerate(result.history.masks)}
+    masks = {f"task{t}.mask": mask for t, mask in enumerate(result.masks)}
     masks["ttl_final.mask"] = result.final_ttl_mask
     assert sorted(p.name for p in (tmp_path / "masks").iterdir()) == sorted(masks) and len(masks) == 3
     for name, mask in masks.items():

@@ -19,9 +19,9 @@ import dosapp.autodiff as ad
 from dosapp.config import RunConfig
 
 
-class Bag:
-    def __init__(self, **arrays):
-        self.entries = {k: ad.Tensor(np.array(v, dtype=np.float64)) for k, v in arrays.items()}
+def params_of(**arrays) -> dict[str, ad.Tensor]:
+    """A parameter dict of (copies of) the named arrays."""
+    return {k: ad.Tensor(np.array(v, dtype=np.float64)) for k, v in arrays.items()}
 
 
 @contextlib.contextmanager
@@ -192,12 +192,12 @@ def test_adamw_matches_the_plain_expressions(seed, shape, lr, beta1, beta2, eps,
     rng = np.random.default_rng(seed)
     theta0 = spread(rng, shape)
     grads = [spread(rng, shape) for _ in range(steps)]
-    bag, opt = Bag(w=theta0), ad.Optimizer(cfg)
+    bag, opt = params_of(w=theta0), ad.Optimizer(cfg)
     for step, g in enumerate(grads, start=1):
-        bag.entries["w"].grad = g
+        bag["w"].grad = g
         opt.step(bag)
         want_theta, want_m, want_v = adamw_reference(cfg, step, theta0, grads)
-        assert np.array_equal(bag.entries["w"].data, want_theta)
+        assert np.array_equal(bag["w"].data, want_theta)
         assert np.array_equal(opt._m["w"], want_m) and np.array_equal(opt._v["w"], want_v)
 
 
@@ -229,10 +229,10 @@ def test_rewritten_ops_write_neither_inputs_nor_gradient(case):
 def test_adamw_leaves_a_shared_gradient_alone():
     rng = np.random.default_rng(3)
     shared = spread(rng, (4, 3))
-    bag = Bag(a=spread(rng, (4, 3)), b=spread(rng, (4, 3)))
+    bag = params_of(a=spread(rng, (4, 3)), b=spread(rng, (4, 3)))
     kept = shared.copy()
     opt = ad.Optimizer(RunConfig(learning_rate=0.1, weight_decay=0.01))
     for _ in range(3):
-        bag.entries["a"].grad = bag.entries["b"].grad = shared   # grads may alias
+        bag["a"].grad = bag["b"].grad = shared   # grads may alias
         opt.step(bag)
     assert np.array_equal(shared, kept)

@@ -25,7 +25,7 @@ def tiny_model(seed=0):
 
 def fc1_loss(params, xb, yb):
     # depends only on block0's candidate weight; labels unused
-    return ad.mean(ad.matmul(xb, params.entries["block0.mlp.fc1.weight"]))
+    return ad.mean(ad.matmul(xb, params["block0.mlp.fc1.weight"]))
 
 
 def make_dataset(x):
@@ -68,18 +68,18 @@ def test_single_sample_score_is_gradient_magnitude():
     x = np.random.default_rng(1).normal(size=(1, 4))
     ds = make_dataset(x)
     scores = mk.score_parameters(params, ds, fc1_loss, batch_size=4)
-    params.zero_grads()
+    for t in params.values():
+        t.grad = None
     with ad.Graph() as g:
         loss = fc1_loss(params, ds.x, ds.y)
     ad.backward(loss, g)
-    manual = np.abs(params.entries["block0.mlp.fc1.weight"].grad)
-    params.zero_grads()
+    manual = np.abs(params["block0.mlp.fc1.weight"].grad)
     assert np.array_equal(scores["block0.mlp.fc1.weight"], manual)
 
 
 def test_scoring_touches_no_parameters_or_grads():
     cfg, params, table = tiny_model()
-    before = {p: t.data.copy() for p, t in params.entries.items()}
+    before = {p: t.data.copy() for p, t in params.items()}
     x = np.random.default_rng(2).normal(size=(7, cfg.input_dim))
     ds = LabeledDataset(x=x, y=np.array([0, 1, 2, 3, 0, 1, 2]), ids=np.arange(7))
 
@@ -87,10 +87,10 @@ def test_scoring_touches_no_parameters_or_grads():
         return dm.model_loss(p, table[:4], xb, yb, LOGIT)
 
     scores = mk.score_parameters(params, ds, loss_fn, batch_size=3)
-    for p, t in params.entries.items():
+    for p, t in params.items():
         assert np.array_equal(t.data, before[p]), p
         assert t.grad is None, p
-    assert set(scores) == set(params.candidate_paths())
+    assert set(scores) == set(dm.candidate_paths(params))
     assert all(np.all(s >= 0.0) for s in scores.values())
     again = mk.score_parameters(params, ds, loss_fn, batch_size=3)
     for p in scores:
@@ -171,13 +171,14 @@ def test_zero_scores_never_selected_with_enough_positive_competitors():
 # ------------------------------------------------------------ union + reselect
 
 def history_from_bits(bit_rows, score_rows=None):
-    h = mk.MaskHistory()
-    n = len(bit_rows[0])
+    """(masks, scores): one mask of tensor "w" per row of bits, and the scores it was selected from."""
+    masks, scores = [], []
     for t, bits in enumerate(bit_rows):
         bits = np.asarray(bits, dtype=bool)
-        scores = np.asarray(score_rows[t], dtype=np.float64) if score_rows else bits.astype(float)
-        h.append({"w": bits}, score_map({"w": scores}))
-    return h
+        masks.append({"w": bits})
+        scores.append(score_map({"w": np.asarray(score_rows[t], dtype=np.float64) if score_rows
+                                 else bits.astype(float)}))
+    return masks, scores
 
 
 def test_union_is_elementwise_or_and_monotone():
@@ -185,7 +186,7 @@ def test_union_is_elementwise_or_and_monotone():
     rows = [rng.uniform(size=12) < 0.25 for _ in range(5)]
     prev = np.zeros(12, dtype=bool)
     for t in range(1, 6):
-        union = mk.union_masks(history_from_bits(rows[:t]))["w"]
+        union = mk.union_masks(history_from_bits(rows[:t])[0])["w"]
         assert np.array_equal(union, np.logical_or.reduce(rows[:t]))
         assert np.all(union >= prev)  # bits never clear
         prev = union
@@ -194,11 +195,13 @@ def test_union_is_elementwise_or_and_monotone():
 def test_union_fixtures():
     a = np.array([True, False, True, False])
     b = np.array([False, True, False, False])
-    assert np.array_equal(mk.union_masks(history_from_bits([a]))["w"], a)
-    assert mk.union_masks(history_from_bits([a, b]))["w"].sum() == 3
-    assert mk.union_masks(history_from_bits([a, a]))["w"].sum() == 2
+    assert np.array_equal(mk.union_masks(history_from_bits([a])[0])["w"], a)
+    assert mk.union_masks(history_from_bits([a, b])[0])["w"].sum() == 3
+    assert mk.union_masks(history_from_bits([a, a])[0])["w"].sum() == 2
     with pytest.raises(ValueError):
-        mk.union_masks(mk.MaskHistory())
+        mk.union_masks([])
+    with pytest.raises(ValueError):
+        mk.reselect_topk({"w": a}, [], 0.5)
 
 
 def test_reselect_identity_for_single_task_history():
@@ -206,9 +209,7 @@ def test_reselect_identity_for_single_task_history():
     scores = rng.uniform(size=30)
     sm = score_map({"w": scores})
     mask = mk.select_topk(sm, 0.2)
-    h = mk.MaskHistory()
-    h.append(mask, sm)
-    res = mk.reselect_topk(mk.union_masks(h), h, 0.2)
+    res = mk.reselect_topk(mk.union_masks([mask]), [sm], 0.2)
     assert np.array_equal(res["w"], mask["w"])
 
 
@@ -219,25 +220,25 @@ def test_reselect_prefers_higher_scoring_task():
     t2[[6, 7, 8]] = True
     s1 = np.where(t1, 1.0, 0.0)
     s2 = np.where(t2, 5.0, 0.0)
-    h = history_from_bits([t1, t2], [s1, s2])
-    res = mk.reselect_topk(mk.union_masks(h), h, 0.25)  # k = 3 from pool of 6
+    masks, scores = history_from_bits([t1, t2], [s1, s2])
+    res = mk.reselect_topk(mk.union_masks(masks), scores, 0.25)  # k = 3 from pool of 6
     assert np.array_equal(np.flatnonzero(res["w"]), [6, 7, 8])
 
 
 def test_reselect_uses_per_position_max_over_tasks():
     bits = np.ones(4, dtype=bool)
-    h = history_from_bits([bits, bits], [[4.0, 1.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0]])
-    res = mk.reselect_topk(mk.union_masks(h), h, 0.5)  # k=2; maxes: 4,1,3,1
+    masks, scores = history_from_bits([bits, bits], [[4.0, 1.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0]])
+    res = mk.reselect_topk(mk.union_masks(masks), scores, 0.5)  # k=2; maxes: 4,1,3,1
     assert np.array_equal(np.flatnonzero(res["w"]), [0, 2])
 
 
 def test_reselect_at_c_one_equals_raw_union():
     rng = np.random.default_rng(7)
     rows = [rng.uniform(size=10) < 0.3 for _ in range(3)]
-    h = history_from_bits(rows)
-    union = mk.union_masks(h)
+    masks, scores = history_from_bits(rows)
+    union = mk.union_masks(masks)
     with pytest.warns(UserWarning):  # k = layer size exceeds the union pool
-        res = mk.reselect_topk(union, h, 1.0)
+        res = mk.reselect_topk(union, scores, 1.0)
     assert np.array_equal(res["w"], union["w"])
 
 
@@ -255,10 +256,8 @@ def random_score_map(rng, rows, cols):
 def test_select_equals_reselect_over_a_full_pool(seed, rows, cols, c):
     sm = random_score_map(np.random.default_rng(seed), rows, cols)
     direct = mk.select_topk(sm, c)
-    h = mk.MaskHistory()
-    h.append(direct, sm)
     full = {path: np.ones(arr.shape, dtype=bool) for path, arr in sm.items()}
-    pooled = mk.reselect_topk(full, h, c)
+    pooled = mk.reselect_topk(full, [sm], c)
     for path, bits in direct.items():
         assert np.array_equal(pooled[path], bits), path
 
@@ -268,14 +267,11 @@ def test_select_equals_reselect_over_a_full_pool(seed, rows, cols, c):
        st.lists(_SPARSITY, min_size=1, max_size=4), _SPARSITY)
 def test_reselection_stays_inside_the_union(seed, rows, cols, task_cs, c):
     rng = np.random.default_rng(seed)
-    h = mk.MaskHistory()
-    for task_c in task_cs:
-        sm = random_score_map(rng, rows, cols)
-        h.append(mk.select_topk(sm, task_c), sm)
-    union = mk.union_masks(h)
+    score_maps = [random_score_map(rng, rows, cols) for _ in task_cs]
+    union = mk.union_masks([mk.select_topk(sm, task_c) for sm, task_c in zip(score_maps, task_cs)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a small pool is kept whole
-        res = mk.reselect_topk(union, h, c)
+        res = mk.reselect_topk(union, score_maps, c)
     for path, pool in union.items():
         assert not (res[path] & ~pool).any(), path
 
@@ -283,10 +279,10 @@ def test_reselection_stays_inside_the_union(seed, rows, cols, task_cs, c):
 def test_reselect_small_pool_keeps_pool_and_warns():
     t1 = np.zeros(24, dtype=bool)
     t1[[0, 5, 9]] = True  # per-task k at c=0.125 is 3
-    h = history_from_bits([t1])
-    union = mk.union_masks(h)
+    masks, scores = history_from_bits([t1])
+    union = mk.union_masks(masks)
     with pytest.warns(UserWarning, match="pool"):
-        res = mk.reselect_topk(union, h, 0.5)  # wants 12, pool has 3
+        res = mk.reselect_topk(union, scores, 0.5)  # wants 12, pool has 3
     assert np.array_equal(res["w"], t1)
 
 

@@ -8,6 +8,7 @@ import pytest
 import dosapp.autodiff as ad
 import dosapp.harness as hz
 import dosapp.model as dm
+from conftest import copy_params
 from dosapp.config import ConfigError, RunConfig
 from dosapp.records import read_records, write_records
 from gradcheck import tiny_encoder_config
@@ -39,30 +40,31 @@ def test_init_is_deterministic_and_seed_sensitive():
     a = dm.init_model(cfg, seed=0)
     b = dm.init_model(cfg, seed=0)
     c = dm.init_model(cfg, seed=1)
-    assert a.entries.keys() == b.entries.keys()
-    for path in a.entries:
-        assert np.array_equal(a.entries[path].data, b.entries[path].data)
-    assert any(not np.array_equal(a.entries[p].data, c.entries[p].data) for p in a.entries)
+    assert a.keys() == b.keys()
+    for path in a:
+        assert np.array_equal(a[path].data, b[path].data)
+    assert any(not np.array_equal(a[p].data, c[p].data) for p in a)
 
 
 def test_candidate_surface_is_first_mlp_weight_per_block(tiny):
     cfg, params, _ = tiny
     expected = {f"block{i}.mlp.fc1.weight" for i in range(cfg.block_count)}
-    assert set(params.candidate_paths()) == expected
-    assert (sum(params.entries[p].size for p in params.candidate_paths())
+    assert set(dm.candidate_paths(params)) == expected
+    assert (sum(params[p].size for p in dm.candidate_paths(params))
             == cfg.block_count * cfg.token_dim * cfg.mlp_hidden_dim)
     for path in expected:
-        assert params.entries[path].shape == (cfg.token_dim, cfg.mlp_hidden_dim)
+        assert params[path].shape == (cfg.token_dim, cfg.mlp_hidden_dim)
     # biases and every other tensor stay off the candidate surface
-    assert not any(p.endswith("fc1.bias") for p in params.candidate_paths())
+    assert not any(p.endswith("fc1.bias") for p in dm.candidate_paths(params))
 
 
 def test_teacher_student_share_paths_and_shapes(tiny):
     _, params, _ = tiny
-    clone = params.clone()
-    assert clone.entries.keys() == params.entries.keys()
-    for path in params.entries:
-        assert clone.entries[path].shape == params.entries[path].shape
+    copy = copy_params(params)
+    assert list(copy) == list(params)
+    for path, t in params.items():
+        assert copy[path].shape == t.shape and np.array_equal(copy[path].data, t.data)
+        assert not np.shares_memory(copy[path].data, t.data), path
 
 
 def test_class_table_rows_unit_norm():
@@ -125,11 +127,12 @@ def test_model_loss_rejects_a_label_of_an_unscored_class(tiny):
 def test_model_loss_gradients_stay_finite(tiny):
     cfg, params, table = tiny
     x = np.random.default_rng(6).normal(size=(4, cfg.input_dim))
-    params.zero_grads()
+    for t in params.values():
+        t.grad = None
     with ad.Graph() as g:
         loss = dm.model_loss(params, table[:4], x, np.array([0, 1, 2, 3]), LOGIT)
     ad.backward(loss, g)
-    for path, t in params.entries.items():
+    for path, t in params.items():
         assert t.grad is not None, path
         assert np.all(np.isfinite(t.grad)), path
 
@@ -145,7 +148,7 @@ def test_predict_returns_the_argmax_class_below_n_classes(tiny):
 def test_predict_from_weights_too_large_to_embed_raises_naming_where(tiny):
     # the embedding's squares overflow, so its rows normalize to zero and every cosine is NaN
     cfg, params, table = tiny
-    params.entries["proj.weight"].data *= 1e300
+    params["proj.weight"].data *= 1e300
     x = np.random.default_rng(7).normal(size=(5, cfg.input_dim))
     with pytest.raises(FloatingPointError, match="non-finite logits in evaluation session 3 task 1"):
         dm.predict(params, table[:3], x, LOGIT, "evaluation session 3 task 1")
@@ -156,10 +159,10 @@ def test_checkpoint_round_trip_bit_exact(tiny, tmp_path):
     path = tmp_path / "model.ckpt"
     dm.save_checkpoint(path, params, table)
     loaded, loaded_table = dm.load_checkpoint(path)
-    assert loaded.entries.keys() == params.entries.keys()
-    for p in params.entries:
-        assert np.array_equal(loaded.entries[p].data, params.entries[p].data), p
-    assert set(loaded.candidate_paths()) == set(params.candidate_paths())
+    assert loaded.keys() == params.keys()
+    for p in params:
+        assert np.array_equal(loaded[p].data, params[p].data), p
+    assert set(dm.candidate_paths(loaded)) == set(dm.candidate_paths(params))
     assert np.array_equal(loaded_table, table)
 
 
@@ -169,7 +172,7 @@ def test_checkpoint_without_table(tiny, tmp_path):
     dm.save_checkpoint(path, params)
     loaded, table = dm.load_checkpoint(path)
     assert table is None
-    assert loaded.entries.keys() == params.entries.keys()
+    assert loaded.keys() == params.keys()
 
 
 def test_checkpoint_version_rejected(tiny, tmp_path):
@@ -250,4 +253,4 @@ def test_a_rewritten_checkpoint_that_is_one_encoder_loads(tiny, tmp_path):
     dm.save_checkpoint(path, params, table)
     _rewritten(path, dict)
     loaded, _ = dm.load_checkpoint(path)
-    assert all(np.array_equal(loaded.entries[p].data, t.data) for p, t in params.entries.items())
+    assert all(np.array_equal(loaded[p].data, t.data) for p, t in params.items())

@@ -10,6 +10,7 @@ import pytest
 
 import dosapp.masking as mk
 import dosapp.model as dm
+from dosapp.autodiff import Tensor
 from dosapp.config import RunConfig
 from dosapp.records import read_records, write_records
 
@@ -158,12 +159,11 @@ GOLDEN_CONFIG = RunConfig(input_dim=2, token_count=1, token_dim=2, block_count=1
 
 
 def golden_model():
-    params = dm.ParameterSet()
-    for path, value in (("block0.ln2.gain", [1.0, 2.0]), ("block0.ln2.bias", [0.0, -0.5]),
-                        ("block0.mlp.fc1.weight", [[0.5], [-1.25]]), ("block0.mlp.fc1.bias", [0.25]),
-                        ("block0.mlp.fc2.weight", [[-2.0, 0.125]]), ("block0.mlp.fc2.bias", [1e-3, -0.0]),
-                        ("proj.weight", [[0.1], [-0.0]])):
-        params.add(path, np.array(value))
+    params = {path: Tensor(np.array(value)) for path, value in (
+        ("block0.ln2.gain", [1.0, 2.0]), ("block0.ln2.bias", [0.0, -0.5]),
+        ("block0.mlp.fc1.weight", [[0.5], [-1.25]]), ("block0.mlp.fc1.bias", [0.25]),
+        ("block0.mlp.fc2.weight", [[-2.0, 0.125]]), ("block0.mlp.fc2.bias", [1e-3, -0.0]),
+        ("proj.weight", [[0.1], [-0.0]]))}
     table = np.array([[1.0], [-1.0], [3e-300]])
     return params, table
 
@@ -172,9 +172,9 @@ def test_the_golden_checkpoint_holds_a_real_encoder():
     params, _ = golden_model()
     real = dm.init_model(GOLDEN_CONFIG, seed=0)
     def layout(p):
-        return [(path, t.shape) for path, t in p.entries.items()]
+        return [(path, t.shape) for path, t in p.items()]
     assert layout(params) == layout(real)
-    assert params.candidate_paths() == real.candidate_paths()
+    assert dm.candidate_paths(params) == dm.candidate_paths(real)
     assert dm.encoder_shape(params) == (2, 1, 1, False)
 
 

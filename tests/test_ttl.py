@@ -9,7 +9,7 @@ import dosapp.ttl as tt
 from dosapp.autodiff import Optimizer
 from dosapp.config import RunConfig
 from dosapp.data import UnlabeledStream
-from conftest import ids_seen
+from conftest import copy_params, ids_seen
 from gradcheck import tiny_encoder_config
 
 
@@ -30,7 +30,7 @@ def oracle_route(t_row, s_row):
 def ttl_fixture(seed=0, n=24):
     cfg = tiny_encoder_config()
     student = dm.init_model(cfg, seed)
-    teacher = student.clone()
+    teacher = copy_params(student)
     table = dm.init_class_table(6, cfg.embed_dim, seed)
     rng = np.random.default_rng(seed + 100)
     stream = UnlabeledStream(x=rng.normal(size=(n, cfg.input_dim)),
@@ -47,11 +47,11 @@ def session(student, teacher, mask, stream, table, ema_mask=None, batch_size=8, 
 
 
 def full_candidate_mask(params):
-    return {p: np.ones(params.entries[p].shape, dtype=bool) for p in params.candidate_paths()}
+    return {p: np.ones(params[p].shape, dtype=bool) for p in dm.candidate_paths(params)}
 
 
 def zero_candidate_mask(params):
-    return {p: np.zeros(params.entries[p].shape, dtype=bool) for p in params.candidate_paths()}
+    return {p: np.zeros(params[p].shape, dtype=bool) for p in dm.candidate_paths(params)}
 
 
 # ------------------------------------------------------------ routing
@@ -131,11 +131,11 @@ def test_stream_is_consumed_exactly_once():
 def test_empty_stream_changes_nothing():
     cfg, student, teacher, table, _ = ttl_fixture()
     empty = UnlabeledStream(x=np.zeros((0, cfg.input_dim)), ids=np.zeros(0, dtype=np.int64))
-    before = {k: t.data.copy() for k, t in student.entries.items()}
+    before = {k: t.data.copy() for k, t in student.items()}
     rows = session(student, teacher, None, empty, table)
     assert rows == []
     for k in before:
-        assert np.array_equal(student.entries[k].data, before[k])
+        assert np.array_equal(student[k].data, before[k])
 
 
 def test_stream_carries_no_labels():
@@ -169,13 +169,13 @@ def test_self_label_mode_skips_teacher_entirely():
 
 def test_adaptation_moves_only_masked_coordinates():
     _, student, teacher, table, stream = ttl_fixture()
-    paths = student.candidate_paths()
+    paths = dm.candidate_paths(student)
     rng = np.random.default_rng(5)
-    mask = {p: rng.uniform(size=student.entries[p].shape) < 0.4 for p in paths}
-    before = {k: t.data.copy() for k, t in student.entries.items()}
+    mask = {p: rng.uniform(size=student[p].shape) < 0.4 for p in paths}
+    before = {k: t.data.copy() for k, t in student.items()}
     session(student, teacher, mask, stream, table, ema_mask=mask)
     moved_somewhere = False
-    for k, t in student.entries.items():
+    for k, t in student.items():
         if k in mask:
             frozen = ~mask[k]
             assert np.array_equal(t.data[frozen], before[k][frozen]), k
@@ -190,12 +190,12 @@ def test_zero_mask_freezes_student_and_teacher_barely_drifts():
     # p*t + q*t once per batch, at most one ulp per step
     _, student, teacher, table, stream = ttl_fixture()
     mask = zero_candidate_mask(student)
-    s_before = {k: t.data.copy() for k, t in student.entries.items()}
-    t_before = {k: t.data.copy() for k, t in teacher.entries.items()}
+    s_before = {k: t.data.copy() for k, t in student.items()}
+    t_before = {k: t.data.copy() for k, t in teacher.items()}
     session(student, teacher, mask, stream, table, ema_mask=mask)
     for k in s_before:
-        assert np.array_equal(student.entries[k].data, s_before[k]), k
-        assert np.allclose(teacher.entries[k].data, t_before[k], rtol=1e-12, atol=1e-15), k
+        assert np.array_equal(student[k].data, s_before[k]), k
+        assert np.allclose(teacher[k].data, t_before[k], rtol=1e-12, atol=1e-15), k
 
 
 def test_audit_sees_every_stream_sample_once():
@@ -227,6 +227,6 @@ def test_non_finite_loss_stops_adaptation_before_the_step():
     with pytest.raises(FloatingPointError, match=r"ttl session 2 batch 1"):
         session(student, teacher, mask, UnlabeledStream(x=x, ids=ids), table,
                 ema_mask=mask, session=2)
-    for k in student.entries:
-        assert np.array_equal(student.entries[k].data, ref_student.entries[k].data), k
-        assert np.array_equal(teacher.entries[k].data, ref_teacher.entries[k].data), k
+    for k in student:
+        assert np.array_equal(student[k].data, ref_student[k].data), k
+        assert np.array_equal(teacher[k].data, ref_teacher[k].data), k
