@@ -53,7 +53,7 @@ def ema_update(teacher, student, sv: SmoothingVectors) -> None:
         if t.data.shape != s.data.shape:
             raise ValueError(f"ema_update: shape mismatch at '{path}'")
         pv = sv.p.get(path)
-        if pv is None:
-            t.data[...] = sv.p_default * t.data + sv.q_default * s.data
-        else:
-            t.data[...] = pv * t.data + sv.q[path] * s.data
+        pv, qv = (sv.p_default, sv.q_default) if pv is None else (pv, sv.q[path])
+        blend = qv * s.data               # in place, with the bits of p * t + q * s
+        t.data *= pv
+        t.data += blend

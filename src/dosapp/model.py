@@ -93,6 +93,11 @@ def init_class_table(total_classes: int, embed_dim: int, seed: int) -> np.ndarra
     return v
 
 
+# The parameters of each block's two residual branches, in the order the fused ops take them.
+_ATTENTION = ("ln1.gain", "ln1.bias", "attn.q.weight", "attn.k.weight", "attn.v.weight", "attn.out.weight")
+_MLP = ("ln2.gain", "ln2.bias", "mlp.fc1.weight", "mlp.fc1.bias", "mlp.fc2.weight", "mlp.fc2.bias")
+
+
 def encode(params: Params, x) -> Tensor:
     """Embed a batch [batch, input_dim] into unit-norm rows [batch, embed_dim]."""
     d, token_count, blocks, attention = encoder_shape(params)
@@ -103,18 +108,8 @@ def encode(params: Params, x) -> Tensor:
     tokens = ad.reshape(x, (b, token_count, d))
     for i in range(blocks):
         if attention:
-            hn = ad.layer_norm(tokens, params[f"block{i}.ln1.gain"], params[f"block{i}.ln1.bias"])
-            q = ad.matmul(hn, params[f"block{i}.attn.q.weight"])
-            k = ad.matmul(hn, params[f"block{i}.attn.k.weight"])
-            v = ad.matmul(hn, params[f"block{i}.attn.v.weight"])
-            scores = ad.scale(ad.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(d))
-            mixed = ad.matmul(ad.softmax(scores), v)
-            tokens = ad.add(tokens, ad.matmul(mixed, params[f"block{i}.attn.out.weight"]))
-        hn2 = ad.layer_norm(tokens, params[f"block{i}.ln2.gain"], params[f"block{i}.ln2.bias"])
-        hidden = ad.gelu(ad.linear(hn2, params[f"block{i}.mlp.fc1.weight"],
-                                   params[f"block{i}.mlp.fc1.bias"]))
-        out = ad.linear(hidden, params[f"block{i}.mlp.fc2.weight"], params[f"block{i}.mlp.fc2.bias"])
-        tokens = ad.add(tokens, out)
+            tokens = ad.attention_residual(tokens, *(params[f"block{i}.{name}"] for name in _ATTENTION))
+        tokens = ad.mlp_residual(tokens, *(params[f"block{i}.{name}"] for name in _MLP))
     flat = ad.reshape(tokens, (b, token_count * d))
     return ad.normalize_rows(ad.matmul(flat, params["proj.weight"]))
 

@@ -226,6 +226,51 @@ def _case_cross_entropy(rng):
     return lambda: ad.cross_entropy_from_logits(logits, labels), [logits]
 
 
+def _attention_inputs(rng, tokens_shape):
+    d = tokens_shape[-1]
+    tokens = ad.Tensor(rng.normal(size=tokens_shape))
+    gain = ad.Tensor(rng.uniform(0.5, 1.5, size=(d,)))
+    bias = ad.Tensor(rng.normal(size=(d,)))
+    weights = [ad.Tensor(rng.normal(size=(d, d))) for _ in range(4)]
+    return [tokens, gain, bias, *weights]
+
+
+def _case_attention_residual_batched(rng):
+    inputs = _attention_inputs(rng, (2, 3, 4))
+    w = _proj_weights(rng, 24)
+    return lambda: _project(ad.attention_residual(*inputs), w), inputs
+
+
+def _case_attention_residual_2d(rng):
+    inputs = _attention_inputs(rng, (3, 4))
+    w = _proj_weights(rng, 12)
+    return lambda: _project(ad.attention_residual(*inputs), w), inputs
+
+
+def _mlp_inputs(rng, tokens_shape, hidden):
+    d = tokens_shape[-1]
+    tokens = ad.Tensor(rng.normal(size=tokens_shape))
+    gain = ad.Tensor(rng.uniform(0.5, 1.5, size=(d,)))
+    bias = ad.Tensor(rng.normal(size=(d,)))
+    w1 = ad.Tensor(rng.normal(size=(d, hidden)))
+    b1 = ad.Tensor(rng.normal(size=(hidden,)))
+    w2 = ad.Tensor(rng.normal(size=(hidden, d)))
+    b2 = ad.Tensor(rng.normal(size=(d,)))
+    return [tokens, gain, bias, w1, b1, w2, b2]
+
+
+def _case_mlp_residual_batched(rng):
+    inputs = _mlp_inputs(rng, (2, 3, 4), 5)
+    w = _proj_weights(rng, 24)
+    return lambda: _project(ad.mlp_residual(*inputs), w), inputs
+
+
+def _case_mlp_residual_2d(rng):
+    inputs = _mlp_inputs(rng, (3, 4), 5)
+    w = _proj_weights(rng, 12)
+    return lambda: _project(ad.mlp_residual(*inputs), w), inputs
+
+
 # Each case is named after the op kind it checks, alone or as a prefix ("<kind>_...").
 OP_CASES = {
     "matmul_2d": _case_matmul_2d,
@@ -251,6 +296,10 @@ OP_CASES = {
     "reshape": _case_reshape,
     "normalize_rows": _case_normalize_rows,
     "cross_entropy_from_logits": _case_cross_entropy,
+    "attention_residual_batched": _case_attention_residual_batched,
+    "attention_residual_2d": _case_attention_residual_2d,
+    "mlp_residual_batched": _case_mlp_residual_batched,
+    "mlp_residual_2d": _case_mlp_residual_2d,
 }
 
 

@@ -348,6 +348,8 @@ OP_INPUTS = {
     "reshape": ([_ROWS], {"shape": (3, 2)}),
     "normalize_rows": ([_ROWS], {}),
     "cross_entropy_from_logits": ([_ROWS], {"labels": [1, 2]}),
+    "attention_residual": ([_ROWS, np.ones(3), np.zeros(3), *[np.eye(3) * s for s in (1.0, -0.5, 2.0, 0.25)]], {}),
+    "mlp_residual": ([_ROWS, np.ones(3), np.zeros(3), _ROWS.T, np.ones(2), _ROWS, np.zeros(3)], {}),
 }
 
 

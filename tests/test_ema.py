@@ -121,6 +121,24 @@ def test_update_fixture_and_fixed_points():
         assert np.array_equal(teacher[k].data, before[k])
 
 
+def test_update_in_place_has_the_bits_of_the_plain_blend():
+    # masked tensors take the per-coordinate pair, the rest the scalar pair
+    cfg, student, teacher = tiny_pair(seed=5)
+    rng = np.random.default_rng(8)
+    for t in student.values():
+        t.data += rng.normal(scale=0.3, size=t.data.shape)
+    bits = rng.uniform(size=(cfg.token_dim, cfg.mlp_hidden_dim)) < 0.4
+    sv = em.compute_pq(make_mask({"block0.mlp.fc1.weight": bits}), 0.8, 0.9999)
+    arrays = {k: t.data for k, t in teacher.items()}
+    for _ in range(3):
+        want = {k: sv.p.get(k, sv.p_default) * t.data + sv.q.get(k, sv.q_default) * student[k].data
+                for k, t in teacher.items()}
+        em.ema_update(teacher, student, sv)
+        for k, t in teacher.items():
+            assert t.data is arrays[k] and np.array_equal(t.data, want[k]), k
+    assert "block0.mlp.fc1.weight" in sv.p and len(sv.p) < len(teacher)
+
+
 def test_identical_pair_is_near_fixed_point():
     # p*t + q*t re-rounds, so equality is to the ulp, not bitwise
     _, student, teacher = tiny_pair()

@@ -375,5 +375,5 @@ def test_a_traced_run_reports_the_counts_the_benchmark_reads(monkeypatch):
     assert m["ttl.batches"] == sum(row["type"] == "ttl_batch" for row in result.metrics_rows) == 3
     assert m["ttl.student_forwards_per_batch"] == 1.0
     assert (m["model.encode_calls"], m["model.untaped_encode_calls"]) == (24, 9)
-    assert (m["autodiff.backward_calls"], m["autodiff.tape_nodes"]) == (15, 375)
+    assert (m["autodiff.backward_calls"], m["autodiff.tape_nodes"]) == (15, 135)
     assert m["harness.gradient_samples"] == 704

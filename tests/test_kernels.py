@@ -7,6 +7,8 @@ must leave their inputs and incoming gradients unwritten.
 """
 
 import contextlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +170,98 @@ def test_layer_norm_matches_the_plain_expressions(seed, shape):
     assert np.array_equal(dx, inv * (dxhat - s1 / n - xhat * (s2 / n)))
     assert np.array_equal(dgain, (g * xhat).sum(axis=lead) if lead else g * xhat)
     assert np.array_equal(dbias, g.sum(axis=lead) if lead else g)
+
+
+# ------------------------------------------------------------ fused residual branches
+
+def attention_chain(tokens, gain, bias, q, k, v, out):
+    # the attention half of a block as encode wrote it before the fused op
+    d = tokens.shape[-1]
+    hn = ad.layer_norm(tokens, gain, bias)
+    hq = ad.matmul(hn, q)
+    hk = ad.matmul(hn, k)
+    hv = ad.matmul(hn, v)
+    scores = ad.scale(ad.matmul(hq, hk, transpose_b=True), 1.0 / math.sqrt(d))
+    mixed = ad.matmul(ad.softmax(scores), hv)
+    return ad.add(tokens, ad.matmul(mixed, out))
+
+
+def mlp_chain(tokens, gain, bias, w1, b1, w2, b2):
+    # the MLP half of a block as encode wrote it before the fused op
+    hn = ad.layer_norm(tokens, gain, bias)
+    hidden = ad.gelu(ad.linear(hn, w1, b1))
+    return ad.add(tokens, ad.linear(hidden, w2, b2))
+
+
+def branch_inputs(kind, tokens_shape, hidden, seed):
+    rng = np.random.default_rng(seed)
+    d = tokens_shape[-1]
+    if kind == "attention_residual":
+        shapes = [(d,), (d,), (d, d), (d, d), (d, d), (d, d)]
+    else:
+        shapes = [(d,), (d,), (d, hidden), (hidden,), (hidden, d), (d,)]
+    arrays = [rng.normal(size=tokens_shape) * 3.0]
+    arrays += [rng.normal(size=s) / math.sqrt(s[0]) + (1.0 if i == 0 else 0.0) for i, s in enumerate(shapes)]
+    return arrays, rng.normal(size=tokens_shape)
+
+
+def branch_grads(op, arrays, g, wrt_ids):
+    """Output, taped node kinds and every input's .grad after backward seeds the output with g.
+
+    wrt_ids None runs under a full Graph(); otherwise the graph differentiates those inputs.
+    """
+    inputs = [ad.Tensor(a.copy()) for a in arrays]
+    wrt = None if wrt_ids is None else [inputs[i] for i in wrt_ids]
+    with ad.Graph(wrt=wrt) as graph:
+        out = op(*inputs)
+    kinds = [n.kind for n in graph.nodes]
+    loss = ad.Tensor(0.0)           # a seed node hands g to the output as it is
+    graph.nodes.append(ad.Node("seed", (out,), loss, lambda _: (g,)))
+    ad.backward(loss, graph)
+    return out.data, kinds, [t.grad for t in inputs]
+
+
+BRANCHES = {"attention_residual": (ad.attention_residual, attention_chain),
+            "mlp_residual": (ad.mlp_residual, mlp_chain)}
+# (tokens shape, MLP hidden width): the default model and the wide one, batch 64 of 4 tokens
+BRANCH_SHAPES = {"default": ((64, 4, 16), 64), "wide": ((64, 4, 32), 256)}
+
+
+@pytest.mark.parametrize("shape", sorted(BRANCH_SHAPES))
+@pytest.mark.parametrize("kind", sorted(BRANCHES))
+def test_fused_branch_matches_the_chain_of_plain_ops_bit_for_bit(kind, shape):
+    fused, chain = BRANCHES[kind]
+    tokens_shape, hidden = BRANCH_SHAPES[shape]
+    arrays, g = branch_inputs(kind, tokens_shape, hidden, seed=len(kind) + hidden)
+    kept, kept_g = [a.copy() for a in arrays], g.copy()
+
+    untaped = fused(*[ad.Tensor(a) for a in arrays]).data
+    assert np.array_equal(untaped, chain(*[ad.Tensor(a) for a in arrays]).data)
+    subsets = [None] + [s for r in range(1, 8) for s in itertools.combinations(range(7), r)]
+    assert len(subsets) == 1 + 127
+    for wrt in subsets:
+        out, kinds, grads = branch_grads(fused, arrays, g, wrt)
+        want_out, _, want_grads = branch_grads(chain, arrays, g, wrt)
+        assert kinds == [kind], wrt
+        assert np.array_equal(out, want_out) and np.array_equal(out, untaped), wrt
+        for i, (got, want) in enumerate(zip(grads, want_grads)):
+            if wrt is None or i in wrt:
+                assert got is not None and np.array_equal(got, want), (wrt, i)
+            else:
+                assert got is None and want is None, (wrt, i)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, kept))
+    assert np.array_equal(g, kept_g)
+
+
+@pytest.mark.parametrize("kind", sorted(BRANCHES))
+def test_fused_branch_takes_an_unbatched_sequence(kind):
+    # [tokens, d] rather than [batch, tokens, d]: the weight gradients take the plain matmul path
+    fused, chain = BRANCHES[kind]
+    arrays, g = branch_inputs(kind, (5, 8), 12, seed=3)
+    out, kinds, grads = branch_grads(fused, arrays, g, None)
+    want_out, _, want_grads = branch_grads(chain, arrays, g, None)
+    assert kinds == [kind] and np.array_equal(out, want_out)
+    assert all(np.array_equal(a, b) for a, b in zip(grads, want_grads))
 
 
 # ------------------------------------------------------------ AdamW
