@@ -107,22 +107,6 @@ def _case_matmul_batched_transpose_b(rng):
     return lambda: _project(ad.matmul(a, b, transpose_b=True), w), [a, b]
 
 
-def _case_linear_2d(rng):
-    x = ad.Tensor(rng.normal(size=(3, 4)))
-    w = ad.Tensor(rng.normal(size=(4, 2)))
-    b = ad.Tensor(rng.normal(size=(2,)))
-    p = _proj_weights(rng, 6)
-    return lambda: _project(ad.linear(x, w, b), p), [x, w, b]
-
-
-def _case_linear_batched(rng):
-    x = ad.Tensor(rng.normal(size=(2, 3, 4)))
-    w = ad.Tensor(rng.normal(size=(4, 5)))
-    b = ad.Tensor(rng.normal(size=(5,)))
-    p = _proj_weights(rng, 30)
-    return lambda: _project(ad.linear(x, w, b), p), [x, w, b]
-
-
 def _case_add(rng):
     a = ad.Tensor(rng.normal(size=(3, 4)))
     b = ad.Tensor(rng.normal(size=(3, 4)))
@@ -226,48 +210,21 @@ def _case_cross_entropy(rng):
     return lambda: ad.cross_entropy_from_logits(logits, labels), [logits]
 
 
-def _attention_inputs(rng, tokens_shape):
-    d = tokens_shape[-1]
-    tokens = ad.Tensor(rng.normal(size=tokens_shape))
-    gain = ad.Tensor(rng.uniform(0.5, 1.5, size=(d,)))
-    bias = ad.Tensor(rng.normal(size=(d,)))
-    weights = [ad.Tensor(rng.normal(size=(d, d))) for _ in range(4)]
-    return [tokens, gain, bias, *weights]
-
-
 def _case_attention_residual_batched(rng):
-    inputs = _attention_inputs(rng, (2, 3, 4))
+    tokens = ad.Tensor(rng.normal(size=(2, 3, 4)))
+    gain = ad.Tensor(rng.uniform(0.5, 1.5, size=(4,)))
+    bias = ad.Tensor(rng.normal(size=(4,)))
+    inputs = [tokens, gain, bias, *[ad.Tensor(rng.normal(size=(4, 4))) for _ in range(4)]]
     w = _proj_weights(rng, 24)
     return lambda: _project(ad.attention_residual(*inputs), w), inputs
-
-
-def _case_attention_residual_2d(rng):
-    inputs = _attention_inputs(rng, (3, 4))
-    w = _proj_weights(rng, 12)
-    return lambda: _project(ad.attention_residual(*inputs), w), inputs
-
-
-def _mlp_inputs(rng, tokens_shape, hidden):
-    d = tokens_shape[-1]
-    tokens = ad.Tensor(rng.normal(size=tokens_shape))
-    gain = ad.Tensor(rng.uniform(0.5, 1.5, size=(d,)))
-    bias = ad.Tensor(rng.normal(size=(d,)))
-    w1 = ad.Tensor(rng.normal(size=(d, hidden)))
-    b1 = ad.Tensor(rng.normal(size=(hidden,)))
-    w2 = ad.Tensor(rng.normal(size=(hidden, d)))
-    b2 = ad.Tensor(rng.normal(size=(d,)))
-    return [tokens, gain, bias, w1, b1, w2, b2]
 
 
 def _case_mlp_residual_batched(rng):
-    inputs = _mlp_inputs(rng, (2, 3, 4), 5)
+    tokens = ad.Tensor(rng.normal(size=(2, 3, 4)))
+    gain = ad.Tensor(rng.uniform(0.5, 1.5, size=(4,)))
+    bias = ad.Tensor(rng.normal(size=(4,)))
+    inputs = [tokens, gain, bias, *[ad.Tensor(rng.normal(size=s)) for s in [(4, 5), (5,), (5, 4), (4,)]]]
     w = _proj_weights(rng, 24)
-    return lambda: _project(ad.mlp_residual(*inputs), w), inputs
-
-
-def _case_mlp_residual_2d(rng):
-    inputs = _mlp_inputs(rng, (3, 4), 5)
-    w = _proj_weights(rng, 12)
     return lambda: _project(ad.mlp_residual(*inputs), w), inputs
 
 
@@ -278,8 +235,6 @@ OP_CASES = {
     "matmul_batched_2d_rhs": _case_matmul_batched_2d_rhs,
     "matmul_batched_pair": _case_matmul_batched_pair,
     "matmul_batched_transpose_b": _case_matmul_batched_transpose_b,
-    "linear_2d": _case_linear_2d,
-    "linear_batched": _case_linear_batched,
     "add": _case_add,
     "add_broadcast_bias": _case_add_broadcast_bias,
     "scale": _case_scale,
@@ -297,9 +252,7 @@ OP_CASES = {
     "normalize_rows": _case_normalize_rows,
     "cross_entropy_from_logits": _case_cross_entropy,
     "attention_residual_batched": _case_attention_residual_batched,
-    "attention_residual_2d": _case_attention_residual_2d,
     "mlp_residual_batched": _case_mlp_residual_batched,
-    "mlp_residual_2d": _case_mlp_residual_2d,
 }
 
 
@@ -315,7 +268,7 @@ def case_rng(name, seed=0):
 def check_case(name, seed=0):
     """FD-check one op case; raises AssertionError on mismatch."""
     build, tensors = OP_CASES[name](case_rng(name, seed))
-    with ad.Graph() as g:
+    with ad.Graph(wrt=tensors) as g:
         loss = build()
     ad.backward(loss, g)
     analytic = [t.grad.copy() for t in tensors]
@@ -350,7 +303,7 @@ def check_model_gradients(seed=0, use_attention=True):
 
     for t in params.values():
         t.grad = None
-    with ad.Graph() as g:
+    with ad.Graph(wrt=params.values()) as g:
         loss = build()
     ad.backward(loss, g)
     paths = sorted(params)

@@ -1,5 +1,6 @@
 """Tape, ops, backward, and optimizers against independent oracles."""
 
+import ast
 import json
 import math
 import os
@@ -49,9 +50,7 @@ def test_model_gradients_match_finite_differences(use_attention):
     check_model_gradients(seed=3, use_attention=use_attention)
 
 
-def _model_grads(params, table, wrt, input_dim):
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(6, input_dim))
+def _model_grads(params, table, wrt, x):
     for t in params.values():
         t.grad = None
     with ad.Graph(wrt=wrt) as g:
@@ -68,8 +67,10 @@ def test_wrt_graph_gives_the_same_gradients_on_a_shorter_tape(cfg, wanted):
     table = dm.init_class_table(4, cfg.embed_dim, 4)
     paths = {"candidates": dm.candidate_paths(params), "every_parameter": list(params),
              "one_late_tensor": ["block1.attn.q.weight"]}[wanted]
-    full_nodes, full = _model_grads(params, table, None, cfg.input_dim)
-    nodes, grads = _model_grads(params, table, [params[p] for p in paths], cfg.input_dim)
+    x = ad.Tensor(np.random.default_rng(11).normal(size=(6, cfg.input_dim)))
+    # the reference differentiates the input too, so it tapes every op of the loss
+    full_nodes, full = _model_grads(params, table, [*params.values(), x], x)
+    nodes, grads = _model_grads(params, table, [params[p] for p in paths], x)
     assert nodes < full_nodes
     for path in params:
         if path in paths:
@@ -100,7 +101,7 @@ def _saved_by_vjp(node):
 def test_backward_frees_what_each_node_saved_once_it_has_passed_the_node():
     rng = np.random.default_rng(2)
     x, w = ad.Tensor(rng.normal(size=(3, 4))), ad.Tensor(rng.normal(size=(4, 4)))
-    with ad.Graph() as g:
+    with ad.Graph(wrt=[w]) as g:
         loss = ad.cross_entropy_from_logits(ad.gelu(ad.matmul(x, w)), [0, 1, 2])
     assert [n.kind for n in g.nodes] == ["matmul", "gelu", "cross_entropy_from_logits"]
     # the arrays the gelu and loss VJPs saved, the gelu output (its grad is an
@@ -127,7 +128,7 @@ def test_backward_frees_what_each_node_saved_once_it_has_passed_the_node():
 
 def test_shared_first_gradients_are_never_mutated_in_place():
     a, b = ad.Tensor([1.0, 2.0]), ad.Tensor([3.0, 4.0])
-    with ad.Graph() as g:
+    with ad.Graph(wrt=[a, b]) as g:
         s = ad.add(a, b)
         loss = ad.mean(ad.add(s, a))
     ad.backward(loss, g)
@@ -142,7 +143,7 @@ def test_grads_accumulate_across_fresh_passes():
     a = ad.Tensor([1.0, -2.0, 3.0])
 
     def one_pass():
-        with ad.Graph() as g:
+        with ad.Graph(wrt=[a]) as g:
             loss = ad.mean(ad.scale(a, 2.0))
         ad.backward(loss, g)
 
@@ -158,7 +159,7 @@ def test_grads_accumulate_across_fresh_passes():
 def test_unreachable_tensor_grad_untouched():
     a = ad.Tensor([1.0, 2.0])
     b = ad.Tensor([5.0, 6.0])
-    with ad.Graph() as g:
+    with ad.Graph(wrt=[a, b]) as g:
         loss = ad.mean(a)
     ad.backward(loss, g)
     assert a.grad is not None
@@ -167,15 +168,20 @@ def test_unreachable_tensor_grad_untouched():
 
 def test_backward_rejects_non_scalar_loss():
     a = ad.Tensor([[1.0, 2.0]])
-    with ad.Graph() as g:
+    with ad.Graph(wrt=[a]) as g:
         out = ad.relu(a)
     with pytest.raises(ValueError, match="scalar"):
         ad.backward(out, g)
 
 
+def test_a_graph_must_name_what_it_differentiates():
+    with pytest.raises(TypeError, match="wrt"):
+        ad.Graph()
+
+
 def test_ops_outside_graph_do_not_record():
     a = ad.Tensor([1.0, -1.0])
-    g = ad.Graph()
+    g = ad.Graph(wrt=[a])
     with g:
         pass
     out = ad.relu(a)
@@ -185,13 +191,13 @@ def test_ops_outside_graph_do_not_record():
 
 def test_linear_and_dead_relu_gradients():
     w = ad.Tensor([2.0])
-    with ad.Graph() as g:
+    with ad.Graph(wrt=[w]) as g:
         loss = ad.mean(ad.matmul(ad.reshape(w, (1, 1)), np.array([[3.0]])))
     ad.backward(loss, g)
     assert w.grad.reshape(()) == pytest.approx(3.0, abs=1e-12)
 
     v = ad.Tensor([-1.0])
-    with ad.Graph() as g:
+    with ad.Graph(wrt=[v]) as g:
         loss = ad.mean(ad.relu(v))
     ad.backward(loss, g)
     assert v.grad[0] == 0.0
@@ -333,7 +339,6 @@ def test_shape_errors_name_op_and_shapes():
 _ROWS = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])
 OP_INPUTS = {
     "matmul": ([_ROWS, _ROWS], {"transpose_b": True}),
-    "linear": ([_ROWS, _ROWS.T, np.ones(2)], {}),
     "add": ([_ROWS, _ROWS], {}),
     "scale": ([_ROWS], {"factor": -2.0}),
     "relu": ([_ROWS], {}),
@@ -348,8 +353,9 @@ OP_INPUTS = {
     "reshape": ([_ROWS], {"shape": (3, 2)}),
     "normalize_rows": ([_ROWS], {}),
     "cross_entropy_from_logits": ([_ROWS], {"labels": [1, 2]}),
-    "attention_residual": ([_ROWS, np.ones(3), np.zeros(3), *[np.eye(3) * s for s in (1.0, -0.5, 2.0, 0.25)]], {}),
-    "mlp_residual": ([_ROWS, np.ones(3), np.zeros(3), _ROWS.T, np.ones(2), _ROWS, np.zeros(3)], {}),
+    "attention_residual": ([_ROWS[None], np.ones(3), np.zeros(3), *[np.eye(3) * s for s in (1.0, -0.5, 2.0, 0.25)]],
+                           {}),
+    "mlp_residual": ([_ROWS[None], np.ones(3), np.zeros(3), _ROWS.T, np.ones(2), _ROWS, np.zeros(3)], {}),
 }
 
 
@@ -362,17 +368,57 @@ def test_op_kind_contract():
         assert op.__name__ == kind
         assert any(case == kind or case.startswith(kind + "_") for case in OP_CASES), kind
         inputs, attrs = OP_INPUTS[kind]
-        with ad.Graph() as g:
-            out = op(*inputs, **attrs)
+        args = [[ad.Tensor(a) for a in x] if isinstance(x, list) else ad.Tensor(x) for x in inputs]
+        with ad.Graph(wrt=[t for x in args for t in (x if isinstance(x, list) else [x])]) as g:
+            out = op(*args, **attrs)
         assert g.nodes[-1].kind == kind and g.nodes[-1].output is out
+
+
+def _benchmark_op_kinds() -> set[str]:
+    """The op kinds that BENCHMARK.json's per_layer metrics name."""
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    return {m["name"].split(".")[2] for m in spec["per_layer"] if m["name"].startswith("autodiff.op.")}
 
 
 def test_benchmark_per_op_metrics_name_live_op_kinds():
     # The tracer derives its per-op metric names from op_kinds(), so a kind
     # that BENCHMARK.json lists but op_kinds() lacks is a metric never reported.
-    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
-    kinds = {m["name"].split(".")[2] for m in spec["per_layer"] if m["name"].startswith("autodiff.op.")}
+    kinds = _benchmark_op_kinds()
     assert kinds and kinds <= set(ad.op_kinds()), sorted(kinds - set(ad.op_kinds()))
+
+
+def _autodiff_calls(source: str) -> set[str]:
+    """The autodiff functions a package module calls, as `<module>.name(...)` or as an imported name.
+
+    The package imports its siblings relatively: `from . import autodiff as ad`
+    or `from .autodiff import name`.
+    """
+    tree = ast.parse(source)
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "autodiff":
+                names.update((a.asname or a.name, a.name) for a in node.names)
+            elif node.module is None:
+                modules.update(a.asname or a.name for a in node.names if a.name == "autodiff")
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in modules:
+                called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in names:
+                called.add(names[f.id])
+    return called
+
+
+def test_every_op_kind_has_a_user():
+    # a kind no other package module calls and no benchmark metric names is code no run needs
+    package = Path(ad.__file__).parent
+    called = set().union(*(_autodiff_calls(p.read_text()) for p in package.glob("*.py") if p.name != "autodiff.py"))
+    assert {"matmul", "mlp_residual", "cross_entropy_from_logits"} <= called   # both import forms are read
+    unused = [kind for kind in ad.op_kinds() if kind not in called | _benchmark_op_kinds()]
+    assert unused == []
 
 
 def test_benchmark_tracer_patches_and_restores_live_names(monkeypatch):
@@ -403,7 +449,7 @@ def test_values_and_grads_finite_on_finite_inputs():
     w = ad.Tensor(rng.normal(size=(6, 6)))
     gain = ad.Tensor(np.ones(6))
     bias = ad.Tensor(np.zeros(6))
-    with ad.Graph() as g:
+    with ad.Graph(wrt=[x, w, gain, bias]) as g:
         h = ad.layer_norm(ad.gelu(ad.matmul(x, w)), gain, bias)
         loss = ad.cross_entropy_from_logits(ad.softmax(h), np.array([0, 1, 2, 3]))
     ad.backward(loss, g)
@@ -418,7 +464,7 @@ def test_determinism_bitwise():
         rng = np.random.default_rng(123)
         x = ad.Tensor(rng.normal(size=(3, 4)))
         w = ad.Tensor(rng.normal(size=(4, 2)))
-        with ad.Graph() as g:
+        with ad.Graph(wrt=[w]) as g:
             loss = ad.cross_entropy_from_logits(ad.matmul(x, w), np.array([0, 1, 0]))
         ad.backward(loss, g)
         return loss.item(), w.grad.copy()
@@ -546,7 +592,7 @@ def test_sgd_loss_decreases_on_separable_problem():
     losses = []
     for _ in range(20):
         bag["w"].grad = None
-        with ad.Graph() as g:
+        with ad.Graph(wrt=[bag["w"]]) as g:
             loss = ad.cross_entropy_from_logits(ad.matmul(x, bag["w"]), y)
         ad.backward(loss, g)
         losses.append(loss.item())

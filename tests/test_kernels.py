@@ -41,10 +41,11 @@ def spread(rng, shape):
     return rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, size=shape)
 
 
-def backward_of(build, g):
-    """Run one op under a Graph and return its output and its VJP of g."""
-    with ad.Graph() as graph:
-        out = build()
+def backward_of(op, arrays, g, **attrs):
+    """Run op on tensors of arrays under a Graph of them all; return its output and its VJP of g."""
+    inputs = [ad.Tensor(a) for a in arrays]
+    with ad.Graph(wrt=inputs) as graph:
+        out = op(*inputs, **attrs)
     return out.data, graph.nodes[-1].backward_fn(g)
 
 
@@ -94,15 +95,11 @@ def test_fold_at_model_sizes(batch, n, m):
 def test_weight_gradients_match_the_summed_stack(seed, batch, t, n, m, chunk, transpose_b):
     rng = np.random.default_rng(seed)
     x, g = spread(rng, (batch, t, n)), spread(rng, (batch, t, m))
-    w, bias = spread(rng, (n, m)), spread(rng, (m,))
-    wb = w.T.copy() if transpose_b else w
+    w = spread(rng, (m, n) if transpose_b else (n, m))
     with fold_budget(chunk * n * m * 8):
-        _, (_, gw, _) = backward_of(lambda: ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(bias)), g)
-        _, (_, gb) = backward_of(lambda: ad.matmul(ad.Tensor(x), ad.Tensor(wb), transpose_b), g)
-    xt = np.swapaxes(x, -1, -2)
-    assert np.array_equal(gw, np.matmul(xt, g).sum(axis=0))
-    want_b = np.matmul(np.swapaxes(g, -1, -2), x).sum(axis=0) if transpose_b else np.matmul(xt, g).sum(axis=0)
-    assert np.array_equal(gb, want_b)
+        _, (_, gw) = backward_of(ad.matmul, [x, w], g, transpose_b=transpose_b)
+    lhs, rhs = (np.swapaxes(g, -1, -2), x) if transpose_b else (np.swapaxes(x, -1, -2), g)
+    assert np.array_equal(gw, np.matmul(lhs, rhs).sum(axis=0))
 
 
 # ------------------------------------------------------------ gelu
@@ -113,7 +110,7 @@ def test_weight_gradients_match_the_summed_stack(seed, batch, t, n, m, chunk, tr
 def test_gelu_matches_the_plain_expressions(a, seed):
     g = spread(np.random.default_rng(seed), a.shape)
     with np.errstate(all="ignore"):
-        out, (da,) = backward_of(lambda: ad.gelu(ad.Tensor(a)), g)
+        out, (da,) = backward_of(ad.gelu, [a], g)
         e = erf(a * (1.0 / np.sqrt(2.0)))
         pdf = np.exp(-0.5 * a * a) * (1.0 / np.sqrt(2.0 * np.pi))
         want_out = 0.5 * a * (1.0 + e)
@@ -133,7 +130,7 @@ def test_gelu_sign_fold_matches_the_plain_erf_at_the_edges():
     a = np.concatenate([edges, np.negative(edges), spread_out])
     g = rng.normal(size=a.shape)
     with np.errstate(all="ignore"):
-        out, (da,) = backward_of(lambda: ad.gelu(ad.Tensor(a)), g)
+        out, (da,) = backward_of(ad.gelu, [a], g)
         e = erf(a * (1.0 / np.sqrt(2.0)))
         pdf = np.exp(-0.5 * a * a) * (1.0 / np.sqrt(2.0 * np.pi))
         want_out = 0.5 * a * (1.0 + e)
@@ -155,8 +152,7 @@ def test_layer_norm_matches_the_plain_expressions(seed, shape):
     gain, bias = rng.normal(size=n), rng.normal(size=n)
     assert np.array_equal(np.add.reduce(x, axis=-1, keepdims=True) / n, x.mean(axis=-1, keepdims=True))
 
-    out, (dx, dgain, dbias) = backward_of(
-        lambda: ad.layer_norm(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias)), g)
+    out, (dx, dgain, dbias) = backward_of(ad.layer_norm, [x, gain, bias], g)
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -189,8 +185,8 @@ def attention_chain(tokens, gain, bias, q, k, v, out):
 def mlp_chain(tokens, gain, bias, w1, b1, w2, b2):
     # the MLP half of a block as encode wrote it before the fused op
     hn = ad.layer_norm(tokens, gain, bias)
-    hidden = ad.gelu(ad.linear(hn, w1, b1))
-    return ad.add(tokens, ad.linear(hidden, w2, b2))
+    hidden = ad.gelu(ad.add(ad.matmul(hn, w1), b1))
+    return ad.add(tokens, ad.add(ad.matmul(hidden, w2), b2))
 
 
 def branch_inputs(kind, tokens_shape, hidden, seed):
@@ -208,11 +204,10 @@ def branch_inputs(kind, tokens_shape, hidden, seed):
 def branch_grads(op, arrays, g, wrt_ids):
     """Output, taped node kinds and every input's .grad after backward seeds the output with g.
 
-    wrt_ids None runs under a full Graph(); otherwise the graph differentiates those inputs.
+    The graph differentiates the inputs numbered wrt_ids.
     """
     inputs = [ad.Tensor(a.copy()) for a in arrays]
-    wrt = None if wrt_ids is None else [inputs[i] for i in wrt_ids]
-    with ad.Graph(wrt=wrt) as graph:
+    with ad.Graph(wrt=[inputs[i] for i in wrt_ids]) as graph:
         out = op(*inputs)
     kinds = [n.kind for n in graph.nodes]
     loss = ad.Tensor(0.0)           # a seed node hands g to the output as it is
@@ -237,15 +232,15 @@ def test_fused_branch_matches_the_chain_of_plain_ops_bit_for_bit(kind, shape):
 
     untaped = fused(*[ad.Tensor(a) for a in arrays]).data
     assert np.array_equal(untaped, chain(*[ad.Tensor(a) for a in arrays]).data)
-    subsets = [None] + [s for r in range(1, 8) for s in itertools.combinations(range(7), r)]
-    assert len(subsets) == 1 + 127
+    subsets = [s for r in range(1, 8) for s in itertools.combinations(range(7), r)]
+    assert len(subsets) == 127
     for wrt in subsets:
         out, kinds, grads = branch_grads(fused, arrays, g, wrt)
         want_out, _, want_grads = branch_grads(chain, arrays, g, wrt)
         assert kinds == [kind], wrt
         assert np.array_equal(out, want_out) and np.array_equal(out, untaped), wrt
         for i, (got, want) in enumerate(zip(grads, want_grads)):
-            if wrt is None or i in wrt:
+            if i in wrt:
                 assert got is not None and np.array_equal(got, want), (wrt, i)
             else:
                 assert got is None and want is None, (wrt, i)
@@ -254,14 +249,12 @@ def test_fused_branch_matches_the_chain_of_plain_ops_bit_for_bit(kind, shape):
 
 
 @pytest.mark.parametrize("kind", sorted(BRANCHES))
-def test_fused_branch_takes_an_unbatched_sequence(kind):
-    # [tokens, d] rather than [batch, tokens, d]: the weight gradients take the plain matmul path
-    fused, chain = BRANCHES[kind]
-    arrays, g = branch_inputs(kind, (5, 8), 12, seed=3)
-    out, kinds, grads = branch_grads(fused, arrays, g, None)
-    want_out, _, want_grads = branch_grads(chain, arrays, g, None)
-    assert kinds == [kind] and np.array_equal(out, want_out)
-    assert all(np.array_equal(a, b) for a, b in zip(grads, want_grads))
+def test_fused_branch_rejects_an_unbatched_sequence(kind):
+    # encode gives a branch [batch, tokens, d]; a bare [tokens, d] is a shape error
+    fused, _ = BRANCHES[kind]
+    arrays, _ = branch_inputs(kind, (5, 8), 12, seed=3)
+    with pytest.raises(ValueError, match=rf"{kind}: incompatible shapes \(5, 8\) vs \(8,\)"):
+        fused(*arrays)
 
 
 # ------------------------------------------------------------ AdamW
@@ -298,12 +291,13 @@ def test_adamw_matches_the_plain_expressions(seed, shape, lr, beta1, beta2, eps,
 # ------------------------------------------------------------ no writes
 
 REWRITTEN = {
-    "linear": (ad.linear, [(5, 3, 4), (4, 6), (6,)], (5, 3, 6), {}),
-    "linear_2d": (ad.linear, [(5, 4), (4, 6), (6,)], (5, 6), {}),
     "matmul": (ad.matmul, [(5, 3, 4), (4, 6)], (5, 3, 6), {}),
     "matmul_transpose_b": (ad.matmul, [(5, 3, 4), (6, 4)], (5, 3, 6), {"transpose_b": True}),
     "gelu": (ad.gelu, [(5, 3, 4)], (5, 3, 4), {}),
     "layer_norm": (ad.layer_norm, [(5, 3, 4), (4,), (4,)], (5, 3, 4), {}),
+    "attention_residual": (ad.attention_residual, [(5, 3, 4), (4,), (4,), (4, 4), (4, 4), (4, 4), (4, 4)],
+                           (5, 3, 4), {}),
+    "mlp_residual": (ad.mlp_residual, [(5, 3, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,)], (5, 3, 4), {}),
 }
 
 
@@ -315,7 +309,7 @@ def test_rewritten_ops_write_neither_inputs_nor_gradient(case):
     g = spread(rng, out_shape)
     kept, kept_g = [a.copy() for a in inputs], g.copy()
     with fold_budget(2 * 6 * 8):   # two items a chunk, so the 3-d products fold
-        backward_of(lambda: op(*[ad.Tensor(a) for a in inputs], **attrs), g)
+        backward_of(op, inputs, g, **attrs)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
     assert np.array_equal(g, kept_g)
 

@@ -70,7 +70,7 @@ def test_single_sample_score_is_gradient_magnitude():
     scores = mk.score_parameters(params, ds, fc1_loss, batch_size=4)
     for t in params.values():
         t.grad = None
-    with ad.Graph() as g:
+    with ad.Graph(wrt=[params["block0.mlp.fc1.weight"]]) as g:
         loss = fc1_loss(params, ds.x, ds.y)
     ad.backward(loss, g)
     manual = np.abs(params["block0.mlp.fc1.weight"].grad)

@@ -129,7 +129,7 @@ def test_model_loss_gradients_stay_finite(tiny):
     x = np.random.default_rng(6).normal(size=(4, cfg.input_dim))
     for t in params.values():
         t.grad = None
-    with ad.Graph() as g:
+    with ad.Graph(wrt=params.values()) as g:
         loss = dm.model_loss(params, table[:4], x, np.array([0, 1, 2, 3]), LOGIT)
     ad.backward(loss, g)
     for path, t in params.items():
